@@ -12,9 +12,8 @@ __version__ = "0.1.0"
 
 from .series import (DEFAULT_CAP, TruncatedSeries, UnivariateSeries,
                      SeriesMatrix, series_at_matrix, matrix_exp,
-                     matrix_trace_power, sinh_quotient_series,
-                     useries_div, useries_exp, useries_log, useries_sqrt,
-                     useries_compose)
+                     sinh_quotient_series, useries_div, useries_exp,
+                     useries_log, useries_sqrt)
 from .polyvector import (PolyVectorField, DifferentialForm,
                          schouten_bracket, wedge_fields, wedge_forms,
                          contract, exterior_derivative, hkr_components,
@@ -22,7 +21,7 @@ from .polyvector import (PolyVectorField, DifferentialForm,
 from .polydiff import (PolyDiffOp, bullet, cup, gerstenhaber_bracket,
                        hochschild_differential, hkr)
 from .etalgebra import (EtaFormScalar, EtaField, EtaOperator,
-                        eta_word_sign, contract_scalar_into_field, hkr_eta)
+                        contract_scalar_into_field, hkr_eta)
 from .graphs import (AdmissibleGraph, enumerate_graphs, vanishing_tag,
                      WheelFamily, classify_wheels, wheel_graph,
                      cycle_type_multiplicity, cycle_type_of_wheelish,
@@ -30,7 +29,7 @@ from .graphs import (AdmissibleGraph, enumerate_graphs, vanishing_tag,
 from .weights import (modified_bernoulli, wheel_weight_closed, theta_series,
                       inverse_sqrt_sinh_quotient, angle, WeightEstimate,
                       mc_weight, mc_weight_cached)
-from .formality import (graph_operator, evaluate_graph, u_one,
+from .formality import (graph_operator, u_one,
                         MaurerCartanData, xi_matrix, theta_and_det,
                         closed_form_map, wheel_graph_weight,
                         twisted_first_taylor, todd_series,
@@ -41,15 +40,15 @@ from .suites import SUITES, run_suite
 
 __all__ = [
     "DEFAULT_CAP", "TruncatedSeries", "UnivariateSeries", "SeriesMatrix",
-    "series_at_matrix", "matrix_exp", "matrix_trace_power",
+    "series_at_matrix", "matrix_exp",
     "sinh_quotient_series", "useries_div", "useries_exp", "useries_log",
-    "useries_sqrt", "useries_compose",
+    "useries_sqrt",
     "PolyVectorField", "DifferentialForm", "schouten_bracket",
     "wedge_fields", "wedge_forms", "contract", "exterior_derivative",
     "hkr_components", "pairing", "sort_with_sign",
     "PolyDiffOp", "bullet", "cup", "gerstenhaber_bracket",
     "hochschild_differential", "hkr",
-    "EtaFormScalar", "EtaField", "EtaOperator", "eta_word_sign",
+    "EtaFormScalar", "EtaField", "EtaOperator",
     "contract_scalar_into_field", "hkr_eta",
     "AdmissibleGraph", "enumerate_graphs", "vanishing_tag", "WheelFamily",
     "classify_wheels", "wheel_graph", "cycle_type_multiplicity",
@@ -58,7 +57,7 @@ __all__ = [
     "modified_bernoulli", "wheel_weight_closed", "theta_series",
     "inverse_sqrt_sinh_quotient", "angle", "WeightEstimate", "mc_weight",
     "mc_weight_cached",
-    "graph_operator", "evaluate_graph", "u_one", "MaurerCartanData",
+    "graph_operator", "u_one", "MaurerCartanData",
     "xi_matrix", "theta_and_det", "closed_form_map", "wheel_graph_weight",
     "twisted_first_taylor", "todd_series", "tilde_todd_series",
     "exp_half_series",

@@ -22,13 +22,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .series import DEFAULT_CAP, TruncatedSeries, _as_fraction
-from .polyvector import (DifferentialForm, PolyVectorField, contract,
-                         merge_with_sign, wedge_forms)
-from .polydiff import PolyDiffOp, hkr
+from .series import DEFAULT_CAP, SparseSum, TruncatedSeries, sparse_sum
+from .polyvector import DifferentialForm, contract, merge_with_sign
+from .polydiff import hkr
 
 
-class EtaFormScalar:
+class EtaFormScalar(SparseSum):
     """Sum of eta-words tensor dt-words with series coefficients."""
 
     __slots__ = ("dim", "cap", "terms")
@@ -36,7 +35,7 @@ class EtaFormScalar:
     def __init__(self, dim, cap=DEFAULT_CAP, terms=None):
         self.dim = dim
         self.cap = cap
-        clean = {}
+        clean = []
         for (eta, form), s in (terms or {}).items():
             eta = tuple(eta)
             form = tuple(form)
@@ -44,10 +43,9 @@ class EtaFormScalar:
                 raise ValueError("keys must be strictly increasing tuples")
             if isinstance(s, (int, Fraction)):
                 s = TruncatedSeries.const(dim, s, cap)
-            if not s.is_zero():
-                key = (eta, form)
-                clean[key] = clean[key] + s if key in clean else s
-        self.terms = {k: v for k, v in clean.items() if not v.is_zero()}
+            if s:
+                clean.append(((eta, form), s))
+        self.terms = sparse_sum(clean)
 
     @classmethod
     def zero(cls, dim, cap=DEFAULT_CAP):
@@ -62,70 +60,43 @@ class EtaFormScalar:
         return cls(dim, cap, {((alpha,), ()): TruncatedSeries.const(dim, 1, cap)})
 
     def zero_like(self):
-        return EtaFormScalar(self.dim, self.cap)
+        return EtaFormScalar._make(self.dim, self.cap, {})
 
     def one_like(self):
         return EtaFormScalar.one(self.dim, self.cap)
 
-    def is_zero(self):
-        return not self.terms
-
     def has_even_grade(self):
         return all((len(eta) + len(form)) % 2 == 0 for eta, form in self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, EtaFormScalar):
-            return NotImplemented
-        return self.dim == other.dim and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.dim, frozenset(self.terms.items())))
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = EtaFormScalar(self.dim, self.cap, {((), ()): other})
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        terms = dict(self.terms)
-        for k, s in other.terms.items():
-            terms[k] = terms[k] + s if k in terms else s
-        return EtaFormScalar(self.dim, min(self.cap, other.cap), terms)
+        return EtaFormScalar._make(self.dim, min(self.cap, other.cap),
+                                   sparse_sum(other.terms.items(), self.terms))
 
     __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def scale(self, c):
-        if isinstance(c, TruncatedSeries):
-            return EtaFormScalar(self.dim, self.cap,
-                                 {k: c * s for k, s in self.terms.items()})
-        c = _as_fraction(c)
-        return EtaFormScalar(self.dim, self.cap,
-                             {k: s.scale(c) for k, s in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, TruncatedSeries)):
             return self.scale(other)
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        terms = {}
-        for (e1, f1), s1 in self.terms.items():
-            for (e2, f2), s2 in other.terms.items():
-                se, eta = merge_with_sign(e1, e2)
-                if se == 0:
-                    continue
-                sf, form = merge_with_sign(f1, f2)
-                if sf == 0:
-                    continue
-                koszul = -1 if (len(f1) % 2) and (len(e2) % 2) else 1
-                val = (s1 * s2).scale(se * sf * koszul)
-                key = (eta, form)
-                terms[key] = terms[key] + val if key in terms else val
-        return EtaFormScalar(self.dim, min(self.cap, other.cap), terms)
+
+        def products():
+            for (e1, f1), s1 in self.terms.items():
+                for (e2, f2), s2 in other.terms.items():
+                    se, eta = merge_with_sign(e1, e2)
+                    if se == 0:
+                        continue
+                    sf, form = merge_with_sign(f1, f2)
+                    if sf == 0:
+                        continue
+                    koszul = -1 if (len(f1) % 2) and (len(e2) % 2) else 1
+                    yield (eta, form), (s1 * s2).scale(se * sf * koszul)
+        return EtaFormScalar._make(self.dim, min(self.cap, other.cap),
+                                   sparse_sum(products()))
 
     __rmul__ = __mul__
 
@@ -153,8 +124,7 @@ class EtaFormScalar:
         """Group terms by eta-word: eta-word -> DifferentialForm."""
         out = {}
         for (eta, form), s in self.terms.items():
-            d = out.setdefault(eta, {})
-            d[form] = d.get(form) + s if form in d else s
+            out.setdefault(eta, {})[form] = s
         return {eta: _form_from_parts(self.dim, parts)
                 for eta, parts in out.items()}
 
@@ -167,62 +137,30 @@ def _form_from_parts(dim, parts):
     if len(degrees) > 1:
         raise ValueError("mixed form degrees within one eta-word")
     degree = degrees.pop() if degrees else 0
-    return DifferentialForm(dim, degree, parts)
+    return DifferentialForm._make(dim, degree, parts)
 
 
-class _EtaGraded:
+class _EtaGraded(SparseSum):
     """Common shell for eta-word -> payload containers."""
 
     __slots__ = ("dim", "parts")
 
     def __init__(self, dim, parts=None):
         self.dim = dim
-        clean = {}
+        clean = []
         for eta, payload in (parts or {}).items():
             eta = tuple(eta)
             if list(eta) != sorted(set(eta)):
                 raise ValueError("eta-words must be strictly increasing")
-            if not payload.is_zero():
-                clean[eta] = clean[eta] + payload if eta in clean else payload
-        self.parts = {k: v for k, v in clean.items() if not v.is_zero()}
-
-    def is_zero(self):
-        return not self.parts
-
-    def __eq__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return self.dim == other.dim and self.parts == other.parts
+            if payload:
+                clean.append((eta, payload))
+        self.parts = sparse_sum(clean)
 
     def __add__(self, other):
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        parts = dict(self.parts)
-        for k, v in other.parts.items():
-            parts[k] = parts[k] + v if k in parts else v
-        return type(self)(self.dim, parts)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        return type(self)(self.dim,
-                          {k: v.scale(c) for k, v in self.parts.items()})
-
-    def agrees_with(self, other, through):
-        """Payload-wise agreement through a total series order."""
-        if self.dim != other.dim:
-            return False
-        for eta in set(self.parts) | set(other.parts):
-            a = self.parts.get(eta)
-            b = other.parts.get(eta)
-            if a is None:
-                a, b = b, a
-            if b is None:
-                b = a.scale(0)
-            if not a.agrees_with(b, through):
-                return False
-        return True
+        return self._make(self.dim,
+                          sparse_sum(other.parts.items(), self.parts))
 
     def __repr__(self):
         return "%s(dim=%d, eta-words=%s)" % (
@@ -237,28 +175,14 @@ class EtaOperator(_EtaGraded):
     """eta-word -> PolyDiffOp."""
 
 
-def eta_word_sign(word):
-    """Normalize an eta product written left to right.
-
-    Returns (sign, sorted_tuple), or (0, ()) when a generator repeats.
-    """
-    from .polyvector import sort_with_sign
-    sign, key = sort_with_sign(word)
-    return sign, key
-
-
 def contract_scalar_into_field(scalar, field):
     """(sum eta_S tensor u_S) acting on an eta-free field by contraction."""
-    parts = {}
-    for eta, form in scalar.eta_parts().items():
-        res = contract(form, field)
-        if res.is_zero():
-            continue
-        parts[eta] = parts[eta] + res if eta in parts else res
-    return EtaField(field.dim, parts)
+    return EtaField._make(field.dim, sparse_sum(
+        (eta, contract(form, field))
+        for eta, form in scalar.eta_parts().items()))
 
 
 def hkr_eta(efield):
     """Apply the HKR map to every eta component."""
-    return EtaOperator(efield.dim,
-                       {eta: hkr(f) for eta, f in efield.parts.items()})
+    return EtaOperator._make(efield.dim, sparse_sum(
+        (eta, hkr(f)) for eta, f in efield.parts.items()))

@@ -40,17 +40,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product as _cartesian
+from math import factorial
 
 from .series import (DEFAULT_CAP, Q0, Q1, TruncatedSeries, SeriesMatrix,
                      UnivariateSeries, useries_div)
-from .polyvector import (DifferentialForm, PolyVectorField, contract,
-                         exterior_derivative, hkr_components, pairing)
-from .polydiff import PolyDiffOp, hkr, _unit_multi, _factorial
-from .graphs import (AdmissibleGraph, cycle_type_of_wheelish, gamma0,
-                     graphs_with_profile, vanishing_tag)
-from .weights import wheel_weight_closed, theta_series, inverse_sqrt_sinh_quotient
-from .etalgebra import (EtaField, EtaFormScalar, EtaOperator,
-                        contract_scalar_into_field, eta_word_sign, hkr_eta)
+from .polyvector import hkr_components, sort_with_sign
+from .polydiff import PolyDiffOp, _unit_multi
+from .graphs import (cycle_type_of_wheelish, graphs_with_profile,
+                     vanishing_tag)
+from .weights import wheel_weight_closed
+from .etalgebra import (EtaFormScalar, EtaOperator,
+                        contract_scalar_into_field, hkr_eta)
 
 
 # ---------------------------------------------------------------------
@@ -109,12 +109,6 @@ def graph_operator(graph, fields):
     return acc
 
 
-def evaluate_graph(graph, fields, ground_functions):
-    """Value of the graph operator on explicit ground functions."""
-    op = graph_operator(graph, fields)
-    return op.apply(list(ground_functions))
-
-
 def u_one(field):
     """First Taylor coefficient on a single field, built by Einstein sum."""
     dim = field.dim
@@ -122,7 +116,7 @@ def u_one(field):
     if k == 0:
         f = field.as_function()
         return PolyDiffOp.function(f) if f is not None else PolyDiffOp.zero(dim, -1)
-    pref = Fraction((-1) ** ((k * (k - 1) // 2) % 2), _factorial(k))
+    pref = Fraction((-1) ** ((k * (k - 1) // 2) % 2), factorial(k))
     acc = PolyDiffOp.zero(dim, k - 1)
     for idx, comp in hkr_components(field):
         slots = tuple(_unit_multi(dim, i) for i in idx)
@@ -178,20 +172,19 @@ def xi_matrix(mc, cap=None):
                 dcomp = comp.partial(j)
                 for k in range(1, dim + 1):
                     c = dcomp.partial(k)
-                    if c.is_zero():
-                        continue
-                    key = ((alpha,), (k,))
-                    terms[key] = terms[key] + c if key in terms else c
-            row.append(EtaFormScalar(dim, cap, terms))
+                    if c:
+                        terms[(alpha,), (k,)] = c
+            row.append(EtaFormScalar._make(dim, cap, terms))
         entries.append(row)
     return SeriesMatrix(entries)
 
 
 def theta_and_det(xi, max_length=None):
-    """Theta = sum_l (-1)^{l(l-1)/2} (W_l / l) Xi^l and det(exp Theta).
+    """det(exp Theta), Theta = sum_l (-1)^{l(l-1)/2} (W_l / l) Xi^l.
 
     Only even l contribute (odd wheel weights vanish); the eta grading
-    cuts the sum off at l <= number of generators.
+    cuts the sum off at l <= number of generators.  The determinant is
+    exp(Tr Theta), so only the trace of Theta is built.
     """
     if not xi.all_even_grade():
         raise ValueError("Xi entries must have even total grade")
@@ -199,7 +192,6 @@ def theta_and_det(xi, max_length=None):
     cap = xi.entries[0][0].cap
     if max_length is None:
         max_length = 2 * xi.size + 2  # eta nilpotence cuts off earlier
-    theta = None
     trace_theta = EtaFormScalar.zero(dim, cap)
     power = SeriesMatrix.identity_like(xi)
     for l in range(1, max_length + 1):
@@ -211,18 +203,14 @@ def theta_and_det(xi, max_length=None):
             continue
         sign = (-1) ** ((l * (l - 1) // 2) % 2)
         coeff = Fraction(sign) * w / l
-        term = power.scale(coeff)
-        theta = term if theta is None else theta + term
         trace_theta = trace_theta + power.trace().scale(coeff)
-    if theta is None:
-        theta = SeriesMatrix.identity_like(xi).scale(Fraction(0))
-    return theta, trace_theta.exp()
+    return trace_theta.exp()
 
 
 def closed_form_map(mc, field, cap=None):
     """hkr(det(exp Theta) ^ field): the closed form of the twisted map."""
     xi = xi_matrix(mc, cap=cap)
-    _, det = theta_and_det(xi)
+    det = theta_and_det(xi)
     contracted = contract_scalar_into_field(det, field)
     return hkr_eta(contracted)
 
@@ -244,7 +232,7 @@ def wheel_graph_weight(partition, m):
     sign = (-1) ** (cross % 2)
     sign *= (-1) ** (((m + 2 * j) * (m + 2 * j - 1) // 2) % 2)
     sign *= (-1) ** (j % 2)
-    w = Fraction(sign, _factorial(m))
+    w = Fraction(sign, factorial(m))
     for l in partition:
         w *= wheel_weight_closed(l)
     return w
@@ -279,13 +267,13 @@ def twisted_first_taylor(mc, field, j_max=None):
             survivors.append((g, ctype))
         if not survivors:
             continue
-        jfact = Fraction(1, _factorial(j))
+        jfact = Fraction(1, factorial(j))
         for g, ctype in survivors:
             w = wheel_graph_weight(ctype, m)
             if w == 0:
                 continue
             for alphas in _cartesian(range(1, mc.s + 1), repeat=j):
-                sign, key = eta_word_sign(tuple(reversed(alphas)))
+                sign, key = sort_with_sign(reversed(alphas))
                 if sign == 0:
                     continue
                 op = graph_operator(g, [mc.fields[a - 1] for a in alphas]

@@ -18,8 +18,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-
-from .series import _as_fraction
+from math import factorial
 
 
 @dataclass(frozen=True)
@@ -197,18 +196,11 @@ def cycle_type_multiplicity(partition):
     counts = {}
     for part in partition:
         counts[part] = counts.get(part, 0) + 1
-    mult = Fraction(_fact(j))
+    mult = Fraction(factorial(j))
     for size, cnt in counts.items():
-        mult /= _fact(cnt) * size ** cnt
+        mult /= factorial(cnt) * size ** cnt
     assert mult.denominator == 1
     return int(mult)
-
-
-def _fact(n):
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
 
 
 def classify_wheels(j, center_degree):

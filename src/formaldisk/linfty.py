@@ -28,9 +28,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .etalgebra import EtaField, eta_word_sign
-from .polyvector import schouten_bracket
-from .series import _as_fraction
+from .etalgebra import EtaField
+from .polyvector import schouten_bracket, sort_with_sign
+from .series import _as_fraction, sparse_sum
 
 
 # ---------------------------------------------------------------------
@@ -38,14 +38,11 @@ from .series import _as_fraction
 # ---------------------------------------------------------------------
 
 def _clean(elem):
-    return {k: v for k, v in elem.items() if v != 0}
+    return sparse_sum(elem.items())
 
 
 def elem_add(x, y):
-    out = dict(x)
-    for k, v in y.items():
-        out[k] = out.get(k, Fraction(0)) + v
-    return _clean(out)
+    return sparse_sum(y.items(), x)
 
 
 def elem_scale(x, c):
@@ -90,11 +87,8 @@ class SmallDGLie:
         return degs.pop() if degs else None
 
     def d(self, elem):
-        out = {}
-        for k, c in elem.items():
-            for t, v in self.diff.get(k, {}).items():
-                out[t] = out.get(t, Fraction(0)) + c * v
-        return _clean(out)
+        return sparse_sum((t, c * v) for k, c in elem.items()
+                          for t, v in self.diff.get(k, {}).items())
 
     def _bracket_basis(self, a, b):
         if (a, b) in self.table:
@@ -105,24 +99,17 @@ class SmallDGLie:
         return {}
 
     def bracket(self, x, y):
-        out = {}
-        for a, ca in x.items():
-            for b, cb in y.items():
-                for t, v in self._bracket_basis(a, b).items():
-                    out[t] = out.get(t, Fraction(0)) + ca * cb * v
-        return _clean(out)
+        return sparse_sum((t, ca * cb * v) for a, ca in x.items()
+                          for b, cb in y.items()
+                          for t, v in self._bracket_basis(a, b).items())
 
     def q1(self, x):
         return elem_scale(self.d(x), -1)
 
     def q2(self, x, y):
-        out = {}
-        for a, ca in x.items():
-            sign = (-1) ** (self.degrees[a] % 2)
-            for b, cb in y.items():
-                for t, v in self._bracket_basis(a, b).items():
-                    out[t] = out.get(t, Fraction(0)) + sign * ca * cb * v
-        return _clean(out)
+        return sparse_sum((t, (-1) ** (self.degrees[a] % 2) * ca * cb * v)
+                          for a, ca in x.items() for b, cb in y.items()
+                          for t, v in self._bracket_basis(a, b).items())
 
     def check_axioms(self):
         """Exhaustive d^2, Leibniz and Jacobi checks; returns violations."""
@@ -212,20 +199,14 @@ class LInftyMorphism:
             self.p2[key] = _clean(v)
 
     def psi1(self, x):
-        out = {}
-        for a, c in x.items():
-            for t, v in self.p1.get(a, {}).items():
-                out[t] = out.get(t, Fraction(0)) + c * v
-        return _clean(out)
+        return sparse_sum((t, c * v) for a, c in x.items()
+                          for t, v in self.p1.get(a, {}).items())
 
     def psi2(self, x, y):
-        out = {}
-        for a, ca in x.items():
-            for b, cb in y.items():
-                key = (a, b) if a <= b else (b, a)
-                for t, v in self.p2.get(key, {}).items():
-                    out[t] = out.get(t, Fraction(0)) + ca * cb * v
-        return _clean(out)
+        return sparse_sum((t, ca * cb * v) for a, ca in x.items()
+                          for b, cb in y.items()
+                          for t, v in self.p2.get(tuple(sorted((a, b))),
+                                                  {}).items())
 
     def check_identities(self):
         """Coherences through arity three; returns a list of violations.
@@ -343,20 +324,18 @@ def eta_schouten(x, y):
     """
     if x.dim != y.dim:
         raise ValueError("dimension mismatch")
-    parts = {}
-    for wi, a in x.parts.items():
-        for wj, b in y.parts.items():
-            sign, key = eta_word_sign(wi + wj)
-            if sign == 0:
-                continue
-            if (len(wj) * (a.degree % 2)) % 2:
-                sign = -sign
-            val = schouten_bracket(a, b)
-            if val.is_zero():
-                continue
-            val = val.scale(sign)
-            parts[key] = parts[key] + val if key in parts else val
-    return EtaField(x.dim, parts)
+    def brackets():
+        for wi, a in x.parts.items():
+            for wj, b in y.parts.items():
+                sign, key = sort_with_sign(wi + wj)
+                if sign == 0:
+                    continue
+                if (len(wj) * (a.degree % 2)) % 2:
+                    sign = -sign
+                val = schouten_bracket(a, b)
+                if val:
+                    yield key, val.scale(sign)
+    return EtaField._make(x.dim, sparse_sum(brackets()))
 
 
 def eta_mc_residual(omega):

@@ -26,9 +26,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations, product as _cartesian
+from math import factorial
 
-from .series import DEFAULT_CAP, Q0, Q1, TruncatedSeries, _as_fraction
-from .polyvector import PolyVectorField
+from .series import (DEFAULT_CAP, GradedSum, TruncatedSeries, sparse_sum,
+                     stepwise_sum)
+from .polyvector import sort_with_sign
 
 
 def _zero_multi(dim):
@@ -70,21 +72,14 @@ def _multi_splits(multi, parts):
                       for p in range(parts))
         coeff = 1
         for ax, total in enumerate(multi):
-            c = _factorial(total)
+            c = factorial(total)
             for p in range(parts):
-                c //= _factorial(combo[ax][p])
+                c //= factorial(combo[ax][p])
             coeff *= c
         yield split, Fraction(coeff)
 
 
-def _factorial(n):
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
-
-
-class PolyDiffOp:
+class PolyDiffOp(GradedSum):
     """Sum of (coefficient series, slot multi-indices) terms."""
 
     __slots__ = ("dim", "degree", "terms")
@@ -94,7 +89,7 @@ class PolyDiffOp:
             raise ValueError("degree must be >= -1 for nonzero operators")
         self.dim = dim
         self.degree = degree
-        clean = {}
+        clean = []
         for slots, c in (terms or {}).items():
             slots = tuple(tuple(m) for m in slots)
             if len(slots) != degree + 1:
@@ -103,9 +98,9 @@ class PolyDiffOp:
             for m in slots:
                 if len(m) != dim or any(e < 0 for e in m):
                     raise ValueError("bad multi-index %r" % (m,))
-            if not c.is_zero():
-                clean[slots] = (clean[slots] + c) if slots in clean else c
-        self.terms = {s: c for s, c in clean.items() if not c.is_zero()}
+            if c:
+                clean.append((slots, c))
+        self.terms = sparse_sum(clean)
 
     @classmethod
     def zero(cls, dim, degree=-1):
@@ -126,65 +121,9 @@ class PolyDiffOp:
         z = _zero_multi(dim)
         return cls(dim, 1, {(z, z): one})
 
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, PolyDiffOp):
-            return NotImplemented
-        if self.dim != other.dim or self.terms != other.terms:
-            return False
-        if self.terms:
-            return self.degree == other.degree
-        return True
-
-    def __hash__(self):
-        return hash((self.dim, self.degree, frozenset(self.terms.items())))
-
-    def agrees_with(self, other, through):
-        """Termwise coefficient agreement through a total series order.
-
-        Unlike __eq__ this ignores validity caps, so results computed
-        along routes with different truncation depths can be compared.
-        """
-        if self.dim != other.dim:
-            return False
-        if self.terms and other.terms and self.degree != other.degree:
-            return False
-        zero = TruncatedSeries.zero(self.dim, through)
-        for slots in set(self.terms) | set(other.terms):
-            a = self.terms.get(slots, zero)
-            b = other.terms.get(slots, zero)
-            if not a.agrees_with(b, through):
-                return False
-        return True
-
     def __add__(self, other):
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        if self.degree != other.degree and self.terms and other.terms:
-            raise ValueError("degree mismatch")
-        degree = self.degree if self.terms or not other.terms else other.degree
-        terms = dict(self.terms)
-        for s, c in other.terms.items():
-            terms[s] = terms[s] + c if s in terms else c
-        return PolyDiffOp(self.dim, degree, terms)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def scale(self, c):
-        if isinstance(c, TruncatedSeries):
-            return PolyDiffOp(self.dim, self.degree,
-                              {s: c * v for s, v in self.terms.items()})
-        c = _as_fraction(c)
-        if c == 0:
-            return PolyDiffOp(self.dim, self.degree)
-        return PolyDiffOp(self.dim, self.degree,
-                          {s: v.scale(c) for s, v in self.terms.items()})
+        return PolyDiffOp._make(self.dim, self._sum_degree(other),
+                                sparse_sum(other.terms.items(), self.terms))
 
     def apply(self, args):
         """Evaluate on a tuple of series; needs degree+1 arguments."""
@@ -228,13 +167,10 @@ def cup(d1, d2):
     if d1.dim != d2.dim:
         raise ValueError("dimension mismatch")
     sign = (-1) ** ((d1.degree * d2.degree) % 2)
-    terms = {}
-    for s1, c1 in d1.terms.items():
-        for s2, c2 in d2.terms.items():
-            key = s1 + s2
-            val = (c1 * c2).scale(sign)
-            terms[key] = terms[key] + val if key in terms else val
-    return PolyDiffOp(d1.dim, d1.degree + d2.degree + 1, terms)
+    products = ((s1 + s2, (c1 * c2).scale(sign))
+                for s1, c1 in d1.terms.items() for s2, c2 in d2.terms.items())
+    return PolyDiffOp._make(d1.dim, d1.degree + d2.degree + 1,
+                            sparse_sum(products))
 
 
 def _insert_term(c1, slots1, i, d2):
@@ -243,48 +179,39 @@ def _insert_term(c1, slots1, i, d2):
     The receiving multi-index is distributed by the Leibniz rule over
     d2's coefficient and each of d2's slots.  For a degree -1 insert
     (a function) the whole multi-index lands on the function and the
-    slot disappears.
+    slot disappears.  Yields (slots, coefficient) pairs.
     """
     alpha = slots1[i]
-    out_terms = {}
     if d2.degree == -1:
         c2 = d2.terms.get(())
         if c2 is not None:
             c = c1 * c2.partial_multi(alpha)
-            key = slots1[:i] + slots1[i + 1:]
-            if not c.is_zero():
-                out_terms[key] = out_terms[key] + c if key in out_terms else c
-        return out_terms
+            if c:
+                yield slots1[:i] + slots1[i + 1:], c
+        return
     parts = d2.degree + 2  # one share for the coefficient, rest for slots
     for s2, c2 in d2.terms.items():
         for split, mult in _multi_splits(alpha, parts):
             nu, betas = split[0], split[1:]
             c = c1 * c2.partial_multi(nu)
-            if c.is_zero():
+            if not c:
                 continue
-            c = c.scale(mult)
             block = tuple(_add_multi(b, m) for b, m in zip(betas, s2))
-            key = slots1[:i] + block + slots1[i + 1:]
-            out_terms[key] = out_terms[key] + c if key in out_terms else c
-    return out_terms
+            yield slots1[:i] + block + slots1[i + 1:], c.scale(mult)
 
 
 def bullet(d1, d2):
     """Insertion product sum_i (-1)^{i |d2|} (d1 with d2 in slot i)."""
     if d1.dim != d2.dim:
         raise ValueError("dimension mismatch")
-    degree = d1.degree + d2.degree
-    acc = PolyDiffOp(d1.dim, degree)
-    for slots1, c1 in d1.terms.items():
-        for i in range(d1.degree + 1):
-            sign = (-1) ** ((i * d2.degree) % 2)
-            piece = _insert_term(c1, slots1, i, d2)
-            if not piece:
-                continue
-            term = PolyDiffOp(d1.dim, degree,
-                              {k: v.scale(sign) for k, v in piece.items()})
-            acc = acc + term
-    return acc
+    def insertions():
+        for slots1, c1 in d1.terms.items():
+            for i in range(d1.degree + 1):
+                sign = (-1) ** ((i * d2.degree) % 2)
+                piece = sparse_sum(_insert_term(c1, slots1, i, d2))
+                yield ((key, c.scale(sign)) for key, c in piece.items())
+    return PolyDiffOp._make(d1.dim, d1.degree + d2.degree,
+                            stepwise_sum(insertions()))
 
 
 def gerstenhaber_bracket(d1, d2):
@@ -310,21 +237,9 @@ def hkr(field):
         if f is None:
             return PolyDiffOp.zero(dim, -1)
         return PolyDiffOp.function(f)
-    pref = Fraction((-1) ** ((k * (k - 1) // 2) % 2), _factorial(k))
-    terms = {}
-    for idx, s in field.comps.items():
-        for sigma in permutations(range(k)):
-            sgn = _perm_sign(sigma)
-            slots = tuple(_unit_multi(dim, idx[sigma[p]]) for p in range(k))
-            c = s.scale(pref * sgn)
-            terms[slots] = terms[slots] + c if slots in terms else c
-    return PolyDiffOp(dim, k - 1, terms)
-
-
-def _perm_sign(sigma):
-    sign = 1
-    for i in range(len(sigma)):
-        for j in range(i + 1, len(sigma)):
-            if sigma[i] > sigma[j]:
-                sign = -sign
-    return sign
+    pref = Fraction((-1) ** ((k * (k - 1) // 2) % 2), factorial(k))
+    terms = ((tuple(_unit_multi(dim, idx[p]) for p in sigma),
+              s.scale(pref * sort_with_sign(sigma)[0]))
+             for idx, s in field.comps.items()
+             for sigma in permutations(range(k)))
+    return PolyDiffOp._make(dim, k - 1, sparse_sum(terms))

@@ -25,7 +25,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 
-from .series import Q0, Q1, TruncatedSeries, _as_fraction
+from .series import (DEFAULT_CAP, GradedSum, TruncatedSeries, sparse_sum,
+                     stepwise_sum)
 
 
 def sort_with_sign(idx):
@@ -51,7 +52,7 @@ def merge_with_sign(left, right):
     return sign, merged
 
 
-class _Alternating:
+class _Alternating(GradedSum):
     """Shared storage for alternating tensors: increasing tuple -> series."""
 
     __slots__ = ("dim", "degree", "comps")
@@ -70,15 +71,12 @@ class _Alternating:
                 raise ValueError("index tuples must be strictly increasing")
             if isinstance(s, (int, Fraction)):
                 s = TruncatedSeries.const(dim, s)
-            if not s.is_zero():
+            if s:
                 clean[idx] = s
         self.comps = clean
 
     def _arity(self):
         raise NotImplementedError
-
-    def is_zero(self):
-        return not self.comps
 
     def cap(self):
         if not self.comps:
@@ -95,60 +93,9 @@ class _Alternating:
             return None
         return s if sign == 1 else -s
 
-    def _binary(self, other, fn):
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        if self.degree != other.degree and self.comps and other.comps:
-            raise ValueError("degree mismatch %d vs %d" % (self.degree, other.degree))
-        comps = dict(self.comps)
-        for idx, s in other.comps.items():
-            comps[idx] = fn(comps[idx], s) if idx in comps else fn(None, s)
-        degree = self.degree if self.comps or not other.comps else other.degree
-        return type(self)(self.dim, degree, comps)
-
     def __add__(self, other):
-        return self._binary(other, lambda a, b: a + b if a is not None else b)
-
-    def __sub__(self, other):
-        return self._binary(other, lambda a, b: a - b if a is not None else -b)
-
-    def __neg__(self):
-        return type(self)(self.dim, self.degree,
-                          {i: -s for i, s in self.comps.items()})
-
-    def scale(self, c):
-        if isinstance(c, TruncatedSeries):
-            return type(self)(self.dim, self.degree,
-                              {i: c * s for i, s in self.comps.items()})
-        c = _as_fraction(c)
-        return type(self)(self.dim, self.degree,
-                          {i: s.scale(c) for i, s in self.comps.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        if self.dim != other.dim or self.comps != other.comps:
-            return False
-        if self.comps:  # nonzero: degrees must agree
-            return self.degree == other.degree
-        return True
-
-    def __hash__(self):
-        return hash((self.dim, self.degree, frozenset(self.comps.items())))
-
-    def agrees_with(self, other, through):
-        """Componentwise coefficient agreement through a total order."""
-        if self.dim != other.dim:
-            return False
-        if self.comps and other.comps and self.degree != other.degree:
-            return False
-        zero = TruncatedSeries.zero(self.dim, through)
-        for idx in set(self.comps) | set(other.comps):
-            a = self.comps.get(idx, zero)
-            b = other.comps.get(idx, zero)
-            if not a.agrees_with(b, through):
-                return False
-        return True
+        return self._make(self.dim, self._sum_degree(other),
+                          sparse_sum(other.comps.items(), self.comps))
 
     def to_json(self):
         rows = [{"tuple": list(i), "series": s.to_json()}
@@ -226,43 +173,30 @@ class DifferentialForm(_Alternating):
 
 def exterior_derivative(series):
     """d of a function: the 1-form sum_i (d/dt_i f) dt_i."""
-    comps = {}
-    for i in range(1, series.dim + 1):
-        s = series.partial(i)
-        if not s.is_zero():
-            comps[(i,)] = s
-    return DifferentialForm(series.dim, 1, comps)
+    return DifferentialForm._make(series.dim, 1, sparse_sum(
+        ((i,), series.partial(i)) for i in range(1, series.dim + 1)))
+
+
+def _wedge(a, b, degree):
+    if a.dim != b.dim:
+        raise ValueError("dimension mismatch")
+
+    def products():
+        for i1, s1 in a.comps.items():
+            for i2, s2 in b.comps.items():
+                sign, key = merge_with_sign(i1, i2)
+                if sign:
+                    yield key, (s1 * s2).scale(sign)
+    return type(a)._make(a.dim, degree, sparse_sum(products()))
 
 
 def wedge_forms(a, b):
-    if a.dim != b.dim:
-        raise ValueError("dimension mismatch")
-    out = DifferentialForm(a.dim, a.degree + b.degree)
-    comps = {}
-    for i1, s1 in a.comps.items():
-        for i2, s2 in b.comps.items():
-            sign, key = merge_with_sign(i1, i2)
-            if sign == 0:
-                continue
-            term = (s1 * s2).scale(sign)
-            comps[key] = comps.get(key, term.zero_like()) + term
-    return DifferentialForm(a.dim, a.degree + b.degree, comps) + out
+    return _wedge(a, b, a.degree + b.degree)
 
 
 def wedge_fields(a, b):
     """Exterior product of poly-vector fields (degree adds plus one)."""
-    if a.dim != b.dim:
-        raise ValueError("dimension mismatch")
-    degree = a.degree + b.degree + 1
-    comps = {}
-    for i1, s1 in a.comps.items():
-        for i2, s2 in b.comps.items():
-            sign, key = merge_with_sign(i1, i2)
-            if sign == 0:
-                continue
-            term = (s1 * s2).scale(sign)
-            comps[key] = comps.get(key, term.zero_like()) + term
-    return PolyVectorField(a.dim, degree, comps)
+    return _wedge(a, b, a.degree + b.degree + 1)
 
 
 def pairing(form, field):
@@ -285,7 +219,6 @@ def pairing(form, field):
     if out is None:
         caps = [s.cap for s in form.comps.values()]
         caps += [s.cap for s in field.comps.values()]
-        from .series import DEFAULT_CAP
         out = TruncatedSeries.zero(form.dim, min(caps) if caps else DEFAULT_CAP)
     return out
 
@@ -294,15 +227,10 @@ def _contract_one(axis, field):
     """dt_axis ^ field, the alternating-sum interior product."""
     comps = {}
     for idx, s in field.comps.items():
-        for pos, j in enumerate(idx):
-            if j != axis:
-                continue
-            rest = idx[:pos] + idx[pos + 1:]
-            sign = 1 if pos % 2 == 0 else -1
-            term = s.scale(sign)
-            comps[rest] = comps.get(rest, term.zero_like()) + term
-            break
-    return PolyVectorField(field.dim, field.degree - 1, comps)
+        if axis in idx:
+            pos = idx.index(axis)
+            comps[idx[:pos] + idx[pos + 1:]] = s if pos % 2 == 0 else -s
+    return PolyVectorField._make(field.dim, field.degree - 1, comps)
 
 
 def contract(form, field):
@@ -312,17 +240,22 @@ def contract(form, field):
     """
     if form.dim != field.dim:
         raise ValueError("dimension mismatch")
+    degree = field.degree - form.degree
     if form.degree > field.degree + 1:
-        return PolyVectorField.zero(field.dim, field.degree - form.degree)
-    out = PolyVectorField.zero(field.dim, field.degree - form.degree)
+        return PolyVectorField.zero(field.dim, degree)
+    parts = []
     for idx, s in form.comps.items():
         part = field
         for axis in reversed(idx):
             part = _contract_one(axis, part)
-        if part.is_zero():
-            continue
-        out = out + part.scale(s)
-    return out
+        parts.append(part.scale(s))
+    return _field_sum(field.dim, degree, parts)
+
+
+def _field_sum(dim, degree, fields):
+    """Sum of fields of one degree, added one field after another."""
+    return PolyVectorField._make(
+        dim, degree, stepwise_sum(f.comps.items() for f in fields))
 
 
 # ---------------------------------------------------------------------
@@ -331,25 +264,25 @@ def contract(form, field):
 
 def _lie_monomial(coeff, axis, target):
     """Lie derivative of `target` along the vector field coeff*d/dt_axis."""
-    dim = target.dim
-    out = PolyVectorField.zero(dim, target.degree)
-    for idx, s in target.comps.items():
-        # action on the coefficient
-        ds = coeff * s.partial(axis)
-        if not ds.is_zero():
-            out = out + PolyVectorField(dim, target.degree, {idx: ds})
-        # action on each wedge factor: [c e_a, e_j] = -(d_j c) e_a
-        for pos, j in enumerate(idx):
-            dc = coeff.partial(j)
-            if dc.is_zero():
-                continue
-            replaced = idx[:pos] + (axis,) + idx[pos + 1:]
-            sign, key = sort_with_sign(replaced)
-            if sign == 0:
-                continue
-            term = (s * dc).scale(-sign)
-            out = out + PolyVectorField(dim, target.degree, {key: term})
-    return out
+    def terms():
+        for idx, s in target.comps.items():
+            # action on the coefficient
+            ds = coeff * s.partial(axis)
+            if ds:
+                yield [(idx, ds)]
+            # action on each wedge factor: [c e_a, e_j] = -(d_j c) e_a
+            for pos, j in enumerate(idx):
+                dc = coeff.partial(j)
+                if not dc:
+                    continue
+                sign, key = sort_with_sign(idx[:pos] + (axis,) + idx[pos + 1:])
+                if sign == 0:
+                    continue
+                term = (s * dc).scale(-sign)
+                if term:
+                    yield [(key, term)]
+    return PolyVectorField._make(target.dim, target.degree,
+                                 stepwise_sum(terms()))
 
 
 def _bracket_monomial(c1, idx1, b):
@@ -386,23 +319,20 @@ def _bracket_monomial(c1, idx1, b):
 
 def _bracket_with_function(b, f):
     """[b, f] for a function f, by peeling wedge factors of b."""
-    dim = b.dim
-    out = PolyVectorField.zero(dim, b.degree - 1)
-    for idx, s in b.comps.items():
-        if len(idx) == 0:
-            continue  # [g, f] = 0
-        out = out + _bracket_monomial(s, idx, PolyVectorField.function(f))
-    return out
+    f = PolyVectorField.function(f)
+    # functions commute: the degree -1 part of b brackets to zero
+    return _field_sum(b.dim, b.degree - 1,
+                      (_bracket_monomial(s, idx, f)
+                       for idx, s in b.comps.items() if idx))
 
 
 def schouten_bracket(a, b):
     """Graded Lie bracket of poly-vector fields in the shifted grading."""
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
-    out = PolyVectorField.zero(a.dim, a.degree + b.degree)
-    for idx, s in a.comps.items():
-        out = out + _bracket_monomial(s, idx, b)
-    return out
+    return _field_sum(a.dim, a.degree + b.degree,
+                      (_bracket_monomial(s, idx, b)
+                       for idx, s in a.comps.items()))
 
 
 def hkr_components(field):

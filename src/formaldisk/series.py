@@ -7,13 +7,16 @@ the minimum of the caps of the factors, differentiation lowers the cap
 by one.  Univariate series (used for Bernoulli-type generating
 functions and Todd series) are dense coefficient lists with the same
 exact arithmetic.
+
+The sparse-sum core at the top (sparse_sum, SparseSum) is the key ->
+coefficient algebra that every coefficient container of the package is
+built on.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import product as _cartesian
 
 DEFAULT_CAP = 8
 
@@ -29,7 +32,131 @@ def _as_fraction(x):
     raise TypeError("exact coefficient expected, got %r" % (x,))
 
 
-class TruncatedSeries:
+def sparse_sum(pairs, start=()):
+    """Keywise sum of (key, coefficient) pairs added onto the dict `start`.
+
+    Coefficients add with their own + and count as zero when falsy (a
+    zero Fraction, a container without terms).  Zero sums are dropped
+    only at the end, so a partial sum that cancels still passes its
+    validity cap on to whatever is added to the same key later.
+    """
+    out = dict(start)
+    for key, c in pairs:
+        out[key] = out[key] + c if key in out else c
+    return {key: c for key, c in out.items() if c}
+
+
+def stepwise_sum(batches):
+    """sparse_sum of one batch of pairs after another, as repeated + adds.
+
+    Zero sums are dropped after every batch, so a key that cancels
+    starts afresh with the cap of whatever is added to it next.
+    """
+    out = {}
+    for pairs in batches:
+        out = sparse_sum(pairs, out)
+    return out
+
+
+class SparseSum:
+    """Base of the coefficient containers: key -> coefficient, no zeros.
+
+    A container lists its fields in __slots__, the dict last, and reads
+    that dict as `_data` here whatever its public name.  Its public
+    constructor validates keys and coefficients; results of its own
+    arithmetic are built with the trusted `_make`, which checks nothing.
+    Equality compares `_header()` and the dicts.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if cls.__slots__:
+            cls._data = getattr(cls, cls.__slots__[-1])
+
+    @classmethod
+    def _make(cls, *fields):
+        """Trusted constructor: store the fields, the dict already clean."""
+        self = object.__new__(cls)
+        for name, value in zip(cls.__slots__, fields):
+            setattr(self, name, value)
+        return self
+
+    def _with(self, data):
+        """The same header fields around a new clean dict."""
+        head = [getattr(self, name) for name in self.__slots__[:-1]]
+        return self._make(*head, data)
+
+    def _header(self):
+        return self.dim
+
+    def is_zero(self):
+        return not self._data
+
+    def __bool__(self):
+        return bool(self._data)
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._header() == other._header() and self._data == other._data
+
+    def __hash__(self):
+        return hash((self._header(), frozenset(self._data.items())))
+
+    def __neg__(self):
+        return self._with({k: -c for k, c in self._data.items()})
+
+    def __sub__(self, other):
+        return self + -other
+
+    def scale(self, c):
+        """Scale every coefficient by a rational or a series."""
+        return self._with({k: v for k, x in self._data.items()
+                           if (v := x.scale(c))})
+
+    def agrees_with(self, other, through):
+        """Keywise coefficient agreement through a total series order.
+
+        Unlike == this ignores validity caps, so results computed along
+        routes with different truncation depths can be compared.  A key
+        on one side only has to agree with zero.
+        """
+        a, b = self._data, other._data
+        if self.dim != other.dim:
+            return False
+        if a and b and self._header() != other._header():
+            return False
+        for key in a.keys() | b.keys():
+            x, y = a.get(key), b.get(key)
+            if x is None:
+                x, y = y, x
+            if not x.agrees_with(x.scale(0) if y is None else y, through):
+                return False
+        return True
+
+
+class GradedSum(SparseSum):
+    """A container with a degree, which a zero element does not pin down."""
+
+    __slots__ = ()
+
+    def _header(self):
+        return (self.dim, self.degree if self._data else None)
+
+    def _sum_degree(self, other):
+        """Degree of self + other; either side may be a zero of any degree."""
+        if self.dim != other.dim:
+            raise ValueError("dimension mismatch")
+        a, b = self._data, other._data
+        if a and b and self.degree != other.degree:
+            raise ValueError("degree mismatch %d vs %d"
+                             % (self.degree, other.degree))
+        return self.degree if a or not b else other.degree
+
+
+class TruncatedSeries(SparseSum):
     """Sparse multivariate power series, exponent tuple -> Fraction.
 
     Exponent tuples have length dim and non-negative entries; terms of
@@ -84,15 +211,12 @@ class TruncatedSeries:
         return cls(dim, cap, {tuple(exp): _as_fraction(coeff)})
 
     def zero_like(self):
-        return TruncatedSeries(self.dim, self.cap)
+        return TruncatedSeries._make(self.dim, self.cap, {})
 
     def one_like(self):
         return TruncatedSeries.const(self.dim, 1, self.cap)
 
     # -- basic queries ------------------------------------------------
-
-    def is_zero(self):
-        return not self.terms
 
     def coefficient(self, exp):
         return self.terms.get(tuple(exp), Q0)
@@ -104,14 +228,8 @@ class TruncatedSeries:
         # series in the coordinates sit in cohomological degree zero
         return True
 
-    def __eq__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return (self.dim == other.dim and self.cap == other.cap
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.dim, self.cap, frozenset(self.terms.items())))
+    def _header(self):
+        return (self.dim, self.cap)
 
     def agrees_with(self, other, through=None):
         """Coefficientwise equality through min(cap) (or `through`)."""
@@ -135,45 +253,38 @@ class TruncatedSeries:
             other = TruncatedSeries.const(self.dim, other, self.cap)
         self._check_dim(other)
         cap = min(self.cap, other.cap)
-        terms = dict(self.terms)
-        for exp, c in other.terms.items():
-            terms[exp] = terms.get(exp, Q0) + c
-        return TruncatedSeries(self.dim, cap, terms)
+        terms = sparse_sum(other.terms.items(), self.terms)
+        if self.cap != other.cap:
+            terms = {e: c for e, c in terms.items() if sum(e) <= cap}
+        return TruncatedSeries._make(self.dim, cap, terms)
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return TruncatedSeries(self.dim, self.cap,
-                               {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = TruncatedSeries.const(self.dim, other, self.cap)
-        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check_dim(other)
         cap = min(self.cap, other.cap)
-        terms = {}
-        for e1, c1 in self.terms.items():
-            d1 = sum(e1)
-            for e2, c2 in other.terms.items():
-                if d1 + sum(e2) > cap:
-                    continue
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                terms[exp] = terms.get(exp, Q0) + c1 * c2
-        return TruncatedSeries(self.dim, cap, terms)
+
+        def products():
+            for e1, c1 in self.terms.items():
+                room = cap - sum(e1)
+                for e2, c2 in other.terms.items():
+                    if sum(e2) <= room:
+                        yield tuple(a + b for a, b in zip(e1, e2)), c1 * c2
+        return TruncatedSeries._make(self.dim, cap, sparse_sum(products()))
 
     __rmul__ = __mul__
 
     def scale(self, c):
+        """Multiply by a rational, or by a series as c * self."""
+        if isinstance(c, TruncatedSeries):
+            return c * self
         c = _as_fraction(c)
         if c == 0:
             return self.zero_like()
-        return TruncatedSeries(self.dim, self.cap,
-                               {e: c * v for e, v in self.terms.items()})
+        return TruncatedSeries._make(self.dim, self.cap,
+                                     {e: c * v for e, v in self.terms.items()})
 
     def partial(self, i):
         """d/dt_i; the result cap drops by one."""
@@ -187,7 +298,7 @@ class TruncatedSeries:
             e = list(exp)
             e[i - 1] = k - 1
             terms[tuple(e)] = c * k
-        return TruncatedSeries(self.dim, max(self.cap - 1, -1), terms)
+        return TruncatedSeries._make(self.dim, max(self.cap - 1, -1), terms)
 
     def partial_multi(self, multi):
         """Iterated partial for a multi-index (k_1, ..., k_dim)."""
@@ -368,18 +479,6 @@ def useries_sqrt(f):
     return UnivariateSeries(out)
 
 
-def useries_compose(f, g):
-    """f(g(x)) for g with zero constant term."""
-    if g[0] != 0:
-        raise ValueError("composition requires zero constant term inside")
-    n = min(f.order, g.order)
-    out = UnivariateSeries([f[n]] + [Q0] * n).truncate(n)
-    for k in range(n - 1, -1, -1):
-        out = (out * g).truncate(n)
-        out = out + UnivariateSeries([f[k]] + [Q0] * n)
-    return out.truncate(n)
-
-
 # ---------------------------------------------------------------------
 # matrices with series entries
 # ---------------------------------------------------------------------
@@ -467,13 +566,6 @@ class SeriesMatrix:
         if not isinstance(other, SeriesMatrix):
             return NotImplemented
         return self.size == other.size and self.entries == other.entries
-
-
-def matrix_trace_power(mat, l):
-    """Tr(M^l), defined for matrices with even-grade entries."""
-    if not mat.all_even_grade():
-        raise ValueError("trace powers need entries of even total grade")
-    return mat.power(l).trace()
 
 
 def series_at_matrix(f, mat, kmax=None):

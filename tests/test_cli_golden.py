@@ -1,0 +1,40 @@
+"""CLI reports compared with golden files, the "timings" field removed.
+
+The golden reports in tests/data/cli pin the results of the exact
+layers byte for byte; replace one only with a deliberate change of
+results.  Monte-Carlo reports are left out: the determinant that numpy
+takes can differ across machines.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from formaldisk.cli import main
+
+GOLDEN = Path(__file__).parent / "data" / "cli"
+
+CASES = {
+    "graphs_2_1": ["graphs", "2", "1"],
+    "weights_closed_8": ["weights", "closed", "8"],
+    "formality_d3_s2_g123": ["formality", "--d", "3", "--s", "2",
+                             "--gamma", "1,2,3"],
+    "formality_d4_s3_g123": ["formality", "--d", "4", "--s", "3",
+                             "--gamma", "1,2,3"],
+    "twist": ["twist"],
+    "todd_order10": ["todd", "--order", "10"],
+    "verify_wheel_identity": ["verify", "wheel-identity"],
+    "verify_gerstenhaber_t20_s7": ["verify", "gerstenhaber", "--trials", "20",
+                                   "--seed", "7"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_matches_golden(name, capsys):
+    assert main(CASES[name]) == 0
+    report = json.loads(capsys.readouterr().out)
+    report.pop("timings", None)
+    text = json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False)
+    golden = (GOLDEN / (name + ".json")).read_text(encoding="utf-8")
+    assert text + "\n" == golden

@@ -1,0 +1,202 @@
+"""Laws shared by the five coefficient containers, and their input checks.
+
+TruncatedSeries, the alternating tensors (PolyVectorField and
+DifferentialForm), PolyDiffOp, EtaFormScalar and the eta-graded
+containers (EtaField, EtaOperator) all store a key -> coefficient map
+without zero coefficients.  Their public constructors validate; the
+results of their arithmetic are stored without being checked again.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from formaldisk import (DifferentialForm, EtaField, EtaFormScalar, EtaOperator,
+                        PolyDiffOp, PolyVectorField, TruncatedSeries)
+
+CAP = 4
+T1 = TruncatedSeries.variable(2, 1, CAP)
+T2 = TruncatedSeries.variable(2, 2, CAP)
+ONE = TruncatedSeries.const(2, 1, CAP)
+CUBE = T1 * T1 * T1  # vanishes through total order 2
+
+
+def _field(key, coeff):
+    return PolyVectorField(2, 0, {key: coeff})
+
+
+def _op(key, coeff):
+    return PolyDiffOp(2, 1, {key: coeff})
+
+
+# name -> (x, low, high, zero): `low` and `high` each sit at one key that
+# x lacks, `low` with a constant coefficient and `high` with one that
+# vanishes through order 2; `zero` is the zero of x's type.
+CASES = {
+    "series": (
+        TruncatedSeries(2, CAP, {(1, 0): 2, (0, 2): Fraction(-1, 3)}),
+        TruncatedSeries.monomial(2, (0, 1), 1, CAP),
+        TruncatedSeries.monomial(2, (0, 3), 1, CAP),
+        TruncatedSeries.zero(2, CAP)),
+    "poly-vector field": (
+        _field((1,), T1 + ONE), _field((2,), ONE), _field((2,), CUBE),
+        PolyVectorField.zero(2, 0)),
+    "differential form": (
+        DifferentialForm(2, 1, {(1,): T2}),
+        DifferentialForm(2, 1, {(2,): ONE}),
+        DifferentialForm(2, 1, {(2,): CUBE}),
+        DifferentialForm.zero(2, 1)),
+    "polydifferential operator": (
+        _op(((1, 0), (0, 0)), T1 + ONE), _op(((0, 0), (0, 1)), ONE),
+        _op(((0, 0), (0, 1)), CUBE), PolyDiffOp.zero(2, 1)),
+    "eta form scalar": (
+        EtaFormScalar(2, CAP, {((1,), (2,)): T1 + ONE}),
+        EtaFormScalar(2, CAP, {((2,), (1,)): ONE}),
+        EtaFormScalar(2, CAP, {((2,), (1,)): CUBE}),
+        EtaFormScalar.zero(2, CAP)),
+    "eta field": (
+        EtaField(2, {(1,): _field((1,), T1 + ONE)}),
+        EtaField(2, {(2,): _field((1,), ONE)}),
+        EtaField(2, {(2,): _field((1,), CUBE)}),
+        EtaField(2)),
+    "eta operator": (
+        EtaOperator(2, {(1,): _op(((1, 0), (0, 0)), T1 + ONE)}),
+        EtaOperator(2, {(1, 2): _op(((1, 0), (0, 0)), ONE)}),
+        EtaOperator(2, {(1, 2): _op(((1, 0), (0, 0)), CUBE)}),
+        EtaOperator(2)),
+}
+
+
+@pytest.fixture(params=sorted(CASES))
+def case(request):
+    return CASES[request.param]
+
+
+def test_difference_with_itself_is_the_zero(case):
+    x, _, _, zero = case
+    assert not x.is_zero()
+    assert (x - x).is_zero()
+    assert x - x == zero
+
+
+def test_double_negation(case):
+    x, low, _, _ = case
+    assert -(-x) == x
+    assert -(-(x + low)) == x + low
+
+
+def test_scale_by_zero_is_zero(case):
+    x, _, _, _ = case
+    assert x.scale(0).is_zero()
+    assert x.scale(Fraction(0)).is_zero()
+
+
+def test_equal_elements_hash_equal(case):
+    x, low, _, zero = case
+    pairs = [(x, x + zero), (x + low, low + x), (zero, x - x),
+             (x.scale(2), x + x)]
+    for a, b in pairs:
+        assert a == b
+        assert hash(a) == hash(b)
+
+
+def test_agreement_with_a_key_on_one_side_only(case):
+    x, low, high, _ = case
+    assert not x.agrees_with(x + low, 2)
+    assert not (x + low).agrees_with(x, 2)
+    assert x.agrees_with(x + high, 2)
+    assert (x + high).agrees_with(x, 2)
+    assert not (x + high).agrees_with(x, 3)
+
+
+def test_zeros_of_different_degree_hash_equal():
+    for a, b in [(PolyVectorField.zero(2, 0), PolyVectorField.zero(2, 1)),
+                 (PolyDiffOp.zero(2, 0), PolyDiffOp.zero(2, 2)),
+                 (EtaFormScalar.zero(2, 3), EtaFormScalar.zero(2, 6))]:
+        assert a == b
+        assert hash(a) == hash(b)
+
+
+# ---------------------------------------------------------------------
+# series sums across caps
+# ---------------------------------------------------------------------
+
+def _dense(dim, cap, seed):
+    """Every exponent of total degree <= cap, with nonzero coefficients."""
+    terms = {}
+    for i in range(cap + 1):
+        for j in range(cap + 1 - i):
+            terms[(i, j)] = Fraction(seed + i - 2 * j, 1 + (i + j) % 3) or 1
+    return TruncatedSeries(dim, cap, terms)
+
+
+@pytest.mark.parametrize("op", ["add", "sub"])
+def test_series_sum_across_caps_keeps_degrees_through_the_smaller(op):
+    low, high = _dense(2, 4, 1), _dense(2, 8, 5)
+    assert max(sum(e) for e in high.terms) == 8
+    combine = (lambda a, b: a + b) if op == "add" else (lambda a, b: a - b)
+    sign = 1 if op == "add" else -1
+    for a, b, sa, sb in [(low, high, 1, sign), (high, low, 1, sign)]:
+        got = combine(a, b)
+        assert got.cap == 4
+        want = {}
+        for e in set(a.terms) | set(b.terms):
+            c = sa * a.coefficient(e) + sb * b.coefficient(e)
+            if sum(e) <= 4 and c != 0:
+                want[e] = c
+        assert got.terms == want
+
+
+# ---------------------------------------------------------------------
+# public constructors and from_json still validate
+# ---------------------------------------------------------------------
+
+def test_series_constructor_rejects_malformed_input():
+    with pytest.raises(ValueError):
+        TruncatedSeries(2, CAP, {(1,): 1})
+    with pytest.raises(ValueError):
+        TruncatedSeries(2, CAP, {(1, -1): 1})
+    with pytest.raises(TypeError):
+        TruncatedSeries(2, CAP, {(1, 0): 0.5})
+
+
+@pytest.mark.parametrize("cls,degree,arity", [(PolyVectorField, 1, 2),
+                                              (DifferentialForm, 2, 2)])
+def test_alternating_constructor_rejects_malformed_input(cls, degree, arity):
+    assert cls(3, degree, {(1, 2): ONE}).comps
+    for key in [(2, 1), (1, 1), (1, 4), (1,), (1, 2, 3)]:
+        with pytest.raises(ValueError):
+            cls(3, degree, {key: ONE})
+
+
+def test_operator_constructor_rejects_malformed_input():
+    with pytest.raises(ValueError):
+        PolyDiffOp(2, 1, {((0, 0),): ONE})            # one slot, needs two
+    with pytest.raises(ValueError):
+        PolyDiffOp(2, 0, {((0, 0, 1),): ONE})         # multi-index too long
+    with pytest.raises(ValueError):
+        PolyDiffOp(2, 0, {((1, -1),): ONE})           # negative order
+
+
+def test_eta_form_scalar_rejects_non_increasing_keys():
+    with pytest.raises(ValueError):
+        EtaFormScalar(2, CAP, {((2, 1), ()): ONE})
+    with pytest.raises(ValueError):
+        EtaFormScalar(2, CAP, {((), (1, 1)): ONE})
+
+
+def test_from_json_rejects_malformed_rows():
+    series = T1.to_json()
+    series["terms"][0]["exp"] = [1]
+    with pytest.raises(ValueError):
+        TruncatedSeries.from_json(series)
+    for x in (PolyVectorField(3, 1, {(1, 2): T1}),
+              DifferentialForm(3, 2, {(1, 2): T1})):
+        obj = x.to_json()
+        obj["components"][0]["tuple"] = [2, 1]
+        with pytest.raises(ValueError):
+            type(x).from_json(obj)
+    obj = _op(((1, 0), (0, 0)), T1).to_json()
+    obj["terms"][0]["slots"] = [[1, 0]]
+    with pytest.raises(ValueError):
+        PolyDiffOp.from_json(obj)

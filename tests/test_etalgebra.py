@@ -4,8 +4,8 @@ import pytest
 
 from formaldisk import (EtaField, EtaFormScalar, EtaOperator, PolyDiffOp,
                         PolyVectorField, TruncatedSeries, contract,
-                        contract_scalar_into_field, eta_word_sign, hkr,
-                        hkr_eta)
+                        contract_scalar_into_field, hkr, hkr_eta,
+                        sort_with_sign)
 from formaldisk.etalgebra import _form_from_parts
 
 
@@ -80,9 +80,9 @@ def test_mixed_degrees_within_word_rejected():
 
 
 def test_eta_word_sign():
-    assert eta_word_sign((2, 1)) == (-1, (1, 2))
-    assert eta_word_sign((1, 2, 3)) == (1, (1, 2, 3))
-    sign, _ = eta_word_sign((1, 1))
+    assert sort_with_sign((2, 1)) == (-1, (1, 2))
+    assert sort_with_sign((1, 2, 3)) == (1, (1, 2, 3))
+    sign, _ = sort_with_sign((1, 1))
     assert sign == 0
 
 

@@ -3,9 +3,9 @@ from fractions import Fraction
 import pytest
 
 from formaldisk import (DEFAULT_CAP, TruncatedSeries, UnivariateSeries,
-                        SeriesMatrix, matrix_exp, matrix_trace_power,
-                        series_at_matrix, sinh_quotient_series, useries_compose,
-                        useries_div, useries_exp, useries_log, useries_sqrt)
+                        SeriesMatrix, matrix_exp, series_at_matrix,
+                        sinh_quotient_series, useries_div, useries_exp,
+                        useries_log, useries_sqrt)
 
 
 def test_constructor_prunes_beyond_cap():
@@ -79,18 +79,6 @@ def test_div_multiplies_back():
     assert (q * den).truncate(num.order) == num
 
 
-def test_compose_exp_of_log1p():
-    n = 8
-    zero = [Fraction(0)] * (n - 1)
-    # log(1+x) has no constant term, composing exp o log1p gives 1+x
-    log1p = UnivariateSeries([Fraction(0)] + [Fraction((-1) ** (k + 1), k)
-                                              for k in range(1, n + 1)])
-    ex = useries_exp(UnivariateSeries([Fraction(0), Fraction(1)] + zero + [Fraction(0)]))
-    got = useries_compose(ex, log1p)
-    want = [Fraction(1), Fraction(1)] + [Fraction(0)] * (n - 1)
-    assert got.coeffs[: n + 1] == want
-
-
 def test_derivative_integrate():
     f = UnivariateSeries([Fraction(3), Fraction(1), Fraction(0), Fraction(2)])
     assert f.derivative().integrate().coeffs[1:] == f.coeffs[1:]
@@ -127,13 +115,6 @@ def test_matrix_exp_of_strictly_triangular():
     assert e.entries[0][0] == TruncatedSeries.const(2, 1, 5)
     assert e.entries[0][1] == t1
     assert e.entries[1][0].is_zero()
-
-
-def test_trace_power_matches_multiplication():
-    t1, t2 = _nilpotent_pair()
-    m = SeriesMatrix([[t1, t2], [t1 * t2, t2 * t2]])
-    assert matrix_trace_power(m, 2) == (m * m).trace()
-    assert matrix_trace_power(m, 3) == (m * m * m).trace()
 
 
 def test_series_at_matrix_geometric():
