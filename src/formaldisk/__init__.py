@@ -25,7 +25,8 @@ from .etalgebra import (EtaFormScalar, EtaField, EtaOperator,
 from .graphs import (AdmissibleGraph, enumerate_graphs, vanishing_tag,
                      WheelFamily, classify_wheels, wheel_graph,
                      cycle_type_multiplicity, cycle_type_of_wheelish,
-                     graphs_with_profile, gamma0, opposite_wheel)
+                     graphs_with_profile, gamma0, opposite_wheel,
+                     wheel_survivors)
 from .weights import (modified_bernoulli, wheel_weight_closed, theta_series,
                       inverse_sqrt_sinh_quotient, angle, WeightEstimate,
                       mc_weight, mc_weight_cached)
@@ -53,7 +54,7 @@ __all__ = [
     "AdmissibleGraph", "enumerate_graphs", "vanishing_tag", "WheelFamily",
     "classify_wheels", "wheel_graph", "cycle_type_multiplicity",
     "cycle_type_of_wheelish", "graphs_with_profile", "gamma0",
-    "opposite_wheel",
+    "opposite_wheel", "wheel_survivors",
     "modified_bernoulli", "wheel_weight_closed", "theta_series",
     "inverse_sqrt_sinh_quotient", "angle", "WeightEstimate", "mc_weight",
     "mc_weight_cached",

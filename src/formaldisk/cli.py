@@ -35,6 +35,23 @@ def _load_config(path):
     return cfg
 
 
+def _at_least_one(key, value):
+    if value < 1:
+        raise ValueError("%s must be at least 1, got %d" % (key, value))
+    return value
+
+
+def _setting(value, config, key, default):
+    """The command-line value, else the config file's, else the default.
+
+    Every setting read this way is a count, so values below 1 are
+    rejected rather than replaced.
+    """
+    if value is None:
+        value = int(config.get(key, default))
+    return _at_least_one(key, value)
+
+
 def _emit(report, out_path):
     text = json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False)
     if out_path:
@@ -124,12 +141,13 @@ def _cmd_weights(args, config):
         return 0
     try:
         graph = _resolve_graph(args)
+        samples = _setting(args.samples, config, "samples", 200_000)
+        workers = _setting(args.workers, config, "workers", 1)
+        seed = (args.seed if args.seed is not None
+                else int(config.get("seed", 0)))
     except (ValueError, OSError, KeyError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    samples = args.samples or int(config.get("samples", 200_000))
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
-    workers = args.workers or int(config.get("workers", 1))
     started = time.time()
     if args.no_cache:
         est, cached = mc_weight(graph, samples, seed=seed,
@@ -150,16 +168,16 @@ def _cmd_weights(args, config):
 
 
 def _cmd_formality(args, config):
-    d = args.d or int(config.get("dimension", 3))
-    s = args.s or int(config.get("eta_generators", 2))
-    cap = args.cap or int(config.get("cap", DEFAULT_CAP))
     try:
+        d = _setting(args.d, config, "dimension", 3)
+        s = _setting(args.s, config, "eta_generators", 2)
+        cap = _setting(args.cap, config, "cap", DEFAULT_CAP)
         axes = tuple(int(a) for a in args.gamma.split(","))
         mc = _standard_pair(d, s, cap)
+        gamma = PolyVectorField.from_wedge(d, axes)
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    gamma = PolyVectorField.from_wedge(d, axes)
     started = time.time()
     lhs = twisted_first_taylor(mc, gamma)
     rhs = closed_form_map(mc, gamma)
@@ -185,6 +203,10 @@ def _cmd_twist(args, config):
 
 def _cmd_todd(args, config):
     order = args.order
+    if order < 0:
+        print("error: order must be at least 0, got %d" % order,
+              file=sys.stderr)
+        return 2
     q = todd_series(order)
     qt = tilde_todd_series(order)
     prod = q * exp_half_series(order, sign=-1)
@@ -205,23 +227,31 @@ def _cmd_verify(args, config):
               % (name, ", ".join(sorted(suites_mod.SUITES) + ["all"])),
               file=sys.stderr)
         return 2
-    seed = args.seed if args.seed is not None else int(config.get("seed",
-                                                                  suites_mod.DEFAULT_SEED))
+    try:
+        seed = (args.seed if args.seed is not None
+                else int(config.get("seed", suites_mod.DEFAULT_SEED)))
+        if args.trials is not None:
+            _at_least_one("trials", args.trials)
+        if "mc-weights" in names:
+            small = _setting(args.samples, config, "samples", 100_000)
+            workers = _setting(args.workers, config, "workers", 1)
+    except ValueError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
     results = []
     started = time.time()
     for suite_name in names:
         kwargs = {}
         if suite_name in ("gerstenhaber", "derivation"):
             kwargs["seed"] = seed
-            if args.trials:
+            if args.trials is not None:
                 kwargs["trials"] = args.trials
         if suite_name == "mc-weights":
-            small = args.samples or int(config.get("samples", 100_000))
             kwargs.update(samples_small=small,
                           samples_mid=10 * small,
                           samples_big=100 * small,
                           seed=seed,
-                          workers=args.workers or int(config.get("workers", 1)))
+                          workers=workers)
             if not args.no_cache:
                 kwargs["cache_path"] = args.cache
         results.append(suites_mod.run_suite(suite_name, **kwargs))

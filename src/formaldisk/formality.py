@@ -7,7 +7,11 @@ to every edge of the product over aerial vertices of the (incoming
 edges)-derivative of the (outgoing edges)-component, with ground
 vertices collecting their incoming derivatives into argument slots.
 The operator vanishes unless every aerial out-degree matches the
-number of wedge factors sitting there.
+number of wedge factors sitting there.  Only assignments that pick a
+nonzero component at every aerial vertex contribute, so graph_operator
+walks each vertex's signed components (every permutation of every
+stored key) instead of all dim^E assignments: the cost is the product
+of the per-vertex component counts.
 
 The first Taylor coefficient acts on a field with m wedge factors as
 
@@ -39,15 +43,15 @@ is contracted into gamma and quantized with the signed HKR map.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product as _cartesian
+from itertools import permutations, product as _cartesian
 from math import factorial
+from operator import itemgetter
 
 from .series import (DEFAULT_CAP, Q0, Q1, TruncatedSeries, SeriesMatrix,
                      UnivariateSeries, useries_div)
 from .polyvector import hkr_components, sort_with_sign
 from .polydiff import PolyDiffOp, _unit_multi
-from .graphs import (cycle_type_of_wheelish, graphs_with_profile,
-                     vanishing_tag)
+from .graphs import wheel_survivors
 from .weights import wheel_weight_closed
 from .etalgebra import (EtaFormScalar, EtaOperator,
                         contract_scalar_into_field, hkr_eta)
@@ -57,12 +61,47 @@ from .etalgebra import (EtaFormScalar, EtaOperator,
 # graph evaluation
 # ---------------------------------------------------------------------
 
+def _signed_components(field):
+    """Every (axis tuple, signed component) of a field, sorted by axes.
+
+    Each stored key contributes all of its permutations; the sign comes
+    from the field's own component lookup.
+    """
+    return sorted(((perm, field.component(perm))
+                   for key in field.comps for perm in permutations(key)),
+                  key=itemgetter(0))
+
+
+def _term_coefficient(choice, in_lists, axis, dim):
+    """Product of the chosen components after their in-edge partials.
+
+    None as soon as a factor or a partial product is zero; the unit
+    series when the graph has no aerial vertex.
+    """
+    coeff = None
+    for (_, comp), ins in zip(choice, in_lists):
+        for e in ins:
+            comp = comp.partial(axis[e])
+            if comp.is_zero():
+                return None
+        coeff = comp if coeff is None else coeff * comp
+        if coeff.is_zero():
+            return None
+    return TruncatedSeries.const(dim, 1) if coeff is None else coeff
+
+
 def graph_operator(graph, fields):
     """The polydifferential operator attached to (graph, aerial fields).
 
     fields[i] decorates aerial vertex i+1.  Returns an operator with
     one argument slot per ground vertex; the zero operator whenever
     some aerial out-degree differs from that vertex's factor count.
+
+    Walks the nonzero signed components of each vertex instead of all
+    dim^E edge-axis assignments: a component fixes the axes of its
+    vertex's out-edges, so the cost is the product over vertices of
+    (stored keys x permutations of a key).  Vertex lists sorted by axis
+    tuple visit the surviving assignments in lexicographic edge order.
     """
     n, m = graph.n, graph.m
     if len(fields) != n:
@@ -71,34 +110,16 @@ def graph_operator(graph, fields):
     for v in range(1, n + 1):
         if graph.out_degree(v) != fields[v - 1].degree + 1:
             return PolyDiffOp.zero(dim, m - 1)
-    edges = graph.edges
     out_lists = [graph.out_edges(v) for v in range(1, n + 1)]
     in_lists = [graph.in_edges(v) for v in range(1, n + m + 1)]
     acc = PolyDiffOp.zero(dim, m - 1)
-    for assign in _cartesian(range(1, dim + 1), repeat=len(edges)):
-        axis = {e: a for e, a in zip(edges, assign)}
-        coeff = None
-        dead = False
-        for v in range(1, n + 1):
-            comp = fields[v - 1].component(tuple(axis[e] for e in out_lists[v - 1]))
-            if comp is None:
-                dead = True
-                break
-            for e in in_lists[v - 1]:
-                comp = comp.partial(axis[e])
-                if comp.is_zero():
-                    break
-            if comp.is_zero():
-                dead = True
-                break
-            coeff = comp if coeff is None else coeff * comp
-            if coeff.is_zero():
-                dead = True
-                break
-        if dead or coeff is None:
-            if dead:
-                continue
-            coeff = TruncatedSeries.const(dim, 1)
+    for choice in _cartesian(*map(_signed_components, fields)):
+        axis = {}
+        for out, (axes, _) in zip(out_lists, choice):
+            axis.update(zip(out, axes))
+        coeff = _term_coefficient(choice, in_lists, axis, dim)
+        if coeff is None:
+            continue
         slots = []
         for g in range(n + 1, n + m + 1):
             multi = [0] * dim
@@ -243,8 +264,10 @@ def twisted_first_taylor(mc, field, j_max=None):
 
     Sums (1/j!) eta_{alpha_j} .. eta_{alpha_1} W_Gamma
     U_Gamma(omega_{alpha_1}, .., omega_{alpha_j}, gamma) over all
-    ordered index tuples and all surviving labeled graphs (everything
-    outside the wheel families is dropped by the vanishing patterns).
+    ordered tuples of distinct indices (a repeated eta squares to zero)
+    and the surviving labeled graphs, which wheel_survivors builds
+    directly (everything outside the wheel families is dropped by the
+    vanishing patterns).
     """
     dim = field.dim
     factors = field.degree + 1
@@ -255,27 +278,13 @@ def twisted_first_taylor(mc, field, j_max=None):
         m = factors - j
         if m < 0:
             continue
-        profile = [1] * j + [factors]
-        survivors = []
-        for g in graphs_with_profile(j + 1, m, profile):
-            if vanishing_tag(g) is not None:
-                continue
-            ctype = cycle_type_of_wheelish(g, j)
-            if ctype is None:
-                raise AssertionError(
-                    "untagged non-wheel graph slipped through: %r" % (g,))
-            survivors.append((g, ctype))
-        if not survivors:
-            continue
         jfact = Fraction(1, factorial(j))
-        for g, ctype in survivors:
+        for g, ctype in wheel_survivors(j, m):
             w = wheel_graph_weight(ctype, m)
             if w == 0:
                 continue
-            for alphas in _cartesian(range(1, mc.s + 1), repeat=j):
+            for alphas in permutations(range(1, mc.s + 1), j):
                 sign, key = sort_with_sign(reversed(alphas))
-                if sign == 0:
-                    continue
                 op = graph_operator(g, [mc.fields[a - 1] for a in alphas]
                                     + [field])
                 if op.is_zero():

@@ -17,7 +17,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import factorial
 
 
@@ -267,6 +267,28 @@ def graphs_with_profile(n, m, out_degrees, epsilon=0):
     for g in enumerate_graphs(n, m, epsilon):
         if all(g.out_degree(v) == out_degrees[v - 1] for v in range(1, n + 1)):
             out.append(g)
+    return out
+
+
+def wheel_survivors(j, m):
+    """Graphs of out-degree profile (1, .., 1, j + m) that no pattern kills.
+
+    Cycle vertices 1..j send their edge along a fixed-point-free
+    permutation sigma of 1..j, and the center j+1 points at every other
+    vertex.  Any other edge choice of a cycle vertex leaves some cycle
+    vertex a transit vertex, so these are exactly the graphs of
+    graphs_with_profile(j + 1, m, profile) that vanishing_tag lets
+    through, in the same order (sigma lexicographic).  Returns
+    (graph, cycle type) pairs.
+    """
+    center = j + 1
+    spokes = tuple((center, u) for u in range(1, j + m + 2) if u != center)
+    out = []
+    for sigma in permutations(range(1, j + 1)):
+        if any(v == t for v, t in enumerate(sigma, 1)):
+            continue
+        g = AdmissibleGraph(j + 1, m, tuple(enumerate(sigma, 1)) + spokes)
+        out.append((g, cycle_type_of_wheelish(g, j)))
     return out
 
 

@@ -8,6 +8,7 @@ arguments, never through term manipulation.
 """
 
 from fractions import Fraction
+from itertools import product
 from math import comb, factorial
 
 
@@ -123,4 +124,51 @@ def biv_action(pi, f, g):
     if acc is None:
         from formaldisk import TruncatedSeries
         return TruncatedSeries.zero(pi.dim, f.cap)
+    return acc
+
+
+# -- graph operator over every edge-axis assignment --------------------
+
+def graph_operator_bruteforce(graph, fields):
+    """graph_operator by the definition: all dim^E edge-axis assignments.
+
+    Every assignment looks up the signed component at each aerial
+    vertex, differentiates it along the vertex's in-edges and multiplies
+    the results; ground vertices collect their in-edge axes as slots.
+    """
+    from formaldisk import PolyDiffOp, TruncatedSeries
+    n, m = graph.n, graph.m
+    if len(fields) != n:
+        raise ValueError("need %d aerial fields, got %d" % (n, len(fields)))
+    dim = fields[0].dim if fields else 1
+    for v in range(1, n + 1):
+        if graph.out_degree(v) != fields[v - 1].degree + 1:
+            return PolyDiffOp.zero(dim, m - 1)
+    edges = graph.edges
+    out_lists = [graph.out_edges(v) for v in range(1, n + 1)]
+    in_lists = [graph.in_edges(v) for v in range(1, n + m + 1)]
+    acc = PolyDiffOp.zero(dim, m - 1)
+    for assign in product(range(1, dim + 1), repeat=len(edges)):
+        axis = dict(zip(edges, assign))
+        coeff = TruncatedSeries.const(dim, 1) if n == 0 else None
+        for v in range(1, n + 1):
+            comp = fields[v - 1].component(
+                tuple(axis[e] for e in out_lists[v - 1]))
+            if comp is None:
+                break
+            for e in in_lists[v - 1]:
+                comp = comp.partial(axis[e])
+            if comp.is_zero():
+                break
+            coeff = comp if coeff is None else coeff * comp
+            if coeff.is_zero():
+                break
+        else:
+            slots = []
+            for g in range(n + 1, n + m + 1):
+                multi = [0] * dim
+                for e in in_lists[g - 1]:
+                    multi[axis[e] - 1] += 1
+                slots.append(tuple(multi))
+            acc = acc + PolyDiffOp.single(coeff, tuple(slots))
     return acc

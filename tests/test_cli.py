@@ -162,3 +162,54 @@ def test_reports_are_byte_stable_modulo_timings(capsys):
     code2, out2, _ = run_cli(capsys, "weights", "closed", "3")
     assert (code1, code2) == (0, 0)
     assert out1 == out2
+
+
+@pytest.mark.parametrize("argv", [
+    ["formality", "--d", "3", "--gamma", "1,4"],
+    ["formality", "--gamma", "0"],
+    ["formality", "--d", "0"],
+    ["formality", "--s", "0"],
+    ["formality", "--d", "-2"],
+    ["formality", "--cap", "0"],
+    ["weights", "mc", "--wheel", "2", "--samples", "-5"],
+    ["weights", "mc", "--wheel", "2", "--samples", "0"],
+    ["weights", "mc", "--wheel", "2", "--workers", "0"],
+    ["weights", "mc", "--wheel", "2", "--workers", "-3"],
+    ["verify", "mc-weights", "--samples", "0"],
+    ["verify", "all", "--workers", "-1"],
+    ["verify", "gerstenhaber", "--trials", "0"],
+    ["todd", "--order", "-1"],
+])
+def test_bad_numbers_exit_2_before_any_work(argv, monkeypatch, capsys):
+    # explicit zeros are rejected, not replaced by the defaults; nothing
+    # that could start a worker pool may run
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("work started on bad input")
+    for name in ("mc_weight", "mc_weight_cached", "twisted_first_taylor"):
+        monkeypatch.setattr("formaldisk.cli." + name, must_not_run)
+    monkeypatch.setattr("formaldisk.suites.run_suite", must_not_run)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("config, argv, message", [
+    ({"workers": 0}, ["weights", "mc", "--gamma0", "1"],
+     "workers must be at least 1"),
+    ({"samples": -1}, ["verify", "mc-weights"], "samples must be at least 1"),
+    ({"seed": "x"}, ["weights", "mc", "--gamma0", "1"], "invalid literal"),
+    ({"seed": "x"}, ["verify", "hkr"], "invalid literal"),
+])
+def test_bad_config_values_exit_2(config, argv, message, tmp_path,
+                                  monkeypatch, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    monkeypatch.setattr("formaldisk.cli.mc_weight", None)
+    monkeypatch.setattr("formaldisk.cli.mc_weight_cached", None)
+    monkeypatch.setattr("formaldisk.suites.run_suite", None)
+    code, out, err = run_cli(capsys, "--config", str(cfg), *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err

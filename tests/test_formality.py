@@ -7,13 +7,16 @@ in the comments so they can be re-checked without any code.
 import random
 from fractions import Fraction
 
+import pytest
+
 from formaldisk import (AdmissibleGraph, DifferentialForm, EtaOperator,
                         MaurerCartanData, PolyVectorField, TruncatedSeries,
-                        closed_form_map, contract, gamma0,
+                        closed_form_map, contract, enumerate_graphs, gamma0,
                         graph_operator, hkr, theta_and_det,
                         twisted_first_taylor, u_one, wheel_graph_weight,
                         xi_matrix, todd_series, tilde_todd_series,
                         exp_half_series)
+from formaldisk.cli import _standard_pair
 from formaldisk.suites import random_field
 
 import helpers
@@ -68,6 +71,54 @@ def test_graph_operator_degree_mismatch_gives_zero():
     v = PolyVectorField(dim, 0, {(1,): TruncatedSeries.variable(dim, 1, CAP)})
     op = graph_operator(gamma0(2), [v])
     assert op.is_zero()
+
+
+def test_graph_operator_matches_bruteforce_oracle():
+    # the sparse component walk against the dim^E assignment loop on
+    # every graph of five small shapes, with random fields of several
+    # components at mixed caps; each graph is also run once with a
+    # wrong-degree field on vertex 1, which must give the zero operator
+    rng = random.Random(4)
+    nonzero = function_vertex = 0
+    for dim in (2, 3):
+        for n, m in ((1, 2), (2, 0), (2, 1), (2, 2), (3, 0)):
+            for g in enumerate_graphs(n, m):
+                degrees = [g.out_degree(v) - 1 for v in range(1, n + 1)]
+                fields = [random_field(rng, dim, rng.choice((6, 8)), p, 3)
+                          for p in degrees]
+                wrong = [random_field(rng, dim, 8, degrees[0] + 1, 3)]
+                for fs in (fields, wrong + fields[1:]):
+                    op = graph_operator(g, fs)
+                    oracle = helpers.graph_operator_bruteforce(g, fs)
+                    assert op == oracle
+                    assert op.to_json() == oracle.to_json()
+                    if fs is fields:
+                        nonzero += not op.is_zero()
+                        function_vertex += -1 in degrees and not op.is_zero()
+                    else:
+                        assert op.is_zero() and op.degree == m - 1
+    assert nonzero >= 40 and function_vertex > 0
+
+
+def test_graph_operator_accumulates_in_lexicographic_order():
+    # G: edges (1,2),(2,1); X on vertex 1, Y on vertex 2, so the
+    # assignment (i, j) adds d_j X^i * d_i Y^j at the empty slot tuple.
+    # X^1 = X^2 = t1 + t2 and Y^2 = -2 t1 + t2 at cap 8, Y^1 = t1 + t2 at
+    # cap 6 give the terms (1,1): 1 [cap 5], (1,2): -2 [7], (2,1): 1 [5],
+    # (2,2): 1 [7].  In lexicographic order the running sum cancels
+    # after (2,1) and the last term keeps its cap 7; in any order that
+    # adds (2,2) first the result has cap 5.
+    dim = 2
+    t1 = TruncatedSeries.variable(dim, 1, CAP)
+    t2 = TruncatedSeries.variable(dim, 2, CAP)
+    low = (TruncatedSeries.variable(dim, 1, 6)
+           + TruncatedSeries.variable(dim, 2, 6))
+    X = PolyVectorField(dim, 0, {(1,): t1 + t2, (2,): t1 + t2})
+    Y = PolyVectorField(dim, 0, {(1,): low, (2,): t2 - t1.scale(2)})
+    G = AdmissibleGraph(2, 0, ((1, 2), (2, 1)))
+    op = graph_operator(G, [X, Y])
+    assert op == helpers.graph_operator_bruteforce(G, [X, Y])
+    assert op.terms == {(): TruncatedSeries.const(dim, 1, CAP - 1)}
 
 
 def test_wheel_graph_weight_values():
@@ -167,6 +218,32 @@ def test_wheel_identity_with_ground_slot():
     assert lhs.agrees_with(rhs, CAP - 3)
     part = lhs.parts[(1, 2)]
     assert part.degree == 0   # one slot left over
+
+
+def _paired_twisting(dim):
+    # omega_1 = t2^2 d1, omega_2 = t1^2 d2, omega_3 = t4^2 d3,
+    # omega_4 = t3^2 d4: two 2-wheels, so eta_1 eta_2, eta_3 eta_4 and
+    # their product survive
+    partner = {1: 2, 2: 1, 3: 4, 4: 3}
+    fields = []
+    for alpha in range(1, 5):
+        t = TruncatedSeries.variable(dim, partner[alpha], CAP)
+        fields.append(PolyVectorField(dim, 0, {(alpha,): t * t}))
+    return MaurerCartanData(fields)
+
+
+@pytest.mark.parametrize("dim", [5, 6])
+def test_wheel_identity_beyond_the_benchmark_grid(dim):
+    # (d, s, |gamma|) = (d, 4, 4), beyond the d <= 4 points at |gamma| = 4
+    gamma = PolyVectorField.from_wedge(dim, (1, 2, 3, 4))
+    mc = _standard_pair(dim, 4, CAP)   # omega_alpha = t_a t_b d_alpha
+    lhs = twisted_first_taylor(mc, gamma)
+    assert not lhs.is_zero()
+    assert lhs.agrees_with(closed_form_map(mc, gamma), CAP - 3)
+    mc = _paired_twisting(dim)
+    lhs = twisted_first_taylor(mc, gamma)
+    assert set(lhs.parts) == {(), (1, 2), (3, 4), (1, 2, 3, 4)}
+    assert lhs.agrees_with(closed_form_map(mc, gamma), CAP - 3)
 
 
 def test_todd_series_coefficients():

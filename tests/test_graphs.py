@@ -1,3 +1,4 @@
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -5,7 +6,8 @@ import pytest
 from formaldisk import (AdmissibleGraph, classify_wheels,
                         cycle_type_multiplicity, cycle_type_of_wheelish,
                         enumerate_graphs, gamma0, graphs_with_profile,
-                        opposite_wheel, vanishing_tag, wheel_graph)
+                        opposite_wheel, vanishing_tag, wheel_graph,
+                        wheel_survivors)
 
 
 def test_edge_count_enforced():
@@ -139,6 +141,41 @@ def test_survivors_match_families_j2():
         assert ct is not None
         found[ct] = found.get(ct, 0) + 1
     assert found == {(2,): 1}
+
+
+def _graphs_with_exact_profile(n, m, out_degrees):
+    """graphs_with_profile without enumerating the other profiles.
+
+    Each aerial vertex picks exactly its out-degree of targets; the
+    product over vertices runs in enumerate_graphs' order.
+    """
+    picks = [list(combinations([u for u in range(1, n + m + 1) if u != v], k))
+             for v, k in enumerate(out_degrees, 1)]
+    return [AdmissibleGraph(n, m, tuple((v, t) for v, combo in
+                                        enumerate(choice, 1) for t in combo))
+            for choice in product(*picks)]
+
+
+def test_wheel_survivors_equal_the_filtered_enumeration():
+    # every graph with out-degrees (1,..,1, j+m) that vanishing_tag lets
+    # through is a wheel family graph, and wheel_survivors builds exactly
+    # these, in the same order; full enumeration is only affordable for
+    # the smaller shapes, where it pins the profile-wise enumeration
+    for j in range(5):
+        for m in range(3):
+            profile = [1] * j + [j + m]
+            graphs = _graphs_with_exact_profile(j + 1, m, profile)
+            if j <= 3 and j + m <= 4:
+                assert graphs == graphs_with_profile(j + 1, m, profile)
+            expected = []
+            for g in graphs:
+                if vanishing_tag(g) is None:
+                    ctype = cycle_type_of_wheelish(g, j)
+                    assert ctype is not None, g
+                    expected.append((g, ctype))
+            assert wheel_survivors(j, m) == expected
+            assert len(expected) == sum(f.multiplicity for f in
+                                        classify_wheels(j, j + m - 1))
 
 
 def test_json_and_hash_stability():
