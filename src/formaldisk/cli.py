@@ -112,25 +112,6 @@ def _resolve_graph(args):
         return AdmissibleGraph.from_json(json.load(fh))
 
 
-def _warn_on_corrupt_cache(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            bad = 0
-            for line in fh:
-                if not line.strip():
-                    continue
-                try:
-                    json.loads(line)
-                except json.JSONDecodeError:
-                    bad += 1
-        if bad:
-            print("warning: %d unreadable cache line(s) in %s ignored; "
-                  "missing entries will be recomputed" % (bad, path),
-                  file=sys.stderr)
-    except OSError:
-        pass
-
-
 def _cmd_weights(args, config):
     if args.mode == "closed":
         table = {"W_%d" % l: str(wheel_weight_closed(l))
@@ -153,7 +134,6 @@ def _cmd_weights(args, config):
         est, cached = mc_weight(graph, samples, seed=seed,
                                 workers=workers), False
     else:
-        _warn_on_corrupt_cache(args.cache)
         est, cached = mc_weight_cached(graph, samples, seed=seed,
                                        workers=workers,
                                        cache_path=args.cache)

@@ -105,8 +105,8 @@ class EtaFormScalar(SparseSum):
         if any(not k[0] and not k[1] for k in self.terms
                if self.terms[k].constant_term() != 0):
             raise ValueError("exp needs a vanishing constant term")
-        out = EtaFormScalar.one(self.dim, self.cap)
         power = EtaFormScalar.one(self.dim, self.cap)
+        pieces = [power]
         fact = Fraction(1)
         k = 0
         while True:
@@ -115,10 +115,11 @@ class EtaFormScalar(SparseSum):
             if power.is_zero():
                 break
             fact *= k
-            out = out + power.scale(Fraction(1) / fact)
+            pieces.append(power.scale(Fraction(1) / fact))
             if k > 2 * self.dim + 2 * self.cap + 4:
                 raise ValueError("element does not look nilpotent")
-        return out
+        return EtaFormScalar._make(self.dim, self.cap, sparse_sum(
+            pair for p in pieces for pair in p.terms.items()))
 
     def eta_parts(self):
         """Group terms by eta-word: eta-word -> DifferentialForm."""

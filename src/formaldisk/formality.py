@@ -45,10 +45,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations, product as _cartesian
 from math import factorial
-from operator import itemgetter
 
 from .series import (DEFAULT_CAP, Q0, Q1, TruncatedSeries, SeriesMatrix,
-                     UnivariateSeries, useries_div)
+                     UnivariateSeries, sparse_sum, useries_div)
 from .polyvector import hkr_components, sort_with_sign
 from .polydiff import PolyDiffOp, _unit_multi
 from .graphs import wheel_survivors
@@ -60,17 +59,6 @@ from .etalgebra import (EtaFormScalar, EtaOperator,
 # ---------------------------------------------------------------------
 # graph evaluation
 # ---------------------------------------------------------------------
-
-def _signed_components(field):
-    """Every (axis tuple, signed component) of a field, sorted by axes.
-
-    Each stored key contributes all of its permutations; the sign comes
-    from the field's own component lookup.
-    """
-    return sorted(((perm, field.component(perm))
-                   for key in field.comps for perm in permutations(key)),
-                  key=itemgetter(0))
-
 
 def _term_coefficient(choice, in_lists, axis, dim):
     """Product of the chosen components after their in-edge partials.
@@ -100,8 +88,8 @@ def graph_operator(graph, fields):
     Walks the nonzero signed components of each vertex instead of all
     dim^E edge-axis assignments: a component fixes the axes of its
     vertex's out-edges, so the cost is the product over vertices of
-    (stored keys x permutations of a key).  Vertex lists sorted by axis
-    tuple visit the surviving assignments in lexicographic edge order.
+    (stored keys x permutations of a key).  The terms are one flat
+    sparse_sum, so their order does not matter, caps included.
     """
     n, m = graph.n, graph.m
     if len(fields) != n:
@@ -112,22 +100,23 @@ def graph_operator(graph, fields):
             return PolyDiffOp.zero(dim, m - 1)
     out_lists = [graph.out_edges(v) for v in range(1, n + 1)]
     in_lists = [graph.in_edges(v) for v in range(1, n + m + 1)]
-    acc = PolyDiffOp.zero(dim, m - 1)
-    for choice in _cartesian(*map(_signed_components, fields)):
-        axis = {}
-        for out, (axes, _) in zip(out_lists, choice):
-            axis.update(zip(out, axes))
-        coeff = _term_coefficient(choice, in_lists, axis, dim)
-        if coeff is None:
-            continue
-        slots = []
-        for g in range(n + 1, n + m + 1):
-            multi = [0] * dim
-            for e in in_lists[g - 1]:
-                multi[axis[e] - 1] += 1
-            slots.append(tuple(multi))
-        acc = acc + PolyDiffOp.single(coeff, tuple(slots))
-    return acc
+
+    def terms():
+        for choice in _cartesian(*map(hkr_components, fields)):
+            axis = {}
+            for out, (axes, _) in zip(out_lists, choice):
+                axis.update(zip(out, axes))
+            coeff = _term_coefficient(choice, in_lists, axis, dim)
+            if coeff is None:
+                continue
+            slots = []
+            for g in range(n + 1, n + m + 1):
+                multi = [0] * dim
+                for e in in_lists[g - 1]:
+                    multi[axis[e] - 1] += 1
+                slots.append(tuple(multi))
+            yield tuple(slots), coeff
+    return PolyDiffOp._make(dim, m - 1, sparse_sum(terms()))
 
 
 def u_one(field):
@@ -138,11 +127,9 @@ def u_one(field):
         f = field.as_function()
         return PolyDiffOp.function(f) if f is not None else PolyDiffOp.zero(dim, -1)
     pref = Fraction((-1) ** ((k * (k - 1) // 2) % 2), factorial(k))
-    acc = PolyDiffOp.zero(dim, k - 1)
-    for idx, comp in hkr_components(field):
-        slots = tuple(_unit_multi(dim, i) for i in idx)
-        acc = acc + PolyDiffOp.single(comp.scale(pref), slots)
-    return acc
+    return PolyDiffOp._make(dim, k - 1, sparse_sum(
+        (tuple(_unit_multi(dim, i) for i in idx), comp.scale(pref))
+        for idx, comp in hkr_components(field)))
 
 
 # ---------------------------------------------------------------------
@@ -168,11 +155,7 @@ class MaurerCartanData:
 
     def component(self, alpha, i):
         """Series coefficient of d/dt_i in omega_alpha (1-based both)."""
-        f = self.fields[alpha - 1]
-        s = f.comps.get((i,))
-        if s is None:
-            return None
-        return s
+        return self.fields[alpha - 1].comps.get((i,))
 
 
 def xi_matrix(mc, cap=None):
@@ -209,11 +192,9 @@ def theta_and_det(xi, max_length=None):
     """
     if not xi.all_even_grade():
         raise ValueError("Xi entries must have even total grade")
-    dim = xi.entries[0][0].dim
-    cap = xi.entries[0][0].cap
     if max_length is None:
         max_length = 2 * xi.size + 2  # eta nilpotence cuts off earlier
-    trace_theta = EtaFormScalar.zero(dim, cap)
+    pieces = [xi.entries[0][0].zero_like()]  # fixes dim and cap
     power = SeriesMatrix.identity_like(xi)
     for l in range(1, max_length + 1):
         power = power * xi
@@ -223,8 +204,10 @@ def theta_and_det(xi, max_length=None):
         if w == 0:
             continue
         sign = (-1) ** ((l * (l - 1) // 2) % 2)
-        coeff = Fraction(sign) * w / l
-        trace_theta = trace_theta + power.trace().scale(coeff)
+        pieces.append(power.trace().scale(Fraction(sign) * w / l))
+    trace_theta = EtaFormScalar._make(
+        pieces[0].dim, min(p.cap for p in pieces),
+        sparse_sum(pair for p in pieces for pair in p.terms.items()))
     return trace_theta.exp()
 
 
@@ -273,25 +256,24 @@ def twisted_first_taylor(mc, field, j_max=None):
     factors = field.degree + 1
     if j_max is None:
         j_max = mc.s
-    total = EtaOperator(dim, {})
-    for j in range(0, j_max + 1):
-        m = factors - j
-        if m < 0:
-            continue
-        jfact = Fraction(1, factorial(j))
-        for g, ctype in wheel_survivors(j, m):
-            w = wheel_graph_weight(ctype, m)
-            if w == 0:
+
+    def terms():
+        for j in range(0, j_max + 1):
+            m = factors - j
+            if m < 0:
                 continue
-            for alphas in permutations(range(1, mc.s + 1), j):
-                sign, key = sort_with_sign(reversed(alphas))
-                op = graph_operator(g, [mc.fields[a - 1] for a in alphas]
-                                    + [field])
-                if op.is_zero():
+            jfact = Fraction(1, factorial(j))
+            for g, ctype in wheel_survivors(j, m):
+                w = wheel_graph_weight(ctype, m)
+                if w == 0:
                     continue
-                scaled = op.scale(jfact * w * sign)
-                total = total + EtaOperator(dim, {key: scaled})
-    return total
+                for alphas in permutations(range(1, mc.s + 1), j):
+                    sign, key = sort_with_sign(reversed(alphas))
+                    op = graph_operator(g, [mc.fields[a - 1] for a in alphas]
+                                        + [field])
+                    if op:
+                        yield key, op.scale(jfact * w * sign)
+    return EtaOperator._make(dim, sparse_sum(terms()))
 
 
 # ---------------------------------------------------------------------

@@ -91,6 +91,8 @@ def enumerate_graphs(n, m, epsilon=0):
 
     Deterministic lexicographic order on the sorted edge tuples.
     """
+    if n < 0 or m < 0:
+        raise ValueError("negative vertex counts")
     e_total = 2 * n + m - 2 - epsilon
     if e_total < 0:
         return []

@@ -28,8 +28,7 @@ from fractions import Fraction
 from itertools import permutations, product as _cartesian
 from math import factorial
 
-from .series import (DEFAULT_CAP, GradedSum, TruncatedSeries, sparse_sum,
-                     stepwise_sum)
+from .series import DEFAULT_CAP, GradedSum, TruncatedSeries, sparse_sum
 from .polyvector import sort_with_sign
 
 
@@ -173,13 +172,14 @@ def cup(d1, d2):
                             sparse_sum(products))
 
 
-def _insert_term(c1, slots1, i, d2):
+def _insert_term(c1, slots1, i, d2, sign):
     """Insert operator d2 into slot i of the term (c1, slots1).
 
     The receiving multi-index is distributed by the Leibniz rule over
     d2's coefficient and each of d2's slots.  For a degree -1 insert
     (a function) the whole multi-index lands on the function and the
-    slot disappears.  Yields (slots, coefficient) pairs.
+    slot disappears.  Yields (slots, coefficient) pairs, each times the
+    insertion sign.
     """
     alpha = slots1[i]
     if d2.degree == -1:
@@ -187,7 +187,7 @@ def _insert_term(c1, slots1, i, d2):
         if c2 is not None:
             c = c1 * c2.partial_multi(alpha)
             if c:
-                yield slots1[:i] + slots1[i + 1:], c
+                yield slots1[:i] + slots1[i + 1:], c if sign == 1 else -c
         return
     parts = d2.degree + 2  # one share for the coefficient, rest for slots
     for s2, c2 in d2.terms.items():
@@ -197,21 +197,19 @@ def _insert_term(c1, slots1, i, d2):
             if not c:
                 continue
             block = tuple(_add_multi(b, m) for b, m in zip(betas, s2))
-            yield slots1[:i] + block + slots1[i + 1:], c.scale(mult)
+            yield slots1[:i] + block + slots1[i + 1:], c.scale(sign * mult)
 
 
 def bullet(d1, d2):
     """Insertion product sum_i (-1)^{i |d2|} (d1 with d2 in slot i)."""
     if d1.dim != d2.dim:
         raise ValueError("dimension mismatch")
-    def insertions():
-        for slots1, c1 in d1.terms.items():
-            for i in range(d1.degree + 1):
-                sign = (-1) ** ((i * d2.degree) % 2)
-                piece = sparse_sum(_insert_term(c1, slots1, i, d2))
-                yield ((key, c.scale(sign)) for key, c in piece.items())
+    insertions = (pair for slots1, c1 in d1.terms.items()
+                  for i in range(d1.degree + 1)
+                  for pair in _insert_term(c1, slots1, i, d2,
+                                           (-1) ** ((i * d2.degree) % 2)))
     return PolyDiffOp._make(d1.dim, d1.degree + d2.degree,
-                            stepwise_sum(insertions()))
+                            sparse_sum(insertions))
 
 
 def gerstenhaber_bracket(d1, d2):

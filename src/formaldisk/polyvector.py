@@ -25,8 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 
-from .series import (DEFAULT_CAP, GradedSum, TruncatedSeries, sparse_sum,
-                     stepwise_sum)
+from .series import DEFAULT_CAP, GradedSum, TruncatedSeries, sparse_sum
 
 
 def sort_with_sign(idx):
@@ -48,8 +47,7 @@ def sort_with_sign(idx):
 
 def merge_with_sign(left, right):
     """Concatenate two strictly increasing tuples with the shuffle sign."""
-    sign, merged = sort_with_sign(tuple(left) + tuple(right))
-    return sign, merged
+    return sort_with_sign(tuple(left) + tuple(right))
 
 
 class _Alternating(GradedSum):
@@ -253,9 +251,9 @@ def contract(form, field):
 
 
 def _field_sum(dim, degree, fields):
-    """Sum of fields of one degree, added one field after another."""
-    return PolyVectorField._make(
-        dim, degree, stepwise_sum(f.comps.items() for f in fields))
+    """Sum of fields of one degree: one sparse_sum over all components."""
+    return PolyVectorField._make(dim, degree, sparse_sum(
+        pair for f in fields for pair in f.comps.items()))
 
 
 # ---------------------------------------------------------------------
@@ -269,7 +267,7 @@ def _lie_monomial(coeff, axis, target):
             # action on the coefficient
             ds = coeff * s.partial(axis)
             if ds:
-                yield [(idx, ds)]
+                yield idx, ds
             # action on each wedge factor: [c e_a, e_j] = -(d_j c) e_a
             for pos, j in enumerate(idx):
                 dc = coeff.partial(j)
@@ -280,9 +278,9 @@ def _lie_monomial(coeff, axis, target):
                     continue
                 term = (s * dc).scale(-sign)
                 if term:
-                    yield [(key, term)]
+                    yield key, term
     return PolyVectorField._make(target.dim, target.degree,
-                                 stepwise_sum(terms()))
+                                 sparse_sum(terms()))
 
 
 def _bracket_monomial(c1, idx1, b):
@@ -338,10 +336,9 @@ def schouten_bracket(a, b):
 def hkr_components(field):
     """Signed components over all (not just increasing) index tuples.
 
+    Walks every permutation of every stored key, sorted by axis tuple:
+    the nonzero part of a scan over all index tuples, in its order.
     Helper for Einstein-sum style evaluations; yields (tuple, series).
     """
-    k = field.degree + 1
-    for idx in permutations(range(1, field.dim + 1), k):
-        s = field.component(idx)
-        if s is not None:
-            yield idx, s
+    for idx in sorted(p for key in field.comps for p in permutations(key)):
+        yield idx, field.component(idx)

@@ -10,7 +10,10 @@ exact arithmetic.
 
 The sparse-sum core at the top (sparse_sum, SparseSum) is the key ->
 coefficient algebra that every coefficient container of the package is
-built on.
+built on.  It has one summation rule: a container's result is one
+sparse_sum over all its (key, coefficient) contributions, so a key's
+coefficient is the sum of all its contributions, at the lowest validity
+cap among them, whatever their order.
 """
 
 from __future__ import annotations
@@ -37,25 +40,14 @@ def sparse_sum(pairs, start=()):
 
     Coefficients add with their own + and count as zero when falsy (a
     zero Fraction, a container without terms).  Zero sums are dropped
-    only at the end, so a partial sum that cancels still passes its
-    validity cap on to whatever is added to the same key later.
+    only at the end, never part-way: a key's coefficient is the sum of
+    all its contributions, at the lowest cap among them, whatever the
+    order of the pairs.  Every container result is one such sum.
     """
     out = dict(start)
     for key, c in pairs:
         out[key] = out[key] + c if key in out else c
     return {key: c for key, c in out.items() if c}
-
-
-def stepwise_sum(batches):
-    """sparse_sum of one batch of pairs after another, as repeated + adds.
-
-    Zero sums are dropped after every batch, so a key that cancels
-    starts afresh with the cap of whatever is added to it next.
-    """
-    out = {}
-    for pairs in batches:
-        out = sparse_sum(pairs, out)
-    return out
 
 
 class SparseSum:

@@ -51,6 +51,7 @@ import cmath
 import json
 import math
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict
 from fractions import Fraction
@@ -352,10 +353,15 @@ def mc_weight(graph, samples, seed=0, workers=1, chunk_size=CHUNK):
 # persistent cache (JSON lines)
 # ---------------------------------------------------------------------
 
-def cache_lookup(path, digest, samples, seed, workers=None):
-    """Find a cached estimate; tolerates missing or corrupt files."""
+def cache_lookup(path, digest, samples, seed):
+    """Find a cached estimate, or None; tolerates missing or corrupt files.
+
+    Unreadable lines are skipped; one warning on stderr counts the lines
+    skipped on the way.
+    """
     if not os.path.exists(path):
         return None
+    hit, bad = None, 0
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for line in fh:
@@ -365,16 +371,24 @@ def cache_lookup(path, digest, samples, seed, workers=None):
                 try:
                     row = json.loads(line)
                 except json.JSONDecodeError:
+                    row = None
+                if not isinstance(row, dict):
+                    bad += 1
                     continue
                 if (row.get("digest") == digest
                         and row.get("samples") == samples
                         and row.get("seed") == seed):
-                    return WeightEstimate(**{k: row[k] for k in (
+                    hit = WeightEstimate(**{k: row[k] for k in (
                         "value", "stderr", "integral", "prefactor",
                         "samples", "discarded", "seed", "workers", "digest")})
+                    break
     except OSError:
         return None
-    return None
+    if bad:
+        print("warning: %d unreadable cache line(s) in %s ignored; "
+              "missing entries will be recomputed" % (bad, path),
+              file=sys.stderr)
+    return hit
 
 
 def cache_store(path, estimate):

@@ -135,6 +135,8 @@ def graph_operator_bruteforce(graph, fields):
     Every assignment looks up the signed component at each aerial
     vertex, differentiates it along the vertex's in-edges and multiplies
     the results; ground vertices collect their in-edge axes as slots.
+    Each slot tuple keeps one running series (a series sum keeps the
+    lowest cap and never drops a key); zero sums are dropped at the end.
     """
     from formaldisk import PolyDiffOp, TruncatedSeries
     n, m = graph.n, graph.m
@@ -147,7 +149,7 @@ def graph_operator_bruteforce(graph, fields):
     edges = graph.edges
     out_lists = [graph.out_edges(v) for v in range(1, n + 1)]
     in_lists = [graph.in_edges(v) for v in range(1, n + m + 1)]
-    acc = PolyDiffOp.zero(dim, m - 1)
+    sums = {}
     for assign in product(range(1, dim + 1), repeat=len(edges)):
         axis = dict(zip(edges, assign))
         coeff = TruncatedSeries.const(dim, 1) if n == 0 else None
@@ -170,5 +172,7 @@ def graph_operator_bruteforce(graph, fields):
                 for e in in_lists[g - 1]:
                     multi[axis[e] - 1] += 1
                 slots.append(tuple(multi))
-            acc = acc + PolyDiffOp.single(coeff, tuple(slots))
-    return acc
+            slots = tuple(slots)
+            sums[slots] = sums[slots] + coeff if slots in sums else coeff
+    return PolyDiffOp(dim, m - 1, {slots: s for slots, s in sums.items()
+                                   if not s.is_zero()})

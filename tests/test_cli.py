@@ -179,6 +179,8 @@ def test_reports_are_byte_stable_modulo_timings(capsys):
     ["verify", "all", "--workers", "-1"],
     ["verify", "gerstenhaber", "--trials", "0"],
     ["todd", "--order", "-1"],
+    ["graphs", "-1", "2"],
+    ["graphs", "1", "-3"],
 ])
 def test_bad_numbers_exit_2_before_any_work(argv, monkeypatch, capsys):
     # explicit zeros are rejected, not replaced by the defaults; nothing

@@ -5,14 +5,19 @@ DifferentialForm), PolyDiffOp, EtaFormScalar and the eta-graded
 containers (EtaField, EtaOperator) all store a key -> coefficient map
 without zero coefficients.  Their public constructors validate; the
 results of their arithmetic are stored without being checked again.
+Every container result is one flat sum over its contributions, so it
+does not depend on the order in which the inputs store their terms.
 """
 
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from formaldisk import (DifferentialForm, EtaField, EtaFormScalar, EtaOperator,
-                        PolyDiffOp, PolyVectorField, TruncatedSeries)
+                        PolyDiffOp, PolyVectorField, TruncatedSeries, bullet,
+                        contract, gerstenhaber_bracket, schouten_bracket)
 
 CAP = 4
 T1 = TruncatedSeries.variable(2, 1, CAP)
@@ -145,6 +150,77 @@ def test_series_sum_across_caps_keeps_degrees_through_the_smaller(op):
             if sum(e) <= 4 and c != 0:
                 want[e] = c
         assert got.terms == want
+
+
+# ---------------------------------------------------------------------
+# a product's result does not depend on the order of its inputs' terms
+# ---------------------------------------------------------------------
+
+MIXED_CAPS = (4, 5, 6, 8)
+
+
+def _reversed(x):
+    return x._with(dict(reversed(x._data.items())))
+
+
+def _mixed_coeff(rng, dim):
+    """A signed monomial of degree <= 1 per axis at a random cap.
+
+    Unit coefficients make partial sums cancel often, and the caps
+    differ from key to key.
+    """
+    exp = tuple(rng.randint(0, 1) for _ in range(dim))
+    return TruncatedSeries.monomial(dim, exp, rng.choice((1, -1)),
+                                    rng.choice(MIXED_CAPS))
+
+
+def _mixed_op(rng, dim, nslots):
+    return PolyDiffOp(dim, nslots - 1, {
+        tuple(tuple(rng.randint(0, 1) for _ in range(dim))
+              for _ in range(nslots)): _mixed_coeff(rng, dim)
+        for _ in range(3)})
+
+
+def _mixed_alternating(cls, rng, dim, degree, arity):
+    pool = list(combinations(range(1, dim + 1), arity))
+    return cls(dim, degree, {rng.choice(pool): _mixed_coeff(rng, dim)
+                             for _ in range(4)})
+
+
+def _operator_pair(rng):
+    dim = rng.randint(1, 2)
+    return (_mixed_op(rng, dim, rng.randint(1, 2)),
+            _mixed_op(rng, dim, rng.randint(0, 2)))
+
+
+def _field_pair(rng):
+    dim = rng.randint(2, 4)
+    p, q = rng.randint(-1, dim - 1), rng.randint(-1, dim - 1)
+    return (_mixed_alternating(PolyVectorField, rng, dim, p, p + 1),
+            _mixed_alternating(PolyVectorField, rng, dim, q, q + 1))
+
+
+def _form_field_pair(rng):
+    dim = rng.randint(2, 4)
+    q, p = rng.randint(1, dim), rng.randint(0, dim - 1)
+    return (_mixed_alternating(DifferentialForm, rng, dim, q, q),
+            _mixed_alternating(PolyVectorField, rng, dim, p, p + 1))
+
+
+@pytest.mark.parametrize("product, inputs", [
+    (bullet, _operator_pair),
+    (gerstenhaber_bracket, _operator_pair),
+    (schouten_bracket, _field_pair),
+    (contract, _form_field_pair),
+], ids=["bullet", "gerstenhaber", "schouten", "contract"])
+def test_products_are_independent_of_input_term_order(product, inputs):
+    # With caps that differ between keys, a sum that dropped a key
+    # whenever its running total cancelled would let a later term bring
+    # back its own, higher cap, and the result would change with the
+    # order of the terms.  A flat sum keeps the lowest cap in any order.
+    for seed in range(300):
+        a, b = inputs(random.Random(seed))
+        assert product(a, b) == product(_reversed(a), _reversed(b)), seed
 
 
 # ---------------------------------------------------------------------

@@ -100,14 +100,14 @@ def test_graph_operator_matches_bruteforce_oracle():
     assert nonzero >= 40 and function_vertex > 0
 
 
-def test_graph_operator_accumulates_in_lexicographic_order():
-    # G: edges (1,2),(2,1); X on vertex 1, Y on vertex 2, so the
+def test_graph_operator_sum_is_independent_of_term_order():
+    # G: edges (1,2),(2,1); with X on vertex 1 and Y on vertex 2 the
     # assignment (i, j) adds d_j X^i * d_i Y^j at the empty slot tuple.
     # X^1 = X^2 = t1 + t2 and Y^2 = -2 t1 + t2 at cap 8, Y^1 = t1 + t2 at
     # cap 6 give the terms (1,1): 1 [cap 5], (1,2): -2 [7], (2,1): 1 [5],
-    # (2,2): 1 [7].  In lexicographic order the running sum cancels
-    # after (2,1) and the last term keeps its cap 7; in any order that
-    # adds (2,2) first the result has cap 5.
+    # (2,2): 1 [7].  Swapping the fields visits the same terms as
+    # 1 [5], 1 [5], -2 [7], 1 [7].  Either way the running sum cancels
+    # after three terms; the sum of all four is 1 at the lowest cap, 5.
     dim = 2
     t1 = TruncatedSeries.variable(dim, 1, CAP)
     t2 = TruncatedSeries.variable(dim, 2, CAP)
@@ -116,9 +116,10 @@ def test_graph_operator_accumulates_in_lexicographic_order():
     X = PolyVectorField(dim, 0, {(1,): t1 + t2, (2,): t1 + t2})
     Y = PolyVectorField(dim, 0, {(1,): low, (2,): t2 - t1.scale(2)})
     G = AdmissibleGraph(2, 0, ((1, 2), (2, 1)))
-    op = graph_operator(G, [X, Y])
-    assert op == helpers.graph_operator_bruteforce(G, [X, Y])
-    assert op.terms == {(): TruncatedSeries.const(dim, 1, CAP - 1)}
+    for fields in ([X, Y], [Y, X]):
+        op = graph_operator(G, fields)
+        assert op == helpers.graph_operator_bruteforce(G, fields)
+        assert op.terms == {(): TruncatedSeries.const(dim, 1, CAP - 3)}
 
 
 def test_wheel_graph_weight_values():

@@ -44,6 +44,12 @@ def test_enumeration_count_closed_form():
                 assert got == want, (n, m, eps, got, want)
 
 
+def test_enumeration_rejects_negative_vertex_counts():
+    for n, m in ((-1, 2), (1, -3)):
+        with pytest.raises(ValueError, match="negative vertex counts"):
+            enumerate_graphs(n, m)
+
+
 def test_single_graph_families():
     assert len(enumerate_graphs(1, 2)) == 1
     assert enumerate_graphs(1, 2)[0] == gamma0(2)

@@ -188,6 +188,19 @@ def test_cache_survives_corrupt_lines(tmp_path):
     assert found.value == est.value
 
 
+def test_cache_lookup_warns_once_for_all_unreadable_lines(tmp_path, capsys):
+    path = tmp_path / "w.jsonl"
+    path.write_text("not json\n{\"digest\": \"y\"}\n{{{\n\n")
+    assert cache_lookup(str(path), "x", 1, 0) is None
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("warning: 2 unreadable cache line(s) in ")
+    # a line of valid JSON that is not a row counts as unreadable too
+    path.write_text("[1, 2]\n")
+    assert cache_lookup(str(path), "x", 1, 0) is None
+    assert "warning: 1 unreadable" in capsys.readouterr().err
+
+
 def test_cache_lookup_missing_file(tmp_path):
     assert cache_lookup(str(tmp_path / "absent.jsonl"), "x", 1, 0) is None
 
