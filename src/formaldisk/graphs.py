@@ -34,6 +34,8 @@ class AdmissibleGraph:
         v = self.n + self.m
         if self.n < 0 or self.m < 0:
             raise ValueError("negative vertex counts")
+        if self.epsilon < 0:
+            raise ValueError("negative defect %d" % self.epsilon)
         expected = 2 * self.n + self.m - 2 - self.epsilon
         if len(edges) != expected:
             raise ValueError("edge count %d, admissibility needs %d"
@@ -93,6 +95,8 @@ def enumerate_graphs(n, m, epsilon=0):
     """
     if n < 0 or m < 0:
         raise ValueError("negative vertex counts")
+    if epsilon < 0:
+        raise ValueError("negative defect %d" % epsilon)
     e_total = 2 * n + m - 2 - epsilon
     if e_total < 0:
         return []

@@ -41,6 +41,14 @@ reciprocal mixture density, which keeps the estimator unbiased, makes
 the variance finite, and leaves graphs without sampled aerial vertices
 (the corollas) untouched.
 
+Samples come in chunks of CHUNK, each with its own counter-indexed
+random stream, drawn whole before any evaluation.  A chunk is then
+evaluated in blocks of BLOCK samples, small enough for the CPU cache:
+kernel redraws, the in-disk test 0 < r < 1, and only on the in-disk
+samples the mixture density, the chart, the Jacobian, its determinant
+and the collision filter.  A sample that leaves the disk costs its
+draws and is counted as discarded.
+
 The reported weight carries the orientation prefactor
 (-1)^{E(E-1)/2} on top of the raw integral.
 """
@@ -64,10 +72,18 @@ from .series import (Q0, Q1, UnivariateSeries, sinh_quotient_series,
 TWO_PI = 2.0 * math.pi
 COLLISION_MARGIN = 1e-9
 CHUNK = 250_000
+BLOCK = 4096
 KERNEL_RMIN = 1e-4
 KERNEL_RMAX = 2.0
 KERNEL_LOG = math.log(KERNEL_RMAX / KERNEL_RMIN)
 BASE_WEIGHT = 0.5
+# Cache rows carry this fingerprint and hit only on an exact match.  Bump
+# the version whenever a change can move a chunk's sums, even in the last
+# bits.
+SAMPLER_VERSION = 2
+SAMPLER = ("v%d chunk=%d rmin=%r rmax=%r base=%r margin=%r"
+           % (SAMPLER_VERSION, CHUNK, KERNEL_RMIN, KERNEL_RMAX, BASE_WEIGHT,
+              COLLISION_MARGIN))
 
 
 # ---------------------------------------------------------------------
@@ -160,8 +176,8 @@ def _kernel_components(graph):
 
     Returns tuples ("pair", j, k) — redraw sampled vertex k near sampled
     vertex j's disk image; ("ground", j, l) — redraw sampled vertex j
-    near the boundary image of ground point l; ("inf", j) — redraw j
-    near w = 1.  Vertex 1 is the gauge point and never participates.
+    near the boundary image of ground point l; ("inf", j, None) — redraw
+    j near w = 1.  Vertex 1 is the gauge point and never participates.
     """
     n = graph.n
     pair_edges = {}
@@ -175,124 +191,173 @@ def _kernel_components(graph):
         elif 2 <= a <= n < b:
             comps.append(("ground", a, b - n))
     for j in range(2, n + 1):
-        comps.append(("inf", j))
+        comps.append(("inf", j, None))
     return comps
 
 
+def _jacobian_layout(graph):
+    """Where each edge class writes into the Jacobian, fixed per graph.
+
+    Returns (src, tgt, source, aerial, ground, pairs): src and tgt index
+    every edge's endpoints (0-based, aerial vertices first, then ground);
+    each edge class is a pair (rows, sampled-vertex or ground index); pairs
+    lists every pair of points for the collision filter.  An edge from
+    sampled vertex s fills columns 2(s-2), 2(s-2)+1 of its row; one into
+    sampled vertex t fills 2(t-2), 2(t-2)+1; one into ground point l fills
+    2(n-1) + l-1.  Edges out of or into the gauge point 1 fill none.
+    """
+    n = graph.n
+    edges = np.array(graph.edges, dtype=np.intp).reshape(-1, 2)
+    s, t = edges[:, 0], edges[:, 1]
+    rows = np.arange(len(edges))
+    source = s >= 2
+    aerial = (t >= 2) & (t <= n)
+    ground = t > n
+    return (s - 1, t - 1, (rows[source], s[source] - 2),
+            (rows[aerial], t[aerial] - 2), (rows[ground], t[ground] - n - 1),
+            np.triu_indices(n + graph.m, 1))
+
+
+def _redraw(comps, r, ang, alpha, coin, rho_u, turn):
+    """Move the kernel-drawn samples of a block in place (r, ang views).
+
+    The coin picks at most one component per sample, so a pair's centre
+    is always the partner's base draw.
+    """
+    p_comp = (1.0 - BASE_WEIGHT) / len(comps)
+    for ci, (kind, a, b) in enumerate(comps):
+        lo = BASE_WEIGHT + ci * p_comp
+        rows = np.flatnonzero((coin >= lo) & (coin < lo + p_comp))
+        if not rows.size:
+            continue
+        rho = KERNEL_RMIN * np.exp(rho_u[rows] * KERNEL_LOG)
+        w_new = rho * np.exp(1j * turn[rows] * TWO_PI)
+        if kind == "pair":
+            w_new += r[rows, a - 2] * np.exp(1j * ang[rows, a - 2])
+            v = b
+        elif kind == "ground":
+            w_new += np.exp(1j * alpha[rows, b - 1])
+            v = a
+        else:
+            w_new += 1.0
+            v = a
+        r[rows, v - 2] = np.abs(w_new)
+        ang[rows, v - 2] = np.mod(np.angle(w_new), TWO_PI)
+
+
+def _mixture_density(comps, r, w, alpha):
+    """Density of the sampling mixture at in-disk samples w = r e^{i ang}."""
+    if not comps:
+        return np.ones(len(r))
+    p_comp = (1.0 - BASE_WEIGHT) / len(comps)
+    denom = np.full(len(r), BASE_WEIGHT)
+    for kind, a, b in comps:
+        if kind == "pair":
+            v, center = b, w[:, a - 2]
+        elif kind == "ground":
+            v, center = a, np.exp(1j * alpha[:, b - 1])
+        else:
+            v, center = a, 1.0
+        d = np.abs(w[:, v - 2] - center)
+        k = np.where((d >= KERNEL_RMIN) & (d <= KERNEL_RMAX),
+                     r[:, v - 2]
+                     / (TWO_PI * KERNEL_LOG * np.maximum(d, KERNEL_RMIN) ** 2),
+                     0.0)
+        denom += TWO_PI * p_comp * k
+    return denom
+
+
+def _in_disk_values(graph, layout, comps, r, ang, alpha):
+    """Integrand and drop mask of in-disk samples (r, ang, alpha rows)."""
+    n, m = graph.n, graph.m
+    src, tgt, source, aerial, ground, (i, j) = layout
+    rows = len(r)
+    phase = np.exp(1j * ang)
+    denom = _mixture_density(comps, r, r * phase, alpha)
+
+    # the disk chart z = i(1+w)/(1-w) and its derivatives
+    w = np.clip(r, 1e-12, 1.0 - 1e-12) * phase
+    base = 2j / (1.0 - w) ** 2
+    pos = np.empty((rows, n + m), dtype=np.complex128)
+    pos[:, 0] = 1j
+    pos[:, 1:n] = 1j * (1.0 + w) / (1.0 - w)
+    pos[:, n:] = -1.0 / np.tan(alpha / 2.0)
+    dz_dr = base * phase
+    dz_da = base * 1j * w
+    dq = 0.5 / np.sin(alpha / 2.0) ** 2
+
+    zp = pos[:, src]
+    zq = pos[:, tgt]
+    inv_n = 1.0 / (zq - zp)
+    inv_d = 1.0 / (zq - np.conj(zp))
+    jac = np.zeros((rows, len(src), 2 * (n - 1) + m))
+    e_rows, v = source
+    col = 2 * v
+    for dz, c in ((dz_dr[:, v], col), (dz_da[:, v], col + 1)):
+        jac[:, e_rows, c] = (-dz * inv_n[:, e_rows]
+                             + np.conj(dz) * inv_d[:, e_rows]).imag / TWO_PI
+    e_rows, v = aerial
+    diff = inv_n[:, e_rows] - inv_d[:, e_rows]
+    jac[:, e_rows, 2 * v] = (dz_dr[:, v] * diff).imag / TWO_PI
+    jac[:, e_rows, 2 * v + 1] = (dz_da[:, v] * diff).imag / TWO_PI
+    e_rows, l = ground
+    diff = inv_n[:, e_rows] - inv_d[:, e_rows]
+    jac[:, e_rows, 2 * (n - 1) + l] = (dq[:, l] * diff).imag / TWO_PI
+    dets = np.linalg.det(jac)
+
+    # collision margin: drop samples with near-coincident points
+    drop = (~np.isfinite(dets)
+            | np.any(np.abs(pos[:, i] - pos[:, j]) < COLLISION_MARGIN, axis=1))
+    return np.where(drop, 0.0, dets / denom), drop
+
+
 def _chunk_sums(args):
-    """One deterministic chunk: returns (sum, sumsq, kept, discarded)."""
+    """One deterministic chunk: returns (sum, sumsq, kept, discarded).
+
+    The chunk's whole random stream is drawn first, in a fixed order, so
+    the result depends on (graph, chunk index, chunk size, seed) alone.
+    The samples are then evaluated BLOCK at a time: kernel redraws, the
+    in-disk test, and on in-disk samples only the mixture density, chart,
+    Jacobian, determinant and collision filter.  A discarded sample costs
+    its draws and nothing more.
+    """
     graph_json, chunk_index, chunk_size, seed = args
     from .graphs import AdmissibleGraph
     graph = AdmissibleGraph.from_json(graph_json)
     n, m = graph.n, graph.m
-    edges = graph.edges
-    e_count = len(edges)
-    dim = 2 * (n - 1) + m
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
                                                        spawn_key=(chunk_index,)))
-    # base sample coordinates
+    r, ang, alpha = (np.empty((chunk_size, 0)) for _ in range(3))
     if n > 1:
         r = rng.random((chunk_size, n - 1))
         ang = rng.random((chunk_size, n - 1)) * TWO_PI
     if m > 0:
         alpha = np.sort(rng.random((chunk_size, m)) * TWO_PI, axis=1)
-
-    # mixture of importance kernels over the singular loci
     comps = _kernel_components(graph)
-    denom = np.full(chunk_size, 1.0)
     if comps:
-        p_comp = (1.0 - BASE_WEIGHT) / len(comps)
         coin = rng.random(chunk_size)
-        rho = KERNEL_RMIN * np.exp(rng.random(chunk_size) * KERNEL_LOG)
-        offset = rho * np.exp(1j * rng.random(chunk_size) * TWO_PI)
+        rho_u = rng.random(chunk_size)
+        turn = rng.random(chunk_size)
 
-        def center_of(comp):
-            kind = comp[0]
-            if kind == "pair":
-                j = comp[1]
-                return r[:, j - 2] * np.exp(1j * ang[:, j - 2])
-            if kind == "ground":
-                return np.exp(1j * alpha[:, comp[2] - 1])
-            return np.full(chunk_size, 1.0 + 0j)
-
-        for ci, comp in enumerate(comps):
-            lo = BASE_WEIGHT + ci * p_comp
-            mask = (coin >= lo) & (coin < lo + p_comp)
-            if not mask.any():
-                continue
-            v = comp[2] if comp[0] == "pair" else comp[1]
-            w_new = center_of(comp)[mask] + offset[mask]
-            r[mask, v - 2] = np.abs(w_new)
-            ang[mask, v - 2] = np.mod(np.angle(w_new), TWO_PI)
-        denom[:] = BASE_WEIGHT
-        for comp in comps:
-            v = comp[2] if comp[0] == "pair" else comp[1]
-            w_v = r[:, v - 2] * np.exp(1j * ang[:, v - 2])
-            d = np.abs(w_v - center_of(comp))
-            k = np.where((d >= KERNEL_RMIN) & (d <= KERNEL_RMAX),
-                         r[:, v - 2]
-                         / (TWO_PI * KERNEL_LOG
-                            * np.maximum(d, KERNEL_RMIN) ** 2),
-                         0.0)
-            denom += TWO_PI * p_comp * k
-
-    z = np.empty((chunk_size, n), dtype=np.complex128)
-    z[:, 0] = 1j
-    dz_dr = np.zeros((chunk_size, n), dtype=np.complex128)
-    dz_da = np.zeros((chunk_size, n), dtype=np.complex128)
-    inbox = np.full(chunk_size, True)
-    if n > 1:
-        inbox &= np.all((r > 0.0) & (r < 1.0), axis=1)
-        r = np.clip(r, 1e-12, 1.0 - 1e-12)
-        w = r * np.exp(1j * ang)
-        base = 2j / (1.0 - w) ** 2
-        z[:, 1:] = 1j * (1.0 + w) / (1.0 - w)
-        dz_dr[:, 1:] = base * np.exp(1j * ang)
-        dz_da[:, 1:] = base * 1j * w
-    if m > 0:
-        q = -1.0 / np.tan(alpha / 2.0)
-        dq = 0.5 / np.sin(alpha / 2.0) ** 2
-    # positions of all vertices (grounds are real)
-    def pos(v):
-        if v <= n:
-            return z[:, v - 1]
-        return q[:, v - n - 1].astype(np.complex128)
-
-    jac = np.zeros((chunk_size, e_count, dim), dtype=np.float64)
-    for row, (s, t) in enumerate(edges):
-        zp = z[:, s - 1]
-        zq = pos(t)
-        nvec = zq - zp
-        dvec = zq - np.conj(zp)
-        inv_n = 1.0 / nvec
-        inv_d = 1.0 / dvec
-        # columns of the source point (never the gauge point for cols)
-        if s >= 2:
-            c0 = 2 * (s - 2)
-            jac[:, row, c0] += (-dz_dr[:, s - 1] * inv_n
-                                + np.conj(dz_dr[:, s - 1]) * inv_d).imag / TWO_PI
-            jac[:, row, c0 + 1] += (-dz_da[:, s - 1] * inv_n
-                                    + np.conj(dz_da[:, s - 1]) * inv_d).imag / TWO_PI
-        if t <= n:
-            if t >= 2:
-                c0 = 2 * (t - 2)
-                jac[:, row, c0] += (dz_dr[:, t - 1] * (inv_n - inv_d)).imag / TWO_PI
-                jac[:, row, c0 + 1] += (dz_da[:, t - 1] * (inv_n - inv_d)).imag / TWO_PI
-        else:
-            col = 2 * (n - 1) + (t - n - 1)
-            jac[:, row, col] += (dq[:, t - n - 1] * (inv_n - inv_d)).imag / TWO_PI
-
-    dets = np.linalg.det(jac) if e_count else np.ones(chunk_size)
-
-    # collision margin: drop samples with near-coincident points
-    drop = ~np.isfinite(dets) | ~inbox
-    pts = [pos(v) for v in range(1, n + m + 1)]
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            drop |= np.abs(pts[i] - pts[j]) < COLLISION_MARGIN
-    g = np.where(drop, 0.0, dets / denom)
-    discarded = int(drop.sum())
+    layout = _jacobian_layout(graph)
+    g = np.zeros(chunk_size)
+    discarded = 0
+    for lo in range(0, chunk_size, BLOCK):
+        blk = slice(lo, lo + BLOCK)
+        rb, ab, alb = r[blk], ang[blk], alpha[blk]
+        if comps:
+            _redraw(comps, rb, ab, alb, coin[blk], rho_u[blk], turn[blk])
+        keep = np.flatnonzero(np.all((rb > 0.0) & (rb < 1.0), axis=1))
+        vals, drop = _in_disk_values(graph, layout, comps,
+                                     rb[keep], ab[keep], alb[keep])
+        g[lo + keep] = vals
+        discarded += len(rb) - len(keep) + int(drop.sum())
     return float(g.sum()), float((g * g).sum()), chunk_size, discarded
+
+
+def _pool_size(workers, tasks):
+    """Processes worth starting: no more than asked, chunks or cores."""
+    return min(workers, tasks, os.cpu_count() or 1)
 
 
 def mc_weight(graph, samples, seed=0, workers=1, chunk_size=CHUNK):
@@ -330,8 +395,9 @@ def mc_weight(graph, samples, seed=0, workers=1, chunk_size=CHUNK):
         left -= size
         idx += 1
 
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    processes = _pool_size(workers, len(tasks))
+    if processes > 1:
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             results = list(pool.map(_chunk_sums, tasks))
     else:
         results = [_chunk_sums(t) for t in tasks]
@@ -356,6 +422,9 @@ def mc_weight(graph, samples, seed=0, workers=1, chunk_size=CHUNK):
 def cache_lookup(path, digest, samples, seed):
     """Find a cached estimate, or None; tolerates missing or corrupt files.
 
+    A row hits only if its sampler fingerprint equals SAMPLER, so rows
+    written by another sampler (or before rows carried one) miss.
+
     Unreadable lines are skipped; one warning on stderr counts the lines
     skipped on the way.
     """
@@ -377,7 +446,8 @@ def cache_lookup(path, digest, samples, seed):
                     continue
                 if (row.get("digest") == digest
                         and row.get("samples") == samples
-                        and row.get("seed") == seed):
+                        and row.get("seed") == seed
+                        and row.get("sampler") == SAMPLER):
                     hit = WeightEstimate(**{k: row[k] for k in (
                         "value", "stderr", "integral", "prefactor",
                         "samples", "discarded", "seed", "workers", "digest")})
@@ -392,8 +462,10 @@ def cache_lookup(path, digest, samples, seed):
 
 
 def cache_store(path, estimate):
+    """Append one row: the estimate plus the SAMPLER that produced it."""
+    row = dict(estimate.to_json(), sampler=SAMPLER)
     with open(path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(estimate.to_json(), sort_keys=True) + "\n")
+        fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
 def mc_weight_cached(graph, samples, seed=0, workers=1, cache_path="weights.jsonl"):

@@ -176,3 +176,137 @@ def graph_operator_bruteforce(graph, fields):
             sums[slots] = sums[slots] + coeff if slots in sums else coeff
     return PolyDiffOp(dim, m - 1, {slots: s for slots, s in sums.items()
                                    if not s.is_zero()})
+
+
+# -- Monte Carlo chunk on full-chunk arrays ----------------------------
+
+def chunk_sums_reference(args):
+    """One Monte Carlo chunk evaluated whole.
+
+    Returns (sum, sumsq, kept, discarded, abs_sum): the first four as
+    weights._chunk_sums returns them, and the sum of |g| on top, the
+    scale the two kernels' sums are compared at.
+
+    Same random stream and estimator as weights._chunk_sums, but every
+    phase runs on full-chunk arrays and every sample, in the disk or not,
+    pays for the mixture density, the Jacobian and its determinant; the
+    Jacobian is filled edge by edge.  Out-of-disk samples are dropped only
+    at the end, together with the collision filter.
+    """
+    import numpy as np
+    from formaldisk.graphs import AdmissibleGraph
+    from formaldisk.weights import (BASE_WEIGHT, COLLISION_MARGIN,
+                                    KERNEL_LOG, KERNEL_RMAX, KERNEL_RMIN,
+                                    TWO_PI, _kernel_components)
+    graph_json, chunk_index, chunk_size, seed = args
+    graph = AdmissibleGraph.from_json(graph_json)
+    n, m = graph.n, graph.m
+    edges = graph.edges
+    e_count = len(edges)
+    dim = 2 * (n - 1) + m
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
+                                                       spawn_key=(chunk_index,)))
+    # base sample coordinates
+    if n > 1:
+        r = rng.random((chunk_size, n - 1))
+        ang = rng.random((chunk_size, n - 1)) * TWO_PI
+    if m > 0:
+        alpha = np.sort(rng.random((chunk_size, m)) * TWO_PI, axis=1)
+
+    # mixture of importance kernels over the singular loci
+    comps = _kernel_components(graph)
+    denom = np.full(chunk_size, 1.0)
+    if comps:
+        p_comp = (1.0 - BASE_WEIGHT) / len(comps)
+        coin = rng.random(chunk_size)
+        rho = KERNEL_RMIN * np.exp(rng.random(chunk_size) * KERNEL_LOG)
+        offset = rho * np.exp(1j * rng.random(chunk_size) * TWO_PI)
+
+        def center_of(comp):
+            kind = comp[0]
+            if kind == "pair":
+                j = comp[1]
+                return r[:, j - 2] * np.exp(1j * ang[:, j - 2])
+            if kind == "ground":
+                return np.exp(1j * alpha[:, comp[2] - 1])
+            return np.full(chunk_size, 1.0 + 0j)
+
+        for ci, comp in enumerate(comps):
+            lo = BASE_WEIGHT + ci * p_comp
+            mask = (coin >= lo) & (coin < lo + p_comp)
+            if not mask.any():
+                continue
+            v = comp[2] if comp[0] == "pair" else comp[1]
+            w_new = center_of(comp)[mask] + offset[mask]
+            r[mask, v - 2] = np.abs(w_new)
+            ang[mask, v - 2] = np.mod(np.angle(w_new), TWO_PI)
+        denom[:] = BASE_WEIGHT
+        for comp in comps:
+            v = comp[2] if comp[0] == "pair" else comp[1]
+            w_v = r[:, v - 2] * np.exp(1j * ang[:, v - 2])
+            d = np.abs(w_v - center_of(comp))
+            k = np.where((d >= KERNEL_RMIN) & (d <= KERNEL_RMAX),
+                         r[:, v - 2]
+                         / (TWO_PI * KERNEL_LOG
+                            * np.maximum(d, KERNEL_RMIN) ** 2),
+                         0.0)
+            denom += TWO_PI * p_comp * k
+
+    z = np.empty((chunk_size, n), dtype=np.complex128)
+    z[:, 0] = 1j
+    dz_dr = np.zeros((chunk_size, n), dtype=np.complex128)
+    dz_da = np.zeros((chunk_size, n), dtype=np.complex128)
+    inbox = np.full(chunk_size, True)
+    if n > 1:
+        inbox &= np.all((r > 0.0) & (r < 1.0), axis=1)
+        r = np.clip(r, 1e-12, 1.0 - 1e-12)
+        w = r * np.exp(1j * ang)
+        base = 2j / (1.0 - w) ** 2
+        z[:, 1:] = 1j * (1.0 + w) / (1.0 - w)
+        dz_dr[:, 1:] = base * np.exp(1j * ang)
+        dz_da[:, 1:] = base * 1j * w
+    if m > 0:
+        q = -1.0 / np.tan(alpha / 2.0)
+        dq = 0.5 / np.sin(alpha / 2.0) ** 2
+    # positions of all vertices (grounds are real)
+    def pos(v):
+        if v <= n:
+            return z[:, v - 1]
+        return q[:, v - n - 1].astype(np.complex128)
+
+    jac = np.zeros((chunk_size, e_count, dim), dtype=np.float64)
+    for row, (s, t) in enumerate(edges):
+        zp = z[:, s - 1]
+        zq = pos(t)
+        nvec = zq - zp
+        dvec = zq - np.conj(zp)
+        inv_n = 1.0 / nvec
+        inv_d = 1.0 / dvec
+        # columns of the source point (never the gauge point for cols)
+        if s >= 2:
+            c0 = 2 * (s - 2)
+            jac[:, row, c0] += (-dz_dr[:, s - 1] * inv_n
+                                + np.conj(dz_dr[:, s - 1]) * inv_d).imag / TWO_PI
+            jac[:, row, c0 + 1] += (-dz_da[:, s - 1] * inv_n
+                                    + np.conj(dz_da[:, s - 1]) * inv_d).imag / TWO_PI
+        if t <= n:
+            if t >= 2:
+                c0 = 2 * (t - 2)
+                jac[:, row, c0] += (dz_dr[:, t - 1] * (inv_n - inv_d)).imag / TWO_PI
+                jac[:, row, c0 + 1] += (dz_da[:, t - 1] * (inv_n - inv_d)).imag / TWO_PI
+        else:
+            col = 2 * (n - 1) + (t - n - 1)
+            jac[:, row, col] += (dq[:, t - n - 1] * (inv_n - inv_d)).imag / TWO_PI
+
+    dets = np.linalg.det(jac) if e_count else np.ones(chunk_size)
+
+    # collision margin: drop samples with near-coincident points
+    drop = ~np.isfinite(dets) | ~inbox
+    pts = [pos(v) for v in range(1, n + m + 1)]
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            drop |= np.abs(pts[i] - pts[j]) < COLLISION_MARGIN
+    g = np.where(drop, 0.0, dets / denom)
+    discarded = int(drop.sum())
+    return (float(g.sum()), float((g * g).sum()), chunk_size, discarded,
+            float(np.abs(g).sum()))

@@ -181,6 +181,7 @@ def test_reports_are_byte_stable_modulo_timings(capsys):
     ["todd", "--order", "-1"],
     ["graphs", "-1", "2"],
     ["graphs", "1", "-3"],
+    ["graphs", "3", "1", "-3"],
 ])
 def test_bad_numbers_exit_2_before_any_work(argv, monkeypatch, capsys):
     # explicit zeros are rejected, not replaced by the defaults; nothing

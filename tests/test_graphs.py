@@ -50,6 +50,13 @@ def test_enumeration_rejects_negative_vertex_counts():
             enumerate_graphs(n, m)
 
 
+def test_negative_defect_is_rejected():
+    with pytest.raises(ValueError, match="negative defect"):
+        enumerate_graphs(3, 1, -3)
+    with pytest.raises(ValueError, match="negative defect"):
+        AdmissibleGraph(1, 2, ((1, 2), (1, 3)), epsilon=-1)
+
+
 def test_single_graph_families():
     assert len(enumerate_graphs(1, 2)) == 1
     assert enumerate_graphs(1, 2)[0] == gamma0(2)

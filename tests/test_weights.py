@@ -7,10 +7,13 @@ import pytest
 from formaldisk import (angle, gamma0, inverse_sqrt_sinh_quotient, mc_weight,
                         mc_weight_cached, modified_bernoulli, opposite_wheel,
                         theta_series, wheel_weight_closed)
-from formaldisk.weights import cache_lookup, cache_store, WeightEstimate
+from formaldisk.graphs import AdmissibleGraph
+from formaldisk.weights import (BLOCK, SAMPLER, _chunk_sums, _pool_size,
+                                cache_lookup, cache_store, WeightEstimate)
 from formaldisk.series import sinh_quotient_series
 
-from helpers import bernoulli, wheel_weight_from_bernoulli
+from helpers import (bernoulli, chunk_sums_reference,
+                     wheel_weight_from_bernoulli)
 
 
 def test_wheel_weights_match_bernoulli_recurrence():
@@ -151,6 +154,45 @@ class AdmissibleGraphPatch:
         return {}
 
 
+ORACLE_GRAPHS = {
+    "gamma0(2)": gamma0(2),
+    "gamma0(3)": gamma0(3),
+    "wheel-2": opposite_wheel(2),
+    "wheel-3": opposite_wheel(3),
+    "wheel-4": opposite_wheel(4),
+    # a sampled aerial vertex with an edge to the ground: "ground" kernels
+    "aerial-ground": AdmissibleGraph(2, 1, ((1, 2), (1, 3), (2, 3))),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("size", [1, 1000, BLOCK + 1, 2 * BLOCK + 17])
+@pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
+def test_blocked_chunk_matches_the_whole_chunk_oracle(name, size, seed):
+    # same draws, same discards; the sums may differ only by rounding
+    args = (ORACLE_GRAPHS[name].to_json(), 3, size, seed)
+    s1, s2, kept, discarded = _chunk_sums(args)
+    r1, r2, r_kept, r_discarded, abs_sum = chunk_sums_reference(args)
+    assert (kept, discarded) == (r_kept, r_discarded)
+    assert abs(s1 - r1) <= 1e-12 * abs_sum
+    assert abs(s2 - r2) <= 1e-12 * r2
+
+
+def test_pool_size_never_exceeds_chunks_or_cores(monkeypatch):
+    monkeypatch.setattr("formaldisk.weights.os.cpu_count", lambda: 4)
+    assert _pool_size(1, 8) == 1
+    assert _pool_size(3, 8) == 3
+    assert _pool_size(64, 8) == 4
+    assert _pool_size(64, 2) == 2
+    monkeypatch.setattr("formaldisk.weights.os.cpu_count", lambda: None)
+    assert _pool_size(64, 8) == 1
+
+
+def test_estimate_reports_the_requested_workers():
+    # one chunk: no pool starts, yet the report keeps the requested count
+    assert mc_weight(gamma0(2), 1000, seed=0, workers=64).workers == 64
+
+
 def test_estimate_serializes():
     est = mc_weight(gamma0(1), 1000, seed=0)
     row = est.to_json()
@@ -213,3 +255,16 @@ def test_cache_store_appends(tmp_path):
     rows = [json.loads(l) for l in path.read_text().splitlines()]
     assert len(rows) == 2
     assert rows[0]["digest"] == est.digest
+
+
+def test_cache_row_of_another_sampler_misses(tmp_path):
+    path = tmp_path / "w.jsonl"
+    est = mc_weight(gamma0(1), 1000, seed=0)
+    cache_store(str(path), est)
+    assert json.loads(path.read_text())["sampler"] == SAMPLER
+    assert cache_lookup(str(path), est.digest, 1000, 0) == est
+    # a row without the field (written before rows carried one) misses,
+    # and so does a row from a sampler with another fingerprint
+    for row in (est.to_json(), dict(est.to_json(), sampler="v1")):
+        path.write_text(json.dumps(row) + "\n")
+        assert cache_lookup(str(path), est.digest, 1000, 0) is None
