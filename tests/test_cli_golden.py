@@ -22,6 +22,8 @@ CASES = {
                              "--gamma", "1,2,3"],
     "formality_d4_s3_g123": ["formality", "--d", "4", "--s", "3",
                              "--gamma", "1,2,3"],
+    "formality_d4_s4_g1234": ["formality", "--d", "4", "--s", "4",
+                              "--gamma", "1,2,3,4"],
     "twist": ["twist"],
     "todd_order10": ["todd", "--order", "10"],
     "verify_wheel_identity": ["verify", "wheel-identity"],
