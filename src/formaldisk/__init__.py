@@ -11,9 +11,9 @@ Todd-type determinant.
 __version__ = "0.1.0"
 
 from .series import (DEFAULT_CAP, TruncatedSeries, UnivariateSeries,
-                     SeriesMatrix, series_at_matrix, matrix_exp,
-                     sinh_quotient_series, useries_div, useries_exp,
-                     useries_log, useries_sqrt)
+                     SeriesMatrix, nilpotent_powers, series_at_matrix,
+                     matrix_exp, sinh_quotient_series, useries_div,
+                     useries_exp, useries_log, useries_sqrt)
 from .polyvector import (PolyVectorField, DifferentialForm,
                          schouten_bracket, wedge_fields, wedge_forms,
                          contract, exterior_derivative, hkr_components,
@@ -41,7 +41,7 @@ from .suites import SUITES, run_suite
 
 __all__ = [
     "DEFAULT_CAP", "TruncatedSeries", "UnivariateSeries", "SeriesMatrix",
-    "series_at_matrix", "matrix_exp",
+    "nilpotent_powers", "series_at_matrix", "matrix_exp",
     "sinh_quotient_series", "useries_div", "useries_exp", "useries_log",
     "useries_sqrt",
     "PolyVectorField", "DifferentialForm", "schouten_bracket",

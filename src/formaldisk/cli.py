@@ -114,6 +114,10 @@ def _resolve_graph(args):
 
 def _cmd_weights(args, config):
     if args.mode == "closed":
+        if args.order < 1:
+            print("error: order must be at least 1, got %d" % args.order,
+                  file=sys.stderr)
+            return 2
         table = {"W_%d" % l: str(wheel_weight_closed(l))
                  for l in range(1, args.order + 1)}
         report = _base_report("weights-closed", {"order": args.order})

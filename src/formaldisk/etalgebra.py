@@ -21,8 +21,10 @@ repeated generator kills the term.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
-from .series import DEFAULT_CAP, SparseSum, TruncatedSeries, sparse_sum
+from .series import (DEFAULT_CAP, SparseSum, TruncatedSeries,
+                     nilpotent_powers, sparse_sum)
 from .polyvector import DifferentialForm, contract, merge_with_sign
 from .polydiff import hkr
 
@@ -105,19 +107,12 @@ class EtaFormScalar(SparseSum):
         if any(not k[0] and not k[1] for k in self.terms
                if self.terms[k].constant_term() != 0):
             raise ValueError("exp needs a vanishing constant term")
-        power = EtaFormScalar.one(self.dim, self.cap)
-        pieces = [power]
-        fact = Fraction(1)
-        k = 0
-        while True:
-            k += 1
-            power = power * self
-            if power.is_zero():
-                break
-            fact *= k
-            pieces.append(power.scale(Fraction(1) / fact))
-            if k > 2 * self.dim + 2 * self.cap + 4:
-                raise ValueError("element does not look nilpotent")
+        one = self.one_like()
+        # one * self truncates every coefficient to the container cap
+        pieces = [one] + [
+            power.scale(Fraction(1, factorial(k)))
+            for k, power in nilpotent_powers(
+                one * self, 2 * self.dim + 2 * self.cap + 4)]
         return EtaFormScalar._make(self.dim, self.cap, sparse_sum(
             pair for p in pieces for pair in p.terms.items()))
 

@@ -34,10 +34,13 @@ for cycle type (l_1, .., l_r).  The closed form of the same sum is
 built from the curvature-style matrix Xi with entries
 sum_alpha eta_alpha d(d_j omega^i_alpha): the element
 
-    det(exp Theta),  Theta = sum_l (-1)^{l(l-1)/2} (1/l) W_l Xi^l
-                           = -(1/2) log((e^{Xi/2} - e^{-Xi/2}) / Xi),
+    det(exp Theta) = exp Tr theta(Xi),
+    theta(x) = sum_l (-1)^{l(l-1)/2} (1/l) W_l x^l
+             = -(1/2) log((e^{x/2} - e^{-x/2}) / x),
 
-is contracted into gamma and quantized with the signed HKR map.
+is contracted into gamma and quantized with the signed HKR map.  Every
+entry of Xi carries one dt, so Xi is nilpotent and the trace is a
+finite sum over the nonzero powers of Xi.
 """
 
 from __future__ import annotations
@@ -47,11 +50,12 @@ from itertools import permutations, product as _cartesian
 from math import factorial
 
 from .series import (DEFAULT_CAP, Q0, Q1, TruncatedSeries, SeriesMatrix,
-                     UnivariateSeries, sparse_sum, useries_div)
+                     UnivariateSeries, nilpotent_powers, sparse_sum,
+                     useries_div)
 from .polyvector import hkr_components, sort_with_sign
 from .polydiff import PolyDiffOp, _unit_multi
 from .graphs import wheel_survivors
-from .weights import wheel_weight_closed
+from .weights import theta_series, wheel_weight_closed
 from .etalgebra import (EtaFormScalar, EtaOperator,
                         contract_scalar_into_field, hkr_eta)
 
@@ -158,12 +162,14 @@ class MaurerCartanData:
         return self.fields[alpha - 1].comps.get((i,))
 
 
-def xi_matrix(mc, cap=None):
-    """Matrix with entries sum_alpha eta_alpha d(d_j omega^i_alpha)."""
+def xi_matrix(mc):
+    """Matrix with entries sum_alpha eta_alpha d(d_j omega^i_alpha).
+
+    Its container cap is the lowest cap among the twisting fields.
+    """
     dim = mc.dim
-    if cap is None:
-        caps = [s.cap for f in mc.fields for s in f.comps.values()]
-        cap = min(caps) if caps else DEFAULT_CAP
+    caps = [s.cap for f in mc.fields for s in f.comps.values()]
+    cap = min(caps) if caps else DEFAULT_CAP
     entries = []
     for i in range(1, dim + 1):
         row = []
@@ -183,40 +189,32 @@ def xi_matrix(mc, cap=None):
     return SeriesMatrix(entries)
 
 
-def theta_and_det(xi, max_length=None):
-    """det(exp Theta), Theta = sum_l (-1)^{l(l-1)/2} (W_l / l) Xi^l.
+def theta_and_det(xi):
+    """det(exp Theta) = exp(Tr Theta) with Theta = theta(Xi).
 
-    Only even l contribute (odd wheel weights vanish); the eta grading
-    cuts the sum off at l <= number of generators.  The determinant is
-    exp(Tr Theta), so only the trace of Theta is built.
+    theta(x) = -(1/2) log((e^{x/2} - e^{-x/2})/x) is weights.theta_series;
+    its x^l coefficient is (-1)^{l(l-1)/2} W_l / l, zero for odd l.  So
+    Tr Theta = sum_l theta_l Tr Xi^l over the nonzero powers of Xi, and
+    only that trace is built.  Every entry of Xi carries one dt, so
+    Xi^(size+1) = 0.
     """
     if not xi.all_even_grade():
         raise ValueError("Xi entries must have even total grade")
-    if max_length is None:
-        max_length = 2 * xi.size + 2  # eta nilpotence cuts off earlier
+    kmax = 2 * xi.size + 2
+    theta = theta_series(kmax)
     pieces = [xi.entries[0][0].zero_like()]  # fixes dim and cap
-    power = SeriesMatrix.identity_like(xi)
-    for l in range(1, max_length + 1):
-        power = power * xi
-        if power.is_zero():
-            break
-        w = wheel_weight_closed(l)
-        if w == 0:
-            continue
-        sign = (-1) ** ((l * (l - 1) // 2) % 2)
-        pieces.append(power.trace().scale(Fraction(sign) * w / l))
+    pieces += [power.trace().scale(theta[l])
+               for l, power in nilpotent_powers(xi, kmax) if theta[l]]
     trace_theta = EtaFormScalar._make(
         pieces[0].dim, min(p.cap for p in pieces),
         sparse_sum(pair for p in pieces for pair in p.terms.items()))
     return trace_theta.exp()
 
 
-def closed_form_map(mc, field, cap=None):
+def closed_form_map(mc, field):
     """hkr(det(exp Theta) ^ field): the closed form of the twisted map."""
-    xi = xi_matrix(mc, cap=cap)
-    det = theta_and_det(xi)
-    contracted = contract_scalar_into_field(det, field)
-    return hkr_eta(contracted)
+    det = theta_and_det(xi_matrix(mc))
+    return hkr_eta(contract_scalar_into_field(det, field))
 
 
 # ---------------------------------------------------------------------

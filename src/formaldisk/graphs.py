@@ -54,9 +54,6 @@ class AdmissibleGraph:
 
     # -- combinatorial queries ---------------------------------------
 
-    def is_ground(self, v):
-        return v > self.n
-
     def out_edges(self, v):
         """Outgoing edges of v in the fixed (target-sorted) order."""
         return [e for e in self.edges if e[0] == v]
@@ -232,6 +229,9 @@ def wheel_graph(partition, center_degree, reverse_cycles=False):
     is j+1 and points at every cycle vertex and every ground vertex.
     Forward orientation sends each block vertex to its successor.
     """
+    if any(part < 2 for part in partition):
+        raise ValueError("wheel cycle length must be at least 2, got %r"
+                         % (partition,))
     j = sum(partition)
     m = center_degree - j + 1
     if m < 0:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import factorial
 
 DEFAULT_CAP = 8
 
@@ -479,7 +480,8 @@ class SeriesMatrix:
     """Square matrix over an exact coefficient ring.
 
     Entries are TruncatedSeries or any object with the same arithmetic
-    protocol (add, mul, zero_like, one_like, is_zero, has_even_grade).
+    protocol (add, mul, scale, zero_like, one_like, is_zero,
+    has_even_grade).
     Trace powers require every entry to sit in even total grade, which
     keeps the entry ring commutative.
     """
@@ -515,35 +517,22 @@ class SeriesMatrix:
                              for r1, r2 in zip(self.entries, other.entries)])
 
     def __mul__(self, other):
-        if isinstance(other, SeriesMatrix):
-            if self.size != other.size:
-                raise ValueError("size mismatch")
-            n = self.size
-            out = []
-            for i in range(n):
-                row = []
-                for j in range(n):
-                    acc = self._zero()
-                    for k in range(n):
-                        acc = acc + self.entries[i][k] * other.entries[k][j]
-                    row.append(acc)
-                out.append(row)
-            return SeriesMatrix(out)
-        return SeriesMatrix([[e * other for e in row] for row in self.entries])
-
-    __rmul__ = __mul__
+        if self.size != other.size:
+            raise ValueError("size mismatch")
+        n = self.size
+        out = []
+        for i in range(n):
+            row = []
+            for j in range(n):
+                acc = self._zero()
+                for k in range(n):
+                    acc = acc + self.entries[i][k] * other.entries[k][j]
+                row.append(acc)
+            out.append(row)
+        return SeriesMatrix(out)
 
     def scale(self, c):
-        return SeriesMatrix([[e.scale(c) if hasattr(e, "scale") else e * c
-                              for e in row] for row in self.entries])
-
-    def power(self, l):
-        if l < 0:
-            raise ValueError("negative power")
-        out = SeriesMatrix.identity_like(self)
-        for _ in range(l):
-            out = out * self
-        return out
+        return SeriesMatrix([[e.scale(c) for e in row] for row in self.entries])
 
     def trace(self):
         acc = self._zero()
@@ -554,47 +543,41 @@ class SeriesMatrix:
     def all_even_grade(self):
         return all(e.has_even_grade() for row in self.entries for e in row)
 
-    def __eq__(self, other):
-        if not isinstance(other, SeriesMatrix):
-            return NotImplemented
-        return self.size == other.size and self.entries == other.entries
+
+def nilpotent_powers(x, kmax):
+    """(k, x^k) for k = 1, 2, .. while the power x^k is nonzero.
+
+    x is anything with * and is_zero(): a SeriesMatrix, an
+    EtaFormScalar.  Raises ValueError unless x^(kmax+1) vanishes.
+    """
+    power = x
+    for k in range(1, kmax + 2):
+        if power.is_zero():
+            return
+        if k > kmax:
+            raise ValueError("not nilpotent: the power %d does not vanish" % k)
+        yield k, power
+        power = power * x
 
 
-def series_at_matrix(f, mat, kmax=None):
+def series_at_matrix(f, mat):
     """Evaluate a univariate series on a nilpotent matrix argument.
 
-    Sums f_k M^k until the running power of M vanishes (entries with
-    positive valuation die under the cap) or kmax is exceeded.
+    Sums f_k M^k over the nonzero powers of M (entries with positive
+    valuation die under the cap); M^(order+1) must vanish.
     """
-    if kmax is None:
-        kmax = f.order
     out = SeriesMatrix.identity_like(mat).scale(f[0])
-    power = SeriesMatrix.identity_like(mat)
-    for k in range(1, kmax + 1):
-        power = power * mat
-        if power.is_zero():
-            break
+    for k, power in nilpotent_powers(mat, f.order):
         if f[k] != 0:
             out = out + power.scale(f[k])
-    else:
-        if not (power * mat).is_zero():
-            raise ValueError("matrix argument is not nilpotent within kmax")
     return out
 
 
-def matrix_exp(mat, kmax=64):
-    """exp of a nilpotent matrix, Sum M^k / k!."""
+def matrix_exp(mat):
+    """exp of a nilpotent matrix, Sum M^k / k!; M^65 must vanish."""
     out = SeriesMatrix.identity_like(mat)
-    power = SeriesMatrix.identity_like(mat)
-    fact = Q1
-    for k in range(1, kmax + 1):
-        power = power * mat
-        if power.is_zero():
-            break
-        fact = fact * k
-        out = out + power.scale(Q1 / fact)
-    else:
-        raise ValueError("matrix is not nilpotent within kmax")
+    for k, power in nilpotent_powers(mat, 64):
+        out = out + power.scale(Fraction(1, factorial(k)))
     return out
 
 

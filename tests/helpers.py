@@ -178,6 +178,37 @@ def graph_operator_bruteforce(graph, fields):
                                    if not s.is_zero()})
 
 
+# -- det exp Theta, one wheel weight per power ------------------------
+
+def theta_and_det_reference(xi, max_length=None):
+    """det(exp Theta), Theta = sum_l (-1)^{l(l-1)/2} (W_l / l) Xi^l.
+
+    The powers start from the identity times Xi, and each power's
+    coefficient comes from wheel_weight_closed(l).
+    """
+    from formaldisk import EtaFormScalar, SeriesMatrix, wheel_weight_closed
+    from formaldisk.series import sparse_sum
+    if not xi.all_even_grade():
+        raise ValueError("Xi entries must have even total grade")
+    if max_length is None:
+        max_length = 2 * xi.size + 2  # eta nilpotence cuts off earlier
+    pieces = [xi.entries[0][0].zero_like()]  # fixes dim and cap
+    power = SeriesMatrix.identity_like(xi)
+    for l in range(1, max_length + 1):
+        power = power * xi
+        if power.is_zero():
+            break
+        w = wheel_weight_closed(l)
+        if w == 0:
+            continue
+        sign = (-1) ** ((l * (l - 1) // 2) % 2)
+        pieces.append(power.trace().scale(Fraction(sign) * w / l))
+    trace_theta = EtaFormScalar._make(
+        pieces[0].dim, min(p.cap for p in pieces),
+        sparse_sum(pair for p in pieces for pair in p.terms.items()))
+    return trace_theta.exp()
+
+
 # -- Monte Carlo chunk on full-chunk arrays ----------------------------
 
 def chunk_sums_reference(args):

@@ -182,6 +182,10 @@ def test_reports_are_byte_stable_modulo_timings(capsys):
     ["graphs", "-1", "2"],
     ["graphs", "1", "-3"],
     ["graphs", "3", "1", "-3"],
+    ["weights", "mc", "--wheel", "0"],
+    ["weights", "mc", "--wheel", "1"],
+    ["weights", "closed", "0"],
+    ["weights", "closed", "-1"],
 ])
 def test_bad_numbers_exit_2_before_any_work(argv, monkeypatch, capsys):
     # explicit zeros are rejected, not replaced by the defaults; nothing

@@ -247,6 +247,61 @@ def test_wheel_identity_beyond_the_benchmark_grid(dim):
     assert lhs.agrees_with(closed_form_map(mc, gamma), CAP - 3)
 
 
+def _mixed_cap_twisting(seed):
+    # every component at its own cap: Xi takes the lowest one as its
+    # container cap, and coefficients of a higher cap must be cut down
+    # to it before the powers of Tr Theta are taken
+    rng = random.Random(seed)
+    dim = rng.randint(2, 4)
+    fields = []
+    for _ in range(rng.randint(2, dim)):
+        comps = {}
+        for i in rng.sample(range(1, dim + 1), rng.randint(1, 2)):
+            terms = {}
+            for _ in range(rng.randint(1, 3)):
+                exp = [0] * dim
+                for _ in range(rng.randint(2, 4)):
+                    exp[rng.randrange(dim)] += 1
+                terms[tuple(exp)] = Fraction(rng.choice((-3, -1, 1, 2)),
+                                             rng.choice((1, 2, 3)))
+            comps[(i,)] = TruncatedSeries(dim, rng.choice((5, 6, 7, 8, 10)),
+                                          terms)
+        fields.append(PolyVectorField(dim, 0, comps))
+    return MaurerCartanData(fields)
+
+
+def _assert_det_matches_reference(mc):
+    # == compares every coefficient series with its cap, but not the
+    # container cap
+    xi = xi_matrix(mc)
+    det = theta_and_det(xi)
+    ref = helpers.theta_and_det_reference(xi)
+    assert det == ref
+    assert det.cap == ref.cap
+    return det
+
+
+def test_det_matches_the_reference_on_the_frozen_pair():
+    dim = 2
+    u1 = TruncatedSeries.variable(dim, 1, CAP)
+    u2 = TruncatedSeries.variable(dim, 2, CAP)
+    _assert_det_matches_reference(MaurerCartanData([
+        PolyVectorField(dim, 0, {(1,): u2 * u2}),
+        PolyVectorField(dim, 0, {(2,): u1 * u1}),
+    ]))
+
+
+@pytest.mark.parametrize("dim", [4, 5])
+def test_det_matches_the_reference_on_paired_data(dim):
+    det = _assert_det_matches_reference(_paired_twisting(dim))
+    assert {eta for eta, _ in det.terms} == {(), (1, 2), (3, 4), (1, 2, 3, 4)}
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_det_matches_the_reference_on_mixed_caps(seed):
+    _assert_det_matches_reference(_mixed_cap_twisting(seed))
+
+
 def test_todd_series_coefficients():
     q = todd_series(6)
     assert q.coeffs[:5] == [Fraction(1), Fraction(1, 2), Fraction(1, 12),

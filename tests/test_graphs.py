@@ -120,6 +120,12 @@ def test_wheel_graph_shapes():
     assert cycle_type_of_wheelish(g, 2) == (2,)
 
 
+@pytest.mark.parametrize("partition", [(0,), (1,), (2, 1), (-1,)])
+def test_wheel_graph_rejects_cycles_shorter_than_two(partition):
+    with pytest.raises(ValueError, match="cycle length must be at least 2"):
+        wheel_graph(partition, 4)
+
+
 def test_wheel_graph_reverse_cycles():
     a = wheel_graph((3,), 2)
     b = wheel_graph((3,), 2, reverse_cycles=True)

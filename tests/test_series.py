@@ -3,9 +3,9 @@ from fractions import Fraction
 import pytest
 
 from formaldisk import (DEFAULT_CAP, TruncatedSeries, UnivariateSeries,
-                        SeriesMatrix, matrix_exp, series_at_matrix,
-                        sinh_quotient_series, useries_div, useries_exp,
-                        useries_log, useries_sqrt)
+                        SeriesMatrix, matrix_exp, nilpotent_powers,
+                        series_at_matrix, sinh_quotient_series, useries_div,
+                        useries_exp, useries_log, useries_sqrt)
 
 
 def test_constructor_prunes_beyond_cap():
@@ -130,6 +130,32 @@ def test_series_at_matrix_geometric():
         acc = acc + power
     assert all(val.entries[i][j] == acc.entries[i][j]
                for i in range(2) for j in range(2))
+
+
+def test_nilpotent_powers_stop_at_the_first_vanishing_power():
+    t1, t2 = _nilpotent_pair()
+    z = TruncatedSeries.zero(2, 5)
+    m = SeriesMatrix([[z, t1, t2], [z, z, t1], [z, z, z]])
+    powers = list(nilpotent_powers(m, 2))
+    assert [k for k, _ in powers] == [1, 2]
+    assert powers[0][1] is m
+    assert powers[1][1].entries[0][2] == t1 * t1
+    assert (powers[1][1] * m).is_zero()
+    # M^3 = 0, so any kmax >= 2 gives the same powers; kmax = 1 raises
+    assert [k for k, _ in nilpotent_powers(m, 64)] == [1, 2]
+    with pytest.raises(ValueError):
+        list(nilpotent_powers(m, 1))
+    assert list(nilpotent_powers(SeriesMatrix([[z]]), 0)) == []
+
+
+def test_matrix_functions_reject_a_non_nilpotent_argument():
+    one = TruncatedSeries.const(2, 1, 5)
+    z = TruncatedSeries.zero(2, 5)
+    identity = SeriesMatrix([[one, z], [z, one]])
+    with pytest.raises(ValueError):
+        matrix_exp(identity)
+    with pytest.raises(ValueError):
+        series_at_matrix(UnivariateSeries([Fraction(1)] * 7), identity)
 
 
 def test_default_cap_is_eight():
