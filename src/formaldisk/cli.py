@@ -156,9 +156,16 @@ def _cmd_formality(args, config):
         d = _setting(args.d, config, "dimension", 3)
         s = _setting(args.s, config, "eta_generators", 2)
         cap = _setting(args.cap, config, "cap", DEFAULT_CAP)
+        if cap < 3:
+            # agreement is checked through cap - 3
+            raise ValueError("cap must be at least 3, got %d" % cap)
         axes = tuple(int(a) for a in args.gamma.split(","))
+        if len(set(axes)) != len(axes):
+            raise ValueError("repeated --gamma axis makes gamma zero: %s"
+                             % args.gamma)
         mc = _standard_pair(d, s, cap)
-        gamma = PolyVectorField.from_wedge(d, axes)
+        gamma = PolyVectorField.from_wedge(
+            d, axes, TruncatedSeries.const(d, 1, cap))
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -25,13 +25,14 @@ For twisting data given by odd-coefficient vector fields, the degree
 shift makes all but finitely many terms vanish and the twisted first
 coefficient becomes a finite sum over surviving graphs, which are
 exactly the wheel families: disjoint cycles of one-edge vertices fed
-by a central vertex.  The per-graph weight in that regime is
+by a central vertex.  Summed once per set of j eta indices, a survivor
+of cycle type (l_1, .., l_r) with m ground slots has coefficient
 
-    W = (-1)^{sum_{a<b} l_a l_b} (-1)^{(m+2j)(m+2j-1)/2} (-1)^j
-        (1/m!) W_{l_1} ... W_{l_r}
+    (-1)^{m(m-1)/2} (1/m!) prod_i l_i theta_{l_i},
 
-for cycle type (l_1, .., l_r).  The closed form of the same sum is
-built from the curvature-style matrix Xi with entries
+with theta the series below, whose x^l coefficient is
+(-1)^{l(l-1)/2} W_l / l.  The closed form of the same sum is built from
+the curvature-style matrix Xi with entries
 sum_alpha eta_alpha d(d_j omega^i_alpha): the element
 
     det(exp Theta) = exp Tr theta(Xi),
@@ -46,16 +47,16 @@ finite sum over the nonzero powers of Xi.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations, product as _cartesian
+from itertools import combinations, product as _cartesian
 from math import factorial
 
 from .series import (DEFAULT_CAP, Q0, Q1, TruncatedSeries, SeriesMatrix,
                      UnivariateSeries, nilpotent_powers, sparse_sum,
                      useries_div)
-from .polyvector import hkr_components, sort_with_sign
+from .polyvector import hkr_components
 from .polydiff import PolyDiffOp, _unit_multi
 from .graphs import wheel_survivors
-from .weights import theta_series, wheel_weight_closed
+from .weights import theta_series
 from .etalgebra import (EtaFormScalar, EtaOperator,
                         contract_scalar_into_field, hkr_eta)
 
@@ -221,56 +222,52 @@ def closed_form_map(mc, field):
 # graph side of the twisted first coefficient
 # ---------------------------------------------------------------------
 
-def wheel_graph_weight(partition, m):
-    """Exact weight of one labeled wheel-family graph of given cycle type."""
-    j = sum(partition)
-    cross = sum(partition[a] * partition[b]
-                for a in range(len(partition))
-                for b in range(a + 1, len(partition)))
-    internal = sum(l * (l - 1) // 2 for l in partition)
-    # the two bookkeeping identities behind the closed form
-    assert j * (j - 1) // 2 == cross + internal
-    assert ((m + 2 * j) * (m + 2 * j - 1) // 2) % 2 == (m * (m - 1) // 2 + j) % 2
-    sign = (-1) ** (cross % 2)
-    sign *= (-1) ** (((m + 2 * j) * (m + 2 * j - 1) // 2) % 2)
-    sign *= (-1) ** (j % 2)
-    w = Fraction(sign, factorial(m))
+def _subset_coefficient(partition, m, theta):
+    """(-1)^{m(m-1)/2} (1/m!) prod_i l_i theta_{l_i} for cycle type partition."""
+    w = Fraction((-1) ** ((m * (m - 1) // 2) % 2), factorial(m))
     for l in partition:
-        w *= wheel_weight_closed(l)
+        w *= l * theta[l]
     return w
+
+
+def wheel_graph_weight(partition, m):
+    """Per ordered eta-tuple: (-1)^{j(j-1)/2} times the subset coefficient."""
+    j = sum(partition)
+    sign = (-1) ** ((j * (j - 1) // 2) % 2)
+    return sign * _subset_coefficient(partition, m, theta_series(j + 2))
 
 
 def twisted_first_taylor(mc, field, j_max=None):
     """Twisted first Taylor coefficient as an eta-graded operator.
 
-    Sums (1/j!) eta_{alpha_j} .. eta_{alpha_1} W_Gamma
-    U_Gamma(omega_{alpha_1}, .., omega_{alpha_j}, gamma) over all
-    ordered tuples of distinct indices (a repeated eta squares to zero)
-    and the surviving labeled graphs, which wheel_survivors builds
-    directly (everything outside the wheel families is dropped by the
-    vanishing patterns).
+    Sums eta_{alpha_1} .. eta_{alpha_j} c_Gamma U_Gamma(omega_{alpha_1},
+    .., omega_{alpha_j}, gamma) over the sets alpha_1 < .. < alpha_j (a
+    repeated eta squares to zero) and the surviving labeled graphs, which
+    wheel_survivors builds directly; c_Gamma is the subset coefficient of
+    the module docstring.  A set stands for its j! orderings, which give
+    one signed term: relabelling the cycle vertices by pi permutes the
+    center's spokes, so gamma's alternation gives sgn pi, and reordering
+    the eta-word gives sgn pi again.
     """
     dim = field.dim
     factors = field.degree + 1
     if j_max is None:
         j_max = mc.s
+    top = min(j_max, factors)
+    theta = theta_series(top + 2) if top >= 2 else None  # j < 2: no cycle
 
     def terms():
-        for j in range(0, j_max + 1):
+        for j in range(0, top + 1):
             m = factors - j
-            if m < 0:
-                continue
-            jfact = Fraction(1, factorial(j))
             for g, ctype in wheel_survivors(j, m):
-                w = wheel_graph_weight(ctype, m)
+                w = _subset_coefficient(ctype, m, theta)
                 if w == 0:
                     continue
-                for alphas in permutations(range(1, mc.s + 1), j):
-                    sign, key = sort_with_sign(reversed(alphas))
+                for alphas in combinations(range(1, mc.s + 1), j):
                     op = graph_operator(g, [mc.fields[a - 1] for a in alphas]
                                         + [field])
                     if op:
-                        yield key, op.scale(jfact * w * sign)
+                        yield alphas, op.scale(w)
     return EtaOperator._make(dim, sparse_sum(terms()))
 
 

@@ -524,8 +524,9 @@ class SeriesMatrix:
         for i in range(n):
             row = []
             for j in range(n):
-                acc = self._zero()
-                for k in range(n):
+                # from the first product: the cap is this entry's own
+                acc = self.entries[i][0] * other.entries[0][j]
+                for k in range(1, n):
                     acc = acc + self.entries[i][k] * other.entries[k][j]
                 row.append(acc)
             out.append(row)

@@ -178,6 +178,71 @@ def graph_operator_bruteforce(graph, fields):
                                    if not s.is_zero()})
 
 
+# -- twisted first Taylor coefficient over ordered eta-tuples ----------
+
+def wheel_graph_weight_ordered(partition, m):
+    """Per-graph weight of the ordered sum, each W_l from Bernoulli numbers.
+
+        W = (-1)^{sum_{a<b} l_a l_b} (-1)^{(m+2j)(m+2j-1)/2} (-1)^j
+            (1/m!) W_{l_1} ... W_{l_r}
+    """
+    j = sum(partition)
+    cross = sum(partition[a] * partition[b]
+                for a in range(len(partition))
+                for b in range(a + 1, len(partition)))
+    internal = sum(l * (l - 1) // 2 for l in partition)
+    # the two bookkeeping identities behind the closed form
+    assert j * (j - 1) // 2 == cross + internal
+    assert ((m + 2 * j) * (m + 2 * j - 1) // 2) % 2 == (m * (m - 1) // 2 + j) % 2
+    sign = (-1) ** (cross % 2)
+    sign *= (-1) ** (((m + 2 * j) * (m + 2 * j - 1) // 2) % 2)
+    sign *= (-1) ** (j % 2)
+    w = Fraction(sign, factorial(m))
+    for l in partition:
+        w *= wheel_weight_from_bernoulli(l)
+    return w
+
+
+def twisted_first_taylor_ordered(mc, field, j_max=None):
+    """Twisted first Taylor coefficient, one term per ordered eta-tuple.
+
+    Sums (1/j!) eta_{alpha_j} .. eta_{alpha_1} W_Gamma
+    U_Gamma(omega_{alpha_1}, .., omega_{alpha_j}, gamma) over all
+    ordered tuples of distinct indices and the surviving labeled graphs.
+    It shares graph_operator and wheel_survivors with the code under
+    test (each has its own oracle), but neither the weights nor the
+    eta-word bookkeeping: no theta series, no sum over subsets.
+    """
+    from itertools import permutations
+    from formaldisk import EtaOperator
+    from formaldisk.formality import graph_operator
+    from formaldisk.graphs import wheel_survivors
+    from formaldisk.polyvector import sort_with_sign
+    from formaldisk.series import sparse_sum
+    dim = field.dim
+    factors = field.degree + 1
+    if j_max is None:
+        j_max = mc.s
+
+    def terms():
+        for j in range(0, j_max + 1):
+            m = factors - j
+            if m < 0:
+                continue
+            jfact = Fraction(1, factorial(j))
+            for g, ctype in wheel_survivors(j, m):
+                w = wheel_graph_weight_ordered(ctype, m)
+                if w == 0:
+                    continue
+                for alphas in permutations(range(1, mc.s + 1), j):
+                    sign, key = sort_with_sign(reversed(alphas))
+                    op = graph_operator(g, [mc.fields[a - 1] for a in alphas]
+                                        + [field])
+                    if op:
+                        yield key, op.scale(jfact * w * sign)
+    return EtaOperator._make(dim, sparse_sum(terms()))
+
+
 # -- det exp Theta, one wheel weight per power ------------------------
 
 def theta_and_det_reference(xi, max_length=None):

@@ -186,6 +186,9 @@ def test_reports_are_byte_stable_modulo_timings(capsys):
     ["weights", "mc", "--wheel", "1"],
     ["weights", "closed", "0"],
     ["weights", "closed", "-1"],
+    ["formality", "--cap", "1"],   # agreement through cap - 3 < 0
+    ["formality", "--cap", "2"],   # would compare no coefficient
+    ["formality", "--gamma", "1,1"],   # a repeated axis makes gamma 0
 ])
 def test_bad_numbers_exit_2_before_any_work(argv, monkeypatch, capsys):
     # explicit zeros are rejected, not replaced by the defaults; nothing
@@ -208,6 +211,7 @@ def test_bad_numbers_exit_2_before_any_work(argv, monkeypatch, capsys):
     ({"samples": -1}, ["verify", "mc-weights"], "samples must be at least 1"),
     ({"seed": "x"}, ["weights", "mc", "--gamma0", "1"], "invalid literal"),
     ({"seed": "x"}, ["verify", "hkr"], "invalid literal"),
+    ({"cap": 2}, ["formality"], "cap must be at least 3"),
 ])
 def test_bad_config_values_exit_2(config, argv, message, tmp_path,
                                   monkeypatch, capsys):

@@ -24,6 +24,8 @@ CASES = {
                              "--gamma", "1,2,3"],
     "formality_d4_s4_g1234": ["formality", "--d", "4", "--s", "4",
                               "--gamma", "1,2,3,4"],
+    "formality_d2_s2_cap12_g12": ["formality", "--d", "2", "--s", "2",
+                                  "--cap", "12", "--gamma", "1,2"],
     "twist": ["twist"],
     "todd_order10": ["todd", "--order", "10"],
     "verify_wheel_identity": ["verify", "wheel-identity"],

@@ -221,13 +221,14 @@ def test_wheel_identity_with_ground_slot():
     assert part.degree == 0   # one slot left over
 
 
-def _paired_twisting(dim):
+def _paired_twisting(dim, s=4):
     # omega_1 = t2^2 d1, omega_2 = t1^2 d2, omega_3 = t4^2 d3,
-    # omega_4 = t3^2 d4: two 2-wheels, so eta_1 eta_2, eta_3 eta_4 and
-    # their product survive
-    partner = {1: 2, 2: 1, 3: 4, 4: 3}
+    # omega_4 = t3^2 d4 (and omega_5 = t6^2 d5, omega_6 = t5^2 d6 when
+    # s = 6): one 2-wheel per pair, so the products of eta_1 eta_2,
+    # eta_3 eta_4 (and eta_5 eta_6) survive
+    partner = {1: 2, 2: 1, 3: 4, 4: 3, 5: 6, 6: 5}
     fields = []
-    for alpha in range(1, 5):
+    for alpha in range(1, s + 1):
         t = TruncatedSeries.variable(dim, partner[alpha], CAP)
         fields.append(PolyVectorField(dim, 0, {(alpha,): t * t}))
     return MaurerCartanData(fields)
@@ -245,6 +246,98 @@ def test_wheel_identity_beyond_the_benchmark_grid(dim):
     lhs = twisted_first_taylor(mc, gamma)
     assert set(lhs.parts) == {(), (1, 2), (3, 4), (1, 2, 3, 4)}
     assert lhs.agrees_with(closed_form_map(mc, gamma), CAP - 3)
+
+
+@pytest.mark.parametrize("dim, s, size, words", [
+    (6, 4, 6, {(), (1, 2), (3, 4), (1, 2, 3, 4)}),
+    (6, 6, 5, {(), (1, 2), (3, 4), (1, 2, 3, 4)}),
+    (7, 6, 4, {(), (1, 2), (3, 4), (1, 2, 3, 4)}),
+])
+def test_wheel_identity_on_paired_data_at_d6_and_d7(dim, s, size, words):
+    # (d, s, |gamma|) with gamma = d1 ^ .. ^ d_size: a pair (a, b) only
+    # survives when gamma holds both d_a and d_b
+    gamma = PolyVectorField.from_wedge(dim, tuple(range(1, size + 1)))
+    mc = _paired_twisting(dim, s)
+    lhs = twisted_first_taylor(mc, gamma)
+    assert set(lhs.parts) == words
+    assert lhs.agrees_with(closed_form_map(mc, gamma), CAP - 3)
+
+
+# -- the subset sum against the ordered-tuple oracle ------------------
+
+def _partitions(j, largest=None):
+    # partitions of j into parts >= 2, largest part first
+    if j == 0:
+        yield ()
+    for first in range(min(j, largest or j), 1, -1):
+        for rest in _partitions(j - first, first):
+            yield (first,) + rest
+
+
+def test_wheel_graph_weight_matches_the_ordered_weight():
+    # every cycle type of a survivor (no fixed points) with j <= 10, and
+    # m <= 6 ground slots: 42 cycle types x 7
+    pairs = [(p, m) for j in range(11) for p in _partitions(j)
+             for m in range(7)]
+    assert len(pairs) == 294
+    for p, m in pairs:
+        assert wheel_graph_weight(p, m) == helpers.wheel_graph_weight_ordered(
+            p, m), (p, m)
+
+
+def _assert_matches_ordered(mc, gamma):
+    # equal caps included: every payload, then every payload's JSON
+    lhs = twisted_first_taylor(mc, gamma)
+    oracle = helpers.twisted_first_taylor_ordered(mc, gamma)
+    assert lhs == oracle
+    assert ({eta: op.to_json() for eta, op in lhs.parts.items()}
+            == {eta: op.to_json() for eta, op in oracle.parts.items()})
+    return lhs
+
+
+def _benchmark_style(point, seed):
+    # omega_alpha = c_alpha t_a t_b d_alpha, a and b the next two axes,
+    # c_alpha a random nonzero rational; gamma = d1 ^ .. ^ d_size
+    d, s, size = point
+    rng = random.Random(seed)
+    mc = MaurerCartanData([
+        f.scale(Fraction(rng.choice((-3, -2, -1, 1, 2, 3)),
+                         rng.choice((1, 2, 3))))
+        for f in _standard_pair(d, s, CAP).fields])
+    return mc, PolyVectorField.from_wedge(d, tuple(range(1, size + 1)))
+
+
+@pytest.mark.parametrize("point, words", [
+    ((3, 3, 3), {()}),
+    ((4, 3, 4), {(), (1, 3)}),
+    ((4, 4, 4), {(), (1, 3), (2, 4), (1, 2, 3, 4)}),
+    ((5, 5, 5), {()}),
+])
+def test_subset_sum_matches_ordered_oracle_on_benchmark_inputs(point, words):
+    lhs = _assert_matches_ordered(*_benchmark_style(point, sum(point)))
+    assert set(lhs.parts) == words
+
+
+@pytest.mark.parametrize("dim", [4, 5])
+def test_subset_sum_matches_ordered_oracle_on_paired_data(dim):
+    gamma = PolyVectorField.from_wedge(dim, (1, 2, 3, 4))
+    lhs = _assert_matches_ordered(_paired_twisting(dim), gamma)
+    assert set(lhs.parts) == {(), (1, 2), (3, 4), (1, 2, 3, 4)}
+
+
+def test_subset_sum_matches_ordered_oracle_on_random_fields():
+    # two-term vector fields, each at its own cap from {5, 6, 7, 8}; the
+    # count of results with an eta-word guards against a vacuous pass
+    twisted = 0
+    for d, s, size in ((3, 3, 3), (3, 2, 2), (4, 3, 3)):
+        gamma = PolyVectorField.from_wedge(d, tuple(range(1, size + 1)))
+        for seed in range(4):
+            rng = random.Random(1000 * d + 10 * s + seed)
+            mc = MaurerCartanData([random_field(
+                rng, d, rng.choice((5, 6, 7, 8)), 0, 2) for _ in range(s)])
+            lhs = _assert_matches_ordered(mc, gamma)
+            twisted += any(eta for eta in lhs.parts)
+    assert twisted >= 3
 
 
 def _mixed_cap_twisting(seed):

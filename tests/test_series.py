@@ -132,6 +132,19 @@ def test_series_at_matrix_geometric():
                for i in range(2) for j in range(2))
 
 
+def test_matrix_product_entry_caps_are_their_own():
+    # M = [[t (cap 2), t (cap 6)], [t (cap 6), t (cap 6)]]: entry (1,1) of
+    # M*M is t*t + t*t from cap-6 factors only, so 2 t^2 at cap 6; entry
+    # (0,0) has a cap-2 product and stays at cap 2, and so does the trace
+    low = TruncatedSeries.variable(1, 1, 2)
+    t = TruncatedSeries.variable(1, 1, 6)
+    sq = SeriesMatrix([[low, t], [t, t]]) * SeriesMatrix([[low, t], [t, t]])
+    assert sq.entries[1][1] == (t * t).scale(2)
+    assert sq.entries[1][1].cap == 6
+    assert sq.entries[0][1].cap == sq.entries[1][0].cap == 2
+    assert sq.entries[0][0].cap == sq.trace().cap == 2
+
+
 def test_nilpotent_powers_stop_at_the_first_vanishing_power():
     t1, t2 = _nilpotent_pair()
     z = TruncatedSeries.zero(2, 5)
