@@ -16,7 +16,8 @@ from . import __version__
 from .series import DEFAULT_CAP, TruncatedSeries
 from .polyvector import PolyVectorField
 from .graphs import AdmissibleGraph, enumerate_graphs, gamma0, opposite_wheel
-from .weights import mc_weight, mc_weight_cached, wheel_weight_closed
+from .weights import (mc_weight, mc_weight_cached, moduli_dimension,
+                      wheel_weight_closed)
 from .formality import (MaurerCartanData, closed_form_map,
                         tilde_todd_series, todd_series, exp_half_series,
                         twisted_first_taylor)
@@ -126,6 +127,7 @@ def _cmd_weights(args, config):
         return 0
     try:
         graph = _resolve_graph(args)
+        moduli_dimension(graph)  # mc_weight's own checks, before any work
         samples = _setting(args.samples, config, "samples", 200_000)
         workers = _setting(args.workers, config, "workers", 1)
         seed = (args.seed if args.seed is not None

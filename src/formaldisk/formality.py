@@ -40,8 +40,10 @@ sum_alpha eta_alpha d(d_j omega^i_alpha): the element
              = -(1/2) log((e^{x/2} - e^{-x/2}) / x),
 
 is contracted into gamma and quantized with the signed HKR map.  Every
-entry of Xi carries one dt, so Xi is nilpotent and the trace is a
-finite sum over the nonzero powers of Xi.
+entry of Xi carries one dt, so Xi^(d+1) = 0.  theta is even, so
+Tr theta(Xi) needs only the traces Tr Xi^{2k} with 2k <= d, each a sum
+of entry products of Xi^k with itself: no power of Xi beyond the
+(d/2)-th is built.
 """
 
 from __future__ import annotations
@@ -51,8 +53,7 @@ from itertools import combinations, product as _cartesian
 from math import factorial
 
 from .series import (DEFAULT_CAP, Q0, Q1, TruncatedSeries, SeriesMatrix,
-                     UnivariateSeries, nilpotent_powers, sparse_sum,
-                     useries_div)
+                     UnivariateSeries, sparse_sum, useries_div)
 from .polyvector import hkr_components
 from .polydiff import PolyDiffOp, _unit_multi
 from .graphs import wheel_survivors
@@ -195,21 +196,36 @@ def theta_and_det(xi):
 
     theta(x) = -(1/2) log((e^{x/2} - e^{-x/2})/x) is weights.theta_series;
     its x^l coefficient is (-1)^{l(l-1)/2} W_l / l, zero for odd l.  So
-    Tr Theta = sum_l theta_l Tr Xi^l over the nonzero powers of Xi, and
-    only that trace is built.  Every entry of Xi carries one dt, so
-    Xi^(size+1) = 0.
+    Tr Theta = sum_k theta_{2k} Tr Xi^{2k}, and only that trace is built,
+    from half the powers: Tr Xi^{2k} = sum_{i,j} (Xi^k)_{ij} (Xi^k)_{ji},
+    each piece at the lowest cap of the products it sums.  Every term of
+    every entry must carry a dt (ValueError otherwise), so Tr Xi^{2k} = 0
+    once 2k exceeds the number d of dt generators: only Xi^k with
+    k <= d/2 is built, and the loop stops early at the first zero power.
     """
     if not xi.all_even_grade():
         raise ValueError("Xi entries must have even total grade")
-    kmax = 2 * xi.size + 2
-    theta = theta_series(kmax)
-    pieces = [xi.entries[0][0].zero_like()]  # fixes dim and cap
-    pieces += [power.trace().scale(theta[l])
-               for l, power in nilpotent_powers(xi, kmax) if theta[l]]
-    trace_theta = EtaFormScalar._make(
-        pieces[0].dim, min(p.cap for p in pieces),
-        sparse_sum(pair for p in pieces for pair in p.terms.items()))
-    return trace_theta.exp()
+    if any(not form for row in xi.entries for e in row for _, form in e.terms):
+        raise ValueError("every term of every Xi entry must carry a dt")
+    zero = xi.entries[0][0].zero_like()  # fixes dim and cap
+    half = zero.dim // 2
+    theta = theta_series(2 * half)
+
+    def flat_sum(scalars):
+        return EtaFormScalar._make(
+            zero.dim, min(p.cap for p in scalars),
+            sparse_sum(pair for p in scalars for pair in p.terms.items()))
+    pieces = [zero]
+    power = xi
+    for k in range(1, half + 1):
+        if k > 1:
+            power = power * xi
+        if power.is_zero():
+            break
+        e = power.entries
+        pieces.append(flat_sum([e[i][j] * e[j][i] for i in range(xi.size)
+                                for j in range(xi.size)]).scale(theta[2 * k]))
+    return flat_sum(pieces).exp()
 
 
 def closed_form_map(mc, field):

@@ -76,9 +76,18 @@ class AdmissibleGraph:
 
     @classmethod
     def from_json(cls, obj):
-        return cls(obj["n"], obj["m"],
-                   tuple(tuple(e) for e in obj["edges"]),
-                   obj.get("epsilon", 0))
+        """Rebuild a graph from to_json's object; ValueError if malformed."""
+        if not isinstance(obj, dict):
+            raise ValueError("a graph is a JSON object, got %s"
+                             % type(obj).__name__)
+        if any(type(obj.get(k, 0)) is not int for k in ("n", "m", "epsilon")):
+            raise ValueError("n, m and epsilon must be integers")
+        try:
+            return cls(obj["n"], obj["m"],
+                       tuple(tuple(e) for e in obj["edges"]),
+                       obj.get("epsilon", 0))
+        except TypeError as exc:
+            raise ValueError("malformed edges: %s" % exc) from None
 
     def canonical_hash(self):
         blob = json.dumps(self.to_json(), sort_keys=True).encode()

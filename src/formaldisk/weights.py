@@ -56,6 +56,7 @@ The reported weight carries the orientation prefactor
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
 import os
@@ -118,9 +119,17 @@ def wheel_weight_closed(l, route="log"):
     sign = (-1) ** (((l + 1) * l // 2) % 2)
     return -sign * l * modified_bernoulli(l, route=route)
 
+@functools.cache
+def _theta_coeffs(order):
+    return tuple((modified_bernoulli_series(order) * Fraction(-1)).coeffs)
+
 def theta_series(order):
-    """-(1/2) log((e^{x/2} - e^{-x/2})/x), the matrix-logarithm series."""
-    return modified_bernoulli_series(order) * Fraction(-1)
+    """-(1/2) log((e^{x/2} - e^{-x/2})/x), the matrix-logarithm series.
+
+    Computed once per process and order; every call returns a fresh
+    series.  Its x^k coefficient does not depend on the order.
+    """
+    return UnivariateSeries(_theta_coeffs(order))
 
 def inverse_sqrt_sinh_quotient(order):
     """sqrt(x / (e^{x/2} - e^{-x/2})) as a series, constant term 1."""
@@ -360,6 +369,21 @@ def _pool_size(workers, tasks):
     return min(workers, tasks, os.cpu_count() or 1)
 
 
+def moduli_dimension(graph):
+    """Dimension 2(n-1) + m of the gauge-fixed configuration space.
+
+    Raises ValueError unless the graph has an aerial vertex to gauge-fix
+    and one edge (one angle form) per dimension.
+    """
+    if graph.n < 1:
+        raise ValueError("need at least one aerial vertex to gauge-fix")
+    dim = 2 * (graph.n - 1) + graph.m
+    if len(graph.edges) != dim:
+        raise ValueError("form degree %d does not match moduli %d"
+                         % (len(graph.edges), dim))
+    return dim
+
+
 def mc_weight(graph, samples, seed=0, workers=1, chunk_size=CHUNK):
     """Monte Carlo estimate of the weight of an admissible graph.
 
@@ -369,12 +393,7 @@ def mc_weight(graph, samples, seed=0, workers=1, chunk_size=CHUNK):
     """
     n, m = graph.n, graph.m
     e_count = len(graph.edges)
-    dim = 2 * (n - 1) + m if n >= 1 else m - 2
-    if n < 1:
-        raise ValueError("need at least one aerial vertex to gauge-fix")
-    if e_count != dim:
-        raise ValueError("form degree %d does not match moduli %d"
-                         % (e_count, dim))
+    dim = moduli_dimension(graph)
     if samples < 1:
         raise ValueError("need a positive sample count")
     volume = (TWO_PI ** (n - 1 + m)) / math.factorial(m)

@@ -224,3 +224,32 @@ def test_bad_config_values_exit_2(config, argv, message, tmp_path,
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("graph, message", [
+    ([1, 2], "a graph is a JSON object"),
+    ({"n": "2", "m": 0, "epsilon": 0, "edges": [[1, 2], [2, 1]]},
+     "n, m and epsilon must be integers"),
+    ({"n": 0, "m": 2, "epsilon": 0, "edges": []},
+     "need at least one aerial vertex"),
+    ({"n": 2, "m": 0, "epsilon": 1, "edges": [[1, 2]]},
+     "form degree 1 does not match moduli 2"),
+])
+def test_bad_graph_files_exit_2_before_any_work(graph, message, tmp_path,
+                                                monkeypatch, capsys):
+    # the last two are admissible graphs that mc_weight cannot integrate;
+    # its own checks reject them before a cache lookup or a pool
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(graph))
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("work started on a bad graph")
+    for name in ("mc_weight", "mc_weight_cached"):
+        monkeypatch.setattr("formaldisk.cli." + name, must_not_run)
+    monkeypatch.setattr("formaldisk.weights.cache_lookup", must_not_run)
+    code, out, err = run_cli(capsys, "weights", "mc", "--graph", str(path),
+                             "--samples", "1000")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err

@@ -9,8 +9,9 @@ from fractions import Fraction
 
 import pytest
 
-from formaldisk import (AdmissibleGraph, DifferentialForm, EtaOperator,
-                        MaurerCartanData, PolyVectorField, TruncatedSeries,
+from formaldisk import (AdmissibleGraph, DifferentialForm, EtaFormScalar,
+                        EtaOperator, MaurerCartanData, PolyVectorField,
+                        SeriesMatrix, TruncatedSeries, weights,
                         closed_form_map, contract, enumerate_graphs, gamma0,
                         graph_operator, hkr, theta_and_det,
                         twisted_first_taylor, u_one, wheel_graph_weight,
@@ -393,6 +394,82 @@ def test_det_matches_the_reference_on_paired_data(dim):
 @pytest.mark.parametrize("seed", range(24))
 def test_det_matches_the_reference_on_mixed_caps(seed):
     _assert_det_matches_reference(_mixed_cap_twisting(seed))
+
+
+def _two_term_twisting(dim, seed, cap):
+    # s = dim vector fields, each with two components of two monomials of
+    # degree 2 or 3: Xi's entries carry t-dependent coefficients and reach
+    # every eta, so Tr Xi^4 (and Tr Xi^6 at d = 6) survive
+    rng = random.Random(100 * dim + seed)
+    fields = []
+    for _ in range(dim):
+        comps = {}
+        for i in rng.sample(range(1, dim + 1), 2):
+            terms = {}
+            for _ in range(2):
+                exp = [0] * dim
+                for _ in range(rng.randint(2, 3)):
+                    exp[rng.randrange(dim)] += 1
+                terms[tuple(exp)] = Fraction(rng.choice((-3, -1, 1, 2)),
+                                             rng.choice((1, 2, 3)))
+            comps[(i,)] = TruncatedSeries(dim, cap, terms)
+        fields.append(PolyVectorField(dim, 0, comps))
+    return MaurerCartanData(fields)
+
+
+@pytest.mark.parametrize("dim, seed", [(5, 0), (5, 1), (6, 0), (6, 1)])
+def test_det_matches_the_reference_on_two_term_data(dim, seed):
+    # theta_and_det takes Tr Xi^{2k} as sum_{i,j} (Xi^k)_{ij} (Xi^k)_{ji};
+    # eta-words of length 4 need Tr(Xi^2 Xi^2), of length 6 Tr(Xi^3 Xi^3).
+    # Taking (Xi^k)_{ij} (Xi^k)_{ij} instead fails every case here.
+    det = _assert_det_matches_reference(_two_term_twisting(dim, seed, 4))
+    lengths = {len(eta) for eta, _ in det.terms}
+    assert lengths == ({0, 2, 4} if dim == 5 else {0, 2, 4, 6})
+
+
+def test_det_rejects_an_xi_entry_without_a_dt():
+    # eta_1 eta_2 has even grade but no dt, so nothing bounds the powers
+    dim = 2
+    entry = EtaFormScalar(dim, CAP, {((1,), (2,)): 1})
+    dt_free = EtaFormScalar(dim, CAP, {((1, 2), ()): 1})
+    xi = SeriesMatrix([[entry, dt_free], [entry.zero_like(), entry]])
+    with pytest.raises(ValueError, match="dt"):
+        theta_and_det(xi)
+
+
+@pytest.mark.parametrize("dim, seed", [(3, 0), (3, 1), (5, 0)])
+def test_wheel_identity_with_eta_words_on_two_term_data(dim, seed):
+    # the benchmark's d = 3 and d = 5 points give the eta-free part only;
+    # here both sides carry eta-words up to length 2 (d = 3) or 4 (d = 5)
+    mc = _two_term_twisting(dim, seed, CAP)
+    gamma = PolyVectorField.from_wedge(dim, tuple(range(1, dim + 1)))
+    lhs = twisted_first_taylor(mc, gamma)
+    rhs = closed_form_map(mc, gamma)
+    assert set(lhs.parts) == set(rhs.parts)
+    assert max(map(len, lhs.parts)) == 2 * (dim // 2)
+    assert lhs.agrees_with(rhs, CAP - 3)
+
+
+def test_theta_series_is_not_rebuilt_after_a_warm_up_pass(monkeypatch):
+    # theta's coefficients are cached per order: a second pass over the
+    # same points builds no log series at all
+    calls = []
+    real_log = weights.useries_log
+    monkeypatch.setattr(weights, "useries_log",
+                        lambda f: calls.append(f.order) or real_log(f))
+    weights._theta_coeffs.cache_clear()
+    inputs = [_benchmark_style(point, 0) for point in
+              ((2, 2, 2), (3, 3, 3), (4, 4, 4), (5, 4, 4), (5, 5, 3))]
+
+    def one_pass():
+        for mc, gamma in inputs:
+            assert twisted_first_taylor(mc, gamma).agrees_with(
+                closed_form_map(mc, gamma), CAP - 3)
+    one_pass()
+    warm_up = len(calls)
+    one_pass()
+    assert warm_up > 0
+    assert len(calls) == warm_up
 
 
 def test_todd_series_coefficients():

@@ -49,6 +49,20 @@ def test_theta_series_is_minus_shat():
     assert th[0] == 0 and th[1] == 0
 
 
+def test_theta_series_hands_out_a_fresh_series_per_call():
+    # the coefficients are computed once per order; a caller that edits
+    # its copy must not change what the next caller gets
+    th = theta_series(6)
+    th.coeffs[2] = Fraction(7)
+    th.coeffs.append(Fraction(1))
+    assert theta_series(6)[2] == -Fraction(1, 48)
+    assert theta_series(6).order == 6
+
+
+def test_theta_series_coefficients_do_not_depend_on_the_order():
+    assert theta_series(12).coeffs[:7] == theta_series(6).coeffs
+
+
 def test_inverse_sqrt_squares_to_reciprocal():
     order = 8
     r = inverse_sqrt_sinh_quotient(order)
