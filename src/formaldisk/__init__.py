@@ -32,8 +32,7 @@ from .weights import (modified_bernoulli, wheel_weight_closed, theta_series,
                       mc_weight, mc_weight_cached)
 from .formality import (graph_operator, u_one,
                         MaurerCartanData, xi_matrix, theta_and_det,
-                        closed_form_map, wheel_graph_weight,
-                        twisted_first_taylor, todd_series,
+                        closed_form_map, twisted_first_taylor, todd_series,
                         tilde_todd_series, exp_half_series)
 from .linfty import (SmallDGLie, LInftyMorphism, quadratic_example,
                      eta_schouten, eta_mc_residual, eta_twisted_differential)
@@ -59,7 +58,7 @@ __all__ = [
     "inverse_sqrt_sinh_quotient", "angle", "WeightEstimate", "mc_weight",
     "mc_weight_cached",
     "graph_operator", "u_one", "MaurerCartanData",
-    "xi_matrix", "theta_and_det", "closed_form_map", "wheel_graph_weight",
+    "xi_matrix", "theta_and_det", "closed_form_map",
     "twisted_first_taylor", "todd_series", "tilde_todd_series",
     "exp_half_series",
     "SmallDGLie", "LInftyMorphism", "quadratic_example", "eta_schouten",

@@ -246,13 +246,6 @@ def _subset_coefficient(partition, m, theta):
     return w
 
 
-def wheel_graph_weight(partition, m):
-    """Per ordered eta-tuple: (-1)^{j(j-1)/2} times the subset coefficient."""
-    j = sum(partition)
-    sign = (-1) ** ((j * (j - 1) // 2) % 2)
-    return sign * _subset_coefficient(partition, m, theta_series(j + 2))
-
-
 def twisted_first_taylor(mc, field, j_max=None):
     """Twisted first Taylor coefficient as an eta-graded operator.
 

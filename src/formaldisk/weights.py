@@ -25,6 +25,15 @@ sample coordinates.  Edge rows follow the canonical edge order of the
 graph; columns are (radius_2, angle_2, ..., radius_n, angle_n,
 ground_1, ..., ground_m).
 
+That Jacobian is never built.  Its determinant is the one taken in the
+Cartesian coordinates of the points, times the chart's positive
+Jacobian determinant.  An edge row is nonzero only in the columns of
+its endpoints, so Laplace expansion along each vertex's block of columns
+turns the determinant into a signed sum of products of 2x2 (aerial) and
+1x1 (ground) minors.  The terms are found once per graph (_det_plan):
+l - 1 of them for the l-wheel, one for gamma0(m), none for a graph whose
+Jacobian is singular for every sample.
+
 Plain uniform sampling has log-divergent variance: the Jacobian
 determinant grows like 1/dist near a collision of two vertices joined
 by an edge, and like 1/|1-w| when a sampled vertex escapes to the
@@ -45,8 +54,8 @@ Samples come in chunks of CHUNK, each with its own counter-indexed
 random stream, drawn whole before any evaluation.  A chunk is then
 evaluated in blocks of BLOCK samples, small enough for the CPU cache:
 kernel redraws, the in-disk test 0 < r < 1, and only on the in-disk
-samples the mixture density, the chart, the Jacobian, its determinant
-and the collision filter.  A sample that leaves the disk costs its
+samples the mixture density, the chart, the determinant and the
+collision filter.  A sample that leaves the disk costs its
 draws and is counted as discarded.
 
 The reported weight carries the orientation prefactor
@@ -81,7 +90,7 @@ BASE_WEIGHT = 0.5
 # Cache rows carry this fingerprint and hit only on an exact match.  Bump
 # the version whenever a change can move a chunk's sums, even in the last
 # bits.
-SAMPLER_VERSION = 2
+SAMPLER_VERSION = 3
 SAMPLER = ("v%d chunk=%d rmin=%r rmax=%r base=%r margin=%r"
            % (SAMPLER_VERSION, CHUNK, KERNEL_RMIN, KERNEL_RMAX, BASE_WEIGHT,
               COLLISION_MARGIN))
@@ -204,27 +213,74 @@ def _kernel_components(graph):
     return comps
 
 
-def _jacobian_layout(graph):
-    """Where each edge class writes into the Jacobian, fixed per graph.
+def _det_plan(graph):
+    """The edge-angle determinant as a signed sum of block-minor products.
 
-    Returns (src, tgt, source, aerial, ground, pairs): src and tgt index
-    every edge's endpoints (0-based, aerial vertices first, then ground);
-    each edge class is a pair (rows, sampled-vertex or ground index); pairs
-    lists every pair of points for the collision filter.  An edge from
-    sampled vertex s fills columns 2(s-2), 2(s-2)+1 of its row; one into
-    sampled vertex t fills 2(t-2), 2(t-2)+1; one into ground point l fills
-    2(n-1) + l-1.  Edges out of or into the gauge point 1 fill none.
+    A sampled vertex owns two columns of the Jacobian and a ground point
+    one, and an edge row is nonzero only in the columns of its endpoints
+    (the gauge point owns none).  Laplace expansion along these column
+    blocks leaves one term per way to hand every edge to one of its
+    endpoints so that each sampled vertex gets two edges and each ground
+    point one.  The term is the product of the blocks' 2x2 (or 1x1)
+    minors, signed by the order of the rows when the blocks' rows are
+    concatenated in column order.  A graph with no such term has a
+    structurally singular Jacobian, and its integrand is 0.
+
+    With A, B, C an edge's Im(u - v), Re(u - v), Re(u + v) (see
+    _in_disk_values), its Cartesian partials are -(A, C) at its source,
+    (A, B) at an aerial target and A at a ground target.  The sources'
+    minus signs are folded into the terms' signs.
+
+    Returns (src, tgt, minors, grounds, terms, signs, pairs): src and tgt
+    index every edge's endpoints (0-based, aerial vertices first, then
+    ground); minors = (e1, e2, k1, k2) arrays, one entry per 2x2 minor
+    A[e1] Y[k2] - A[e2] Y[k1], where Y stacks every edge's C and then
+    every edge's B (k = e at the edge's source, E + e at its target);
+    grounds holds the edge of each 1x1 minor A[e]; terms indexes each
+    term's factors, the 2x2 minors first and then the 1x1 ones, and signs
+    holds each term's sign; pairs lists every pair of points for the
+    collision filter.
     """
-    n = graph.n
-    edges = np.array(graph.edges, dtype=np.intp).reshape(-1, 2)
-    s, t = edges[:, 0], edges[:, 1]
-    rows = np.arange(len(edges))
-    source = s >= 2
-    aerial = (t >= 2) & (t <= n)
-    ground = t > n
-    return (s - 1, t - 1, (rows[source], s[source] - 2),
-            (rows[aerial], t[aerial] - 2), (rows[ground], t[ground] - n - 1),
-            np.triu_indices(n + graph.m, 1))
+    n, m = graph.n, graph.m
+    edges = graph.edges
+    e_count = len(edges)
+    blocks = range(2, n + m + 1)            # column order
+    rows = {v: [] for v in blocks}
+    found = []                               # (sign, blocks' row tuples)
+
+    def assign(e):
+        if e == e_count:
+            order = [f for v in blocks for f in rows[v]]
+            flips = sum(a > b for i, a in enumerate(order)
+                        for b in order[i + 1:])
+            flips += sum(edges[f][0] == v for v in blocks for f in rows[v])
+            found.append((-1.0 if flips % 2 else 1.0,
+                          [(v, tuple(rows[v])) for v in blocks]))
+            return
+        for v in edges[e]:
+            if v >= 2 and len(rows[v]) < (2 if v <= n else 1):
+                rows[v].append(e)
+                assign(e + 1)
+                rows[v].pop()
+
+    assign(0)
+    minors = sorted({key for _, t in found for key in t if key[0] <= n})
+    singles = sorted({key for _, t in found for key in t if key[0] > n})
+    index = {key: i for i, key in enumerate(minors + singles)}
+
+    def slot(e, v):
+        return e if edges[e][0] == v else e_count + e
+
+    ends = np.array(edges, dtype=np.intp).reshape(-1, 2) - 1
+    return (ends[:, 0], ends[:, 1],
+            np.array([(e1, e2, slot(e1, v), slot(e2, v))
+                      for v, (e1, e2) in minors],
+                     dtype=np.intp).reshape(-1, 4).T,
+            np.array([e for _, (e,) in singles], dtype=np.intp),
+            np.array([[index[key] for key in t] for _, t in found],
+                     dtype=np.intp).reshape(len(found), n - 1 + m),
+            np.array([sign for sign, _ in found]),
+            np.triu_indices(n + m, 1))
 
 
 def _redraw(comps, r, ang, alpha, coin, rho_u, turn):
@@ -254,69 +310,74 @@ def _redraw(comps, r, ang, alpha, coin, rho_u, turn):
         ang[rows, v - 2] = np.mod(np.angle(w_new), TWO_PI)
 
 
-def _mixture_density(comps, r, w, alpha):
-    """Density of the sampling mixture at in-disk samples w = r e^{i ang}."""
+def _mixture_density(comps, r, wx, wy, alpha):
+    """Density of the sampling mixture at in-disk samples w = wx + i wy.
+
+    Arrays hold one row per coordinate and one column per sample.  Each
+    component's centre is a row of the sampled points, of the ground
+    points' boundary images e^{i alpha}, or w = 1 after them.
+    """
     if not comps:
-        return np.ones(len(r))
+        return np.ones(r.shape[1])
+    sampled, m = len(r), len(alpha)
+    v = np.array([b if kind == "pair" else a for kind, a, b in comps]) - 2
+    c = [a - 2 if kind == "pair" else sampled + b - 1 if kind == "ground"
+         else sampled + m for kind, a, b in comps]
+    cx = np.concatenate((wx, np.cos(alpha), np.ones((1, r.shape[1]))))
+    cy = np.concatenate((wy, np.sin(alpha), np.zeros((1, r.shape[1]))))
+    d2 = (wx[v] - cx[c]) ** 2 + (wy[v] - cy[c]) ** 2
+    k = np.where((d2 >= KERNEL_RMIN ** 2) & (d2 <= KERNEL_RMAX ** 2),
+                 r[v] / np.maximum(d2, KERNEL_RMIN ** 2), 0.0)
     p_comp = (1.0 - BASE_WEIGHT) / len(comps)
-    denom = np.full(len(r), BASE_WEIGHT)
-    for kind, a, b in comps:
-        if kind == "pair":
-            v, center = b, w[:, a - 2]
-        elif kind == "ground":
-            v, center = a, np.exp(1j * alpha[:, b - 1])
-        else:
-            v, center = a, 1.0
-        d = np.abs(w[:, v - 2] - center)
-        k = np.where((d >= KERNEL_RMIN) & (d <= KERNEL_RMAX),
-                     r[:, v - 2]
-                     / (TWO_PI * KERNEL_LOG * np.maximum(d, KERNEL_RMIN) ** 2),
-                     0.0)
-        denom += TWO_PI * p_comp * k
-    return denom
+    return BASE_WEIGHT + p_comp / KERNEL_LOG * k.sum(axis=0)
 
 
-def _in_disk_values(graph, layout, comps, r, ang, alpha):
-    """Integrand and drop mask of in-disk samples (r, ang, alpha rows)."""
-    n, m = graph.n, graph.m
-    src, tgt, source, aerial, ground, (i, j) = layout
-    rows = len(r)
-    phase = np.exp(1j * ang)
-    denom = _mixture_density(comps, r, r * phase, alpha)
+def _in_disk_values(graph, plan, comps, r, ang, alpha):
+    """Integrand and drop mask of in-disk samples (r, ang, alpha rows).
 
-    # the disk chart z = i(1+w)/(1-w) and its derivatives
-    w = np.clip(r, 1e-12, 1.0 - 1e-12) * phase
-    base = 2j / (1.0 - w) ** 2
-    pos = np.empty((rows, n + m), dtype=np.complex128)
-    pos[:, 0] = 1j
-    pos[:, 1:n] = 1j * (1.0 + w) / (1.0 - w)
-    pos[:, n:] = -1.0 / np.tan(alpha / 2.0)
-    dz_dr = base * phase
-    dz_da = base * 1j * w
-    dq = 0.5 / np.sin(alpha / 2.0) ** 2
+    The determinant is taken in Cartesian coordinates z = x + iy of the
+    points, times the chart's Jacobian determinant: 4 r / |1 - w|^4 per
+    sampled vertex and dq/dalpha per ground point, both positive.  Edge
+    p -> q with u = 1/(z_q - z_p), v = 1/(z_q - conj z_p) has the partials
+    of _det_plan, each over 2 pi.  The work runs on one row per
+    coordinate, so that gathering a vertex's or an edge's values is a
+    contiguous copy.
+    """
+    n = graph.n
+    src, tgt, (e1, e2, k1, k2), grounds, terms, signs, (i, j) = plan
+    r, ang, alpha = (a.T.copy() for a in (r, ang, alpha))
+    cos, sin = np.cos(ang), np.sin(ang)
+    denom = _mixture_density(comps, r, r * cos, r * sin, alpha)
 
-    zp = pos[:, src]
-    zq = pos[:, tgt]
-    inv_n = 1.0 / (zq - zp)
-    inv_d = 1.0 / (zq - np.conj(zp))
-    jac = np.zeros((rows, len(src), 2 * (n - 1) + m))
-    e_rows, v = source
-    col = 2 * v
-    for dz, c in ((dz_dr[:, v], col), (dz_da[:, v], col + 1)):
-        jac[:, e_rows, c] = (-dz * inv_n[:, e_rows]
-                             + np.conj(dz) * inv_d[:, e_rows]).imag / TWO_PI
-    e_rows, v = aerial
-    diff = inv_n[:, e_rows] - inv_d[:, e_rows]
-    jac[:, e_rows, 2 * v] = (dz_dr[:, v] * diff).imag / TWO_PI
-    jac[:, e_rows, 2 * v + 1] = (dz_da[:, v] * diff).imag / TWO_PI
-    e_rows, l = ground
-    diff = inv_n[:, e_rows] - inv_d[:, e_rows]
-    jac[:, e_rows, 2 * (n - 1) + l] = (dq[:, l] * diff).imag / TWO_PI
-    dets = np.linalg.det(jac)
+    # the disk chart z = i(1+w)/(1-w), with |1-w|^2 from 1 - w = a - ib
+    rc = np.clip(r, 1e-12, 1.0 - 1e-12)
+    a, b = 1.0 - rc * cos, rc * sin
+    d = a * a + b * b
+    x = np.zeros((n + len(alpha), len(denom)))
+    y = np.zeros_like(x)
+    y[0] = 1.0
+    x[1:n] = -2.0 * b / d
+    y[1:n] = (1.0 - rc) * (1.0 + rc) / d
+    x[n:] = -1.0 / np.tan(alpha / 2.0)
+    chart = (np.prod(4.0 * rc / (d * d), axis=0)
+             * np.prod(0.5 / np.sin(alpha / 2.0) ** 2, axis=0)
+             / TWO_PI ** len(src))
+
+    dx = x[tgt] - x[src]
+    dy, sy = y[tgt] - y[src], y[tgt] + y[src]
+    inv_n = 1.0 / (dx * dx + dy * dy)
+    inv_d = 1.0 / (dx * dx + sy * sy)
+    im_diff = sy * inv_d - dy * inv_n                 # Im(u - v)
+    re = np.concatenate((dx * (inv_n + inv_d),        # Re(u + v)
+                         dx * (inv_n - inv_d)))       # Re(u - v)
+    factors = np.concatenate((im_diff[e1] * re[k2] - im_diff[e2] * re[k1],
+                              im_diff[grounds]))
+    dets = signs @ factors[terms].prod(axis=1) * chart
 
     # collision margin: drop samples with near-coincident points
     drop = (~np.isfinite(dets)
-            | np.any(np.abs(pos[:, i] - pos[:, j]) < COLLISION_MARGIN, axis=1))
+            | np.any((x[i] - x[j]) ** 2 + (y[i] - y[j]) ** 2
+                     < COLLISION_MARGIN ** 2, axis=0))
     return np.where(drop, 0.0, dets / denom), drop
 
 
@@ -327,7 +388,7 @@ def _chunk_sums(args):
     the result depends on (graph, chunk index, chunk size, seed) alone.
     The samples are then evaluated BLOCK at a time: kernel redraws, the
     in-disk test, and on in-disk samples only the mixture density, chart,
-    Jacobian, determinant and collision filter.  A discarded sample costs
+    determinant and collision filter.  A discarded sample costs
     its draws and nothing more.
     """
     graph_json, chunk_index, chunk_size, seed = args
@@ -348,7 +409,7 @@ def _chunk_sums(args):
         rho_u = rng.random(chunk_size)
         turn = rng.random(chunk_size)
 
-    layout = _jacobian_layout(graph)
+    plan = _det_plan(graph)
     g = np.zeros(chunk_size)
     discarded = 0
     for lo in range(0, chunk_size, BLOCK):
@@ -357,7 +418,7 @@ def _chunk_sums(args):
         if comps:
             _redraw(comps, rb, ab, alb, coin[blk], rho_u[blk], turn[blk])
         keep = np.flatnonzero(np.all((rb > 0.0) & (rb < 1.0), axis=1))
-        vals, drop = _in_disk_values(graph, layout, comps,
+        vals, drop = _in_disk_values(graph, plan, comps,
                                      rb[keep], ab[keep], alb[keep])
         g[lo + keep] = vals
         discarded += len(rb) - len(keep) + int(drop.sum())
@@ -396,6 +457,8 @@ def mc_weight(graph, samples, seed=0, workers=1, chunk_size=CHUNK):
     dim = moduli_dimension(graph)
     if samples < 1:
         raise ValueError("need a positive sample count")
+    if chunk_size < 1:
+        raise ValueError("need a positive chunk size")
     volume = (TWO_PI ** (n - 1 + m)) / math.factorial(m)
     prefactor = (-1) ** ((e_count * (e_count - 1) // 2) % 2)
     if dim == 0:

@@ -203,6 +203,20 @@ def wheel_graph_weight_ordered(partition, m):
     return w
 
 
+def wheel_graph_weight(partition, m):
+    """Per ordered eta-tuple: (-1)^{j(j-1)/2} times the subset coefficient.
+
+    The production weight of a set of eta-indices,
+    formality._subset_coefficient on the closed side's theta, spread
+    over one ordering; tests hold it against wheel_graph_weight_ordered.
+    """
+    from formaldisk import theta_series
+    from formaldisk.formality import _subset_coefficient
+    j = sum(partition)
+    sign = (-1) ** ((j * (j - 1) // 2) % 2)
+    return sign * _subset_coefficient(partition, m, theta_series(j + 2))
+
+
 def twisted_first_taylor_ordered(mc, field, j_max=None):
     """Twisted first Taylor coefficient, one term per ordered eta-tuple.
 
@@ -285,9 +299,9 @@ def chunk_sums_reference(args):
 
     Same random stream and estimator as weights._chunk_sums, but every
     phase runs on full-chunk arrays and every sample, in the disk or not,
-    pays for the mixture density, the Jacobian and its determinant; the
-    Jacobian is filled edge by edge.  Out-of-disk samples are dropped only
-    at the end, together with the collision filter.
+    pays for the mixture density, the dense Jacobian (dense_jacobian) and
+    np.linalg.det of it.  Out-of-disk samples are dropped only at the end,
+    together with the collision filter.
     """
     import numpy as np
     from formaldisk.graphs import AdmissibleGraph
@@ -297,12 +311,11 @@ def chunk_sums_reference(args):
     graph_json, chunk_index, chunk_size, seed = args
     graph = AdmissibleGraph.from_json(graph_json)
     n, m = graph.n, graph.m
-    edges = graph.edges
-    e_count = len(edges)
-    dim = 2 * (n - 1) + m
+    e_count = len(graph.edges)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
                                                        spawn_key=(chunk_index,)))
     # base sample coordinates
+    r, ang, alpha = (np.empty((chunk_size, 0)) for _ in range(3))
     if n > 1:
         r = rng.random((chunk_size, n - 1))
         ang = rng.random((chunk_size, n - 1)) * TWO_PI
@@ -348,30 +361,57 @@ def chunk_sums_reference(args):
                          0.0)
             denom += TWO_PI * p_comp * k
 
-    z = np.empty((chunk_size, n), dtype=np.complex128)
+    inbox = np.all((r > 0.0) & (r < 1.0), axis=1)
+    jac, pts = dense_jacobian(graph, r, ang, alpha)
+    dets = np.linalg.det(jac) if e_count else np.ones(chunk_size)
+
+    # collision margin: drop samples with near-coincident points
+    drop = ~np.isfinite(dets) | ~inbox
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            drop |= np.abs(pts[i] - pts[j]) < COLLISION_MARGIN
+    g = np.where(drop, 0.0, dets / denom)
+    discarded = int(drop.sum())
+    return (float(g.sum()), float((g * g).sum()), chunk_size, discarded,
+            float(np.abs(g).sum()))
+
+
+def dense_jacobian(graph, r, ang, alpha):
+    """The edge-angle Jacobian, filled edge by edge, and the points.
+
+    Rows follow the graph's edge order; columns are (radius_2, angle_2,
+    ..., radius_n, angle_n, ground_1, ..., ground_m), each entry a
+    partial of the edge's angle in turns.  r (clipped into (0, 1) first),
+    ang and alpha hold one sample per row, with no columns when n = 1 or
+    m = 0.  Returns (jac, points), the points being the complex
+    positions of vertices 1..n+m: z = i(1+w)/(1-w) with w = r e^{i ang},
+    the gauge point i, and ground points q = -cot(alpha/2).
+    """
+    import numpy as np
+    from formaldisk.weights import TWO_PI
+    n, m = graph.n, graph.m
+    rows = len(r)
+    z = np.empty((rows, n), dtype=np.complex128)
     z[:, 0] = 1j
-    dz_dr = np.zeros((chunk_size, n), dtype=np.complex128)
-    dz_da = np.zeros((chunk_size, n), dtype=np.complex128)
-    inbox = np.full(chunk_size, True)
-    if n > 1:
-        inbox &= np.all((r > 0.0) & (r < 1.0), axis=1)
-        r = np.clip(r, 1e-12, 1.0 - 1e-12)
-        w = r * np.exp(1j * ang)
-        base = 2j / (1.0 - w) ** 2
-        z[:, 1:] = 1j * (1.0 + w) / (1.0 - w)
-        dz_dr[:, 1:] = base * np.exp(1j * ang)
-        dz_da[:, 1:] = base * 1j * w
-    if m > 0:
-        q = -1.0 / np.tan(alpha / 2.0)
-        dq = 0.5 / np.sin(alpha / 2.0) ** 2
+    dz_dr = np.zeros((rows, n), dtype=np.complex128)
+    dz_da = np.zeros((rows, n), dtype=np.complex128)
+    r = np.clip(r, 1e-12, 1.0 - 1e-12)
+    w = r * np.exp(1j * ang)
+    base = 2j / (1.0 - w) ** 2
+    z[:, 1:] = 1j * (1.0 + w) / (1.0 - w)
+    dz_dr[:, 1:] = base * np.exp(1j * ang)
+    dz_da[:, 1:] = base * 1j * w
+    q = -1.0 / np.tan(alpha / 2.0)
+    dq = 0.5 / np.sin(alpha / 2.0) ** 2
     # positions of all vertices (grounds are real)
     def pos(v):
         if v <= n:
             return z[:, v - 1]
         return q[:, v - n - 1].astype(np.complex128)
 
-    jac = np.zeros((chunk_size, e_count, dim), dtype=np.float64)
-    for row, (s, t) in enumerate(edges):
+    e_count = len(graph.edges)
+    jac = np.zeros((rows, e_count, 2 * (n - 1) + m), dtype=np.float64)
+    for row, (s, t) in enumerate(graph.edges):
         zp = z[:, s - 1]
         zq = pos(t)
         nvec = zq - zp
@@ -393,16 +433,4 @@ def chunk_sums_reference(args):
         else:
             col = 2 * (n - 1) + (t - n - 1)
             jac[:, row, col] += (dq[:, t - n - 1] * (inv_n - inv_d)).imag / TWO_PI
-
-    dets = np.linalg.det(jac) if e_count else np.ones(chunk_size)
-
-    # collision margin: drop samples with near-coincident points
-    drop = ~np.isfinite(dets) | ~inbox
-    pts = [pos(v) for v in range(1, n + m + 1)]
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            drop |= np.abs(pts[i] - pts[j]) < COLLISION_MARGIN
-    g = np.where(drop, 0.0, dets / denom)
-    discarded = int(drop.sum())
-    return (float(g.sum()), float((g * g).sum()), chunk_size, discarded,
-            float(np.abs(g).sum()))
+    return jac, [pos(v) for v in range(1, n + m + 1)]

@@ -14,13 +14,14 @@ from formaldisk import (AdmissibleGraph, DifferentialForm, EtaFormScalar,
                         SeriesMatrix, TruncatedSeries, weights,
                         closed_form_map, contract, enumerate_graphs, gamma0,
                         graph_operator, hkr, theta_and_det,
-                        twisted_first_taylor, u_one, wheel_graph_weight,
+                        twisted_first_taylor, u_one,
                         xi_matrix, todd_series, tilde_todd_series,
                         exp_half_series)
 from formaldisk.cli import _standard_pair
 from formaldisk.suites import random_field
 
 import helpers
+from helpers import wheel_graph_weight
 
 CAP = 8
 

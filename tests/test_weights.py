@@ -1,18 +1,23 @@
 import json
 import math
+import sys
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from formaldisk import (angle, gamma0, inverse_sqrt_sinh_quotient, mc_weight,
+from formaldisk import (angle, gamma0, graphs_with_profile,
+                        inverse_sqrt_sinh_quotient, mc_weight,
                         mc_weight_cached, modified_bernoulli, opposite_wheel,
                         theta_series, wheel_weight_closed)
 from formaldisk.graphs import AdmissibleGraph
-from formaldisk.weights import (BLOCK, SAMPLER, _chunk_sums, _pool_size,
+from formaldisk.weights import (BLOCK, SAMPLER, TWO_PI, _chunk_sums,
+                                _det_plan, _in_disk_values, _pool_size,
                                 cache_lookup, cache_store, WeightEstimate)
 from formaldisk.series import sinh_quotient_series
 
-from helpers import (bernoulli, chunk_sums_reference,
+from helpers import (bernoulli, chunk_sums_reference, dense_jacobian,
                      wheel_weight_from_bernoulli)
 
 
@@ -192,6 +197,86 @@ def test_blocked_chunk_matches_the_whole_chunk_oracle(name, size, seed):
     assert abs(s2 - r2) <= 1e-12 * r2
 
 
+# ---------------------------------------------------------------------
+# the determinant plan against a dense determinant
+# ---------------------------------------------------------------------
+
+OUT_DEGREE_2 = graphs_with_profile(3, 2, (2, 2, 2))
+PLAN_GRAPHS = ([opposite_wheel(l) for l in range(2, 7)]
+               + [gamma0(k) for k in range(2, 5)]
+               + [ORACLE_GRAPHS["aerial-ground"]] + OUT_DEGREE_2)
+
+
+def _terms(graph):
+    return len(_det_plan(graph)[4])
+
+
+def test_determinant_plan_term_counts():
+    for l in range(2, 7):
+        assert _terms(opposite_wheel(l)) == l - 1
+    for k in range(1, 5):
+        assert _terms(gamma0(k)) == 1
+    assert len(OUT_DEGREE_2) == 216
+    assert Counter(map(_terms, OUT_DEGREE_2)) == {0: 65, 1: 115, 2: 32, 3: 4}
+    assert max(map(_terms, graphs_with_profile(2, 2, (2, 2)))) == 1
+
+
+def test_determinant_plan_matches_the_dense_determinant():
+    # With no kernel component the mixture density is 1, so the integrand
+    # is the plan's sum times the chart factor.  It must equal
+    # np.linalg.det of the (radius, angle) Jacobian built as the chunk
+    # oracle builds it.  One term's sign flipped, or a source's partials
+    # taken as a target's, puts the 3-wheel far outside the bound.
+    rng = np.random.default_rng(17)
+    vanishing = Counter()
+    for graph in PLAN_GRAPHS:
+        r = rng.random((300, graph.n - 1))
+        ang = rng.random((300, graph.n - 1)) * TWO_PI
+        alpha = np.sort(rng.random((300, graph.m)) * TWO_PI, axis=1)
+        vals, drop = _in_disk_values(graph, _det_plan(graph), (),
+                                     r, ang, alpha)
+        assert not drop.any()
+        jac = dense_jacobian(graph, r, ang, alpha)[0]
+        dets = np.linalg.det(jac)
+        hadamard = np.prod(np.linalg.norm(jac, axis=2), axis=1)
+        scale = np.sum(np.abs(dets))
+        if scale > 1e-12 * np.sum(hadamard):
+            assert np.max(np.abs(vals - dets)) <= 1e-12 * scale, graph
+            continue
+        # a vanishing determinant: both sides are rounding, far below the
+        # product of the row norms; with no term the plan gives exactly 0
+        vanishing[_terms(graph)] += 1
+        assert np.all(np.abs(dets) <= 1e-12 * hadamard), graph
+        assert np.all(np.abs(vals) <= 1e-12 * hadamard), graph
+        assert _terms(graph) or not vals.any(), graph
+    assert vanishing == {0: 65, 2: 2, 3: 4}
+
+
+class _LineBudget:
+    """A trace function that raises once the traced code runs too long."""
+
+    def __init__(self, lines):
+        self.left = lines
+
+    def __call__(self, frame, event, arg):
+        self.left -= 1
+        if self.left < 0:
+            raise RuntimeError("still running after the line budget")
+        return self
+
+
+@pytest.mark.parametrize("chunk_size", [0, -5])
+def test_chunk_size_below_one_is_rejected(chunk_size):
+    # such a size never shrinks what is left to split, so the task list
+    # would grow without end; the budget turns a hang into a failure
+    sys.settrace(_LineBudget(10_000))
+    try:
+        with pytest.raises(ValueError, match="chunk size"):
+            mc_weight(opposite_wheel(2), 1000, chunk_size=chunk_size)
+    finally:
+        sys.settrace(None)
+
+
 def test_pool_size_never_exceeds_chunks_or_cores(monkeypatch):
     monkeypatch.setattr("formaldisk.weights.os.cpu_count", lambda: 4)
     assert _pool_size(1, 8) == 1
@@ -278,7 +363,11 @@ def test_cache_row_of_another_sampler_misses(tmp_path):
     assert json.loads(path.read_text())["sampler"] == SAMPLER
     assert cache_lookup(str(path), est.digest, 1000, 0) == est
     # a row without the field (written before rows carried one) misses,
-    # and so does a row from a sampler with another fingerprint
-    for row in (est.to_json(), dict(est.to_json(), sampler="v1")):
+    # and so does a row from a sampler with another fingerprint: v2 is the
+    # dense-Jacobian kernel, whose sums differ in the last bits
+    v2 = "v2 chunk=250000 rmin=0.0001 rmax=2.0 base=0.5 margin=1e-09"
+    assert SAMPLER == "v3" + v2[2:]
+    for row in (est.to_json(), dict(est.to_json(), sampler="v1"),
+                dict(est.to_json(), sampler=v2)):
         path.write_text(json.dumps(row) + "\n")
         assert cache_lookup(str(path), est.digest, 1000, 0) is None
