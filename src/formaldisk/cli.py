@@ -42,6 +42,16 @@ def _at_least_one(key, value):
     return value
 
 
+def _config_int(config, key, default):
+    """The config file's integer `key`; 2.0 and "2" pass, 2.7 and true not."""
+    value = config.get(key, default)
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError("%s must be an integer" % key)
+    return int(value)
+
+
 def _setting(value, config, key, default):
     """The command-line value, else the config file's, else the default.
 
@@ -49,7 +59,7 @@ def _setting(value, config, key, default):
     rejected rather than replaced.
     """
     if value is None:
-        value = int(config.get(key, default))
+        value = _config_int(config, key, default)
     return _at_least_one(key, value)
 
 
@@ -131,7 +141,7 @@ def _cmd_weights(args, config):
         samples = _setting(args.samples, config, "samples", 200_000)
         workers = _setting(args.workers, config, "workers", 1)
         seed = (args.seed if args.seed is not None
-                else int(config.get("seed", 0)))
+                else _config_int(config, "seed", 0))
     except (ValueError, OSError, KeyError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
@@ -222,7 +232,7 @@ def _cmd_verify(args, config):
         return 2
     try:
         seed = (args.seed if args.seed is not None
-                else int(config.get("seed", suites_mod.DEFAULT_SEED)))
+                else _config_int(config, "seed", suites_mod.DEFAULT_SEED))
         if args.trials is not None:
             _at_least_one("trials", args.trials)
         if "mc-weights" in names:

@@ -25,6 +25,7 @@ attached to a poly-vector field is the signed HKR map
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations, product as _cartesian
 from math import factorial
 
@@ -48,24 +49,26 @@ def _add_multi(a, b):
 
 def _axis_compositions(total, parts):
     """All ways to split `total` into `parts` ordered non-negative parts."""
-    if parts == 1:
-        yield (total,)
+    if parts == 0:
+        if total == 0:
+            yield ()
         return
     for first in range(total + 1):
         for rest in _axis_compositions(total - first, parts - 1):
             yield (first,) + rest
 
 
+@lru_cache(maxsize=4096)  # the same few receiving multi-indices recur
 def _multi_splits(multi, parts):
     """Split a multi-index into `parts` ordered multi-indices.
 
-    Yields (split_tuple, multinomial_coefficient); the coefficient is
-    the product over axes of the multinomials, i.e. the number of ways
-    to distribute the individual derivatives.
+    Returns (split_tuple, multinomial_coefficient) pairs; the coefficient
+    is the product over axes of the multinomials, i.e. the number of
+    ways to distribute the individual derivatives.  A nonzero multi-index
+    has no split into 0 parts.
     """
-    per_axis = []
-    for total in multi:
-        per_axis.append(list(_axis_compositions(total, parts)))
+    per_axis = [list(_axis_compositions(total, parts)) for total in multi]
+    out = []
     for combo in _cartesian(*per_axis):
         split = tuple(tuple(combo[ax][p] for ax in range(len(multi)))
                       for p in range(parts))
@@ -75,7 +78,8 @@ def _multi_splits(multi, parts):
             for p in range(parts):
                 c //= factorial(combo[ax][p])
             coeff *= c
-        yield split, Fraction(coeff)
+        out.append((split, coeff))
+    return tuple(out)
 
 
 class PolyDiffOp(GradedSum):
@@ -175,29 +179,29 @@ def cup(d1, d2):
 def _insert_term(c1, slots1, i, d2, sign):
     """Insert operator d2 into slot i of the term (c1, slots1).
 
-    The receiving multi-index is distributed by the Leibniz rule over
-    d2's coefficient and each of d2's slots.  For a degree -1 insert
-    (a function) the whole multi-index lands on the function and the
-    slot disappears.  Yields (slots, coefficient) pairs, each times the
-    insertion sign.
+    The receiving multi-index alpha is distributed by the Leibniz rule:
+    nu of it onto d2's coefficient, the rest over d2's slots (for a
+    degree -1 insert, a function, all of it lands on the function and
+    the slot disappears).  The multinomial factors through nu, so the
+    product c1 * d^nu c2 is built once per term of d2 and nu, and scaled
+    only by a multiplier other than +-1.  Yields (slots, coefficient)
+    pairs, each times the insertion sign.
     """
-    alpha = slots1[i]
-    if d2.degree == -1:
-        c2 = d2.terms.get(())
-        if c2 is not None:
-            c = c1 * c2.partial_multi(alpha)
-            if c:
-                yield slots1[:i] + slots1[i + 1:], c if sign == 1 else -c
-        return
-    parts = d2.degree + 2  # one share for the coefficient, rest for slots
-    for s2, c2 in d2.terms.items():
-        for split, mult in _multi_splits(alpha, parts):
-            nu, betas = split[0], split[1:]
-            c = c1 * c2.partial_multi(nu)
+    for (nu, rest), binom in _multi_splits(slots1[i], 2):
+        splits = _multi_splits(rest, d2.degree + 1)
+        if not splits:
+            continue
+        for s2, c2 in d2.terms.items():
+            c = c2.partial_multi(nu)
+            if c:  # a vanishing partial needs no product
+                c = c1 * c
             if not c:
                 continue
-            block = tuple(_add_multi(b, m) for b, m in zip(betas, s2))
-            yield slots1[:i] + block + slots1[i + 1:], c.scale(sign * mult)
+            for betas, mult in splits:
+                k = sign * binom * mult
+                block = tuple(_add_multi(b, m) for b, m in zip(betas, s2))
+                yield (slots1[:i] + block + slots1[i + 1:],
+                       c if k == 1 else -c if k == -1 else c.scale(k))
 
 
 def bullet(d1, d2):
@@ -213,8 +217,9 @@ def bullet(d1, d2):
 
 
 def gerstenhaber_bracket(d1, d2):
-    sign = (-1) ** ((d1.degree * d2.degree) % 2)
-    return bullet(d1, d2) - bullet(d2, d1).scale(sign)
+    """bullet(d1, d2) - (-1)^{|d1||d2|} bullet(d2, d1)."""
+    b1, b2 = bullet(d1, d2), bullet(d2, d1)
+    return b1 + b2 if (d1.degree * d2.degree) % 2 else b1 - b2
 
 
 def hochschild_differential(d, cap=None):

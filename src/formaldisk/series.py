@@ -276,6 +276,10 @@ class TruncatedSeries(SparseSum):
         c = _as_fraction(c)
         if c == 0:
             return self.zero_like()
+        if c == 1:  # a series is never changed after it is made
+            return self
+        if c == -1:
+            return -self
         return TruncatedSeries._make(self.dim, self.cap,
                                      {e: c * v for e, v in self.terms.items()})
 

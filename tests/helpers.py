@@ -4,7 +4,10 @@ Nothing here reuses the structural code paths under test: Bernoulli
 numbers come from the defining recurrence instead of series logs, the
 Lie bracket is spelled out in coordinates, and the Hochschild/insertion
 oracles work purely through operator *evaluation* on explicit function
-arguments, never through term manipulation.
+arguments, never through term manipulation.  The one structural
+insertion oracle, bullet_reference, keeps the first term-by-term
+product, which compares exactly, caps included, where evaluation only
+agrees through cap - 3.
 """
 
 from fractions import Fraction
@@ -111,6 +114,83 @@ def bullet_eval(d1, d2, args):
     if out is None:
         raise ValueError("d1 has no slots to insert into")
     return out
+
+
+# -- insertion product term by term, one split at a time ---------------
+#
+# The structural product as first written: for every Leibniz split of
+# the receiving multi-index into (nu, beta_1, ..., beta_k) it builds
+# c1 * d^nu c2 afresh and scales it by sign * multinomial, with no
+# grouping and no shortcut for a multiplier of +-1.
+
+def _reference_splits(multi, parts):
+    """(split, multinomial) for every ordered split into `parts` parts."""
+    def compositions(total, k):
+        if k == 1:
+            yield (total,)
+            return
+        for first in range(total + 1):
+            for rest in compositions(total - first, k - 1):
+                yield (first,) + rest
+    per_axis = [list(compositions(total, parts)) for total in multi]
+    for combo in product(*per_axis):
+        split = tuple(tuple(combo[ax][p] for ax in range(len(multi)))
+                      for p in range(parts))
+        coeff = 1
+        for ax, total in enumerate(multi):
+            c = factorial(total)
+            for p in range(parts):
+                c //= factorial(combo[ax][p])
+            coeff *= c
+        yield split, Fraction(coeff)
+
+
+def _reference_insert(c1, slots1, i, d2, sign):
+    alpha = slots1[i]
+    if d2.degree == -1:
+        c2 = d2.terms.get(())
+        if c2 is not None:
+            c = c1 * c2.partial_multi(alpha)
+            if c:
+                yield slots1[:i] + slots1[i + 1:], c if sign == 1 else -c
+        return
+    for s2, c2 in d2.terms.items():
+        for split, mult in _reference_splits(alpha, d2.degree + 2):
+            nu, betas = split[0], split[1:]
+            c = c1 * c2.partial_multi(nu)
+            if not c:
+                continue
+            block = tuple(tuple(x + y for x, y in zip(b, m))
+                          for b, m in zip(betas, s2))
+            yield slots1[:i] + block + slots1[i + 1:], c.scale(sign * mult)
+
+
+def bullet_reference(d1, d2):
+    """sum_i (-1)^{i |d2|} (d1 with d2 in slot i), one split at a time."""
+    from formaldisk import PolyDiffOp
+    from formaldisk.series import sparse_sum
+    assert d1.dim == d2.dim
+    insertions = (pair for slots1, c1 in d1.terms.items()
+                  for i in range(d1.degree + 1)
+                  for pair in _reference_insert(c1, slots1, i, d2,
+                                                (-1) ** ((i * d2.degree) % 2)))
+    return PolyDiffOp._make(d1.dim, d1.degree + d2.degree,
+                            sparse_sum(insertions))
+
+
+def gerstenhaber_reference(d1, d2):
+    """bullet(d1, d2) - (-1)^{|d1||d2|} bullet(d2, d1), sign by scaling."""
+    sign = (-1) ** ((d1.degree * d2.degree) % 2)
+    return bullet_reference(d1, d2) - bullet_reference(d2, d1).scale(sign)
+
+
+def hochschild_reference(d, cap=None):
+    """[m, d] through the reference bracket; m's cap defaults to d's."""
+    from formaldisk import PolyDiffOp
+    from formaldisk.series import DEFAULT_CAP
+    if cap is None:
+        cap = min((c.cap for c in d.terms.values()), default=DEFAULT_CAP)
+    return gerstenhaber_reference(PolyDiffOp.multiplication(d.dim, cap), d)
 
 
 # -- bivector action on a pair of functions ---------------------------

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from formaldisk.cli import main
+from formaldisk.cli import _config_int, main
 
 
 def run_cli(capsys, *argv):
@@ -212,6 +212,15 @@ def test_bad_numbers_exit_2_before_any_work(argv, monkeypatch, capsys):
     ({"seed": "x"}, ["weights", "mc", "--gamma0", "1"], "invalid literal"),
     ({"seed": "x"}, ["verify", "hkr"], "invalid literal"),
     ({"cap": 2}, ["formality"], "cap must be at least 3"),
+    ({"dimension": 2.7}, ["formality"], "dimension must be an integer"),
+    ({"workers": True}, ["weights", "mc", "--gamma0", "1"],
+     "workers must be an integer"),
+    ({"samples": 1e5 + 0.5}, ["verify", "mc-weights"],
+     "samples must be an integer"),
+    ({"seed": 1.5}, ["weights", "mc", "--gamma0", "1"],
+     "seed must be an integer"),
+    ({"seed": False}, ["verify", "hkr"], "seed must be an integer"),
+    ({"seed": None}, ["verify", "hkr"], "seed must be an integer"),
 ])
 def test_bad_config_values_exit_2(config, argv, message, tmp_path,
                                   monkeypatch, capsys):
@@ -224,6 +233,12 @@ def test_bad_config_values_exit_2(config, argv, message, tmp_path,
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("value", [2, 2.0, "2"])
+def test_integral_config_values_are_read_as_integers(value):
+    assert _config_int({"k": value}, "k", 9) == 2
+    assert _config_int({}, "k", 9) == 9
 
 
 @pytest.mark.parametrize("graph, message", [

@@ -96,6 +96,15 @@ def test_scale_by_zero_is_zero(case):
     assert x.scale(Fraction(0)).is_zero()
 
 
+def test_scale_by_a_unit(case):
+    x, low, _, zero = case
+    for y in (x, x + low, zero):
+        assert y.scale(1) == y
+        assert y.scale(Fraction(1)) == y
+        assert y.scale(-1) == -y
+        assert y.scale(Fraction(-1)) == -y
+
+
 def test_equal_elements_hash_equal(case):
     x, low, _, zero = case
     pairs = [(x, x + zero), (x + low, low + x), (zero, x - x),
@@ -221,6 +230,29 @@ def test_products_are_independent_of_input_term_order(product, inputs):
     for seed in range(300):
         a, b = inputs(random.Random(seed))
         assert product(a, b) == product(_reversed(a), _reversed(b)), seed
+
+
+def test_bracket_folds_its_sign_into_one_sum():
+    # The bracket adds or subtracts the second product instead of scaling
+    # it by (-1)^{|d1||d2|}; that must not move a coefficient or a cap.
+    for seed in range(300):
+        d1, d2 = _operator_pair(random.Random(seed))
+        sign = (-1) ** ((d1.degree * d2.degree) % 2)
+        assert (gerstenhaber_bracket(d1, d2)
+                == bullet(d1, d2) - bullet(d2, d1).scale(sign)), seed
+
+
+def test_bracket_keeps_the_cap_of_a_key_that_cancels_on_one_side():
+    # Pins today's behaviour, hole included (ROADMAP, one cap per
+    # container): the contributions to the key in bullet(d2, d1) sum to
+    # zero at cap 3, so the key is dropped with that cap and the bracket
+    # reports it at bullet(d1, d2)'s cap 4.
+    d1, d2 = _operator_pair(random.Random(60))
+    key = ((0, 1), (0, 1), (0, 1))
+    assert key in bullet(d1, d2).terms
+    assert key not in bullet(d2, d1).terms
+    assert bullet(d1, d2).terms[key].cap == 4
+    assert gerstenhaber_bracket(d1, d2).terms[key].cap == 4
 
 
 # ---------------------------------------------------------------------

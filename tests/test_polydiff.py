@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -77,6 +78,54 @@ def test_bullet_against_evaluation_oracle():
         got = bullet(d1, d2).apply(args)
         want = helpers.bullet_eval(d1, d2, args)
         assert got.agrees_with(want, CAP - 3)
+
+
+def _recapped(op, rng, caps=(CAP - 2, CAP - 1, CAP)):
+    """op with each term's coefficient re-truncated at a random cap."""
+    return PolyDiffOp(op.dim, op.degree, {
+        slots: TruncatedSeries(op.dim, rng.choice(caps), c.terms)
+        for slots, c in op.terms.items()})
+
+
+def _oracle_pairs():
+    """Seeded (d1, d2) with d1 of degree 0..2 and d2 of degree -1..2.
+
+    Slots carry up to three derivatives, so receiving multi-indices have
+    entries >= 2 and multinomials > 1; every third d2 has constant
+    coefficients, whose nu != 0 partials vanish; caps differ by term.
+    """
+    rng = random.Random(RNG_SEED + 5)
+    for deg1, deg2 in product(range(3), range(-1, 3)):
+        for n in range(9):
+            dim = rng.randint(1, 3)
+            d1 = random_operator(rng, dim, CAP, deg1 + 1, max_order=3)
+            d2 = random_operator(rng, dim, CAP, deg2 + 1, max_order=3)
+            if n % 3 == 0:
+                d2 = PolyDiffOp(dim, deg2, {
+                    slots: TruncatedSeries.const(dim, Fraction(n - 10, 3), CAP)
+                    for slots in d2.terms})
+            yield _recapped(d1, rng), _recapped(d2, rng)
+
+
+def test_bullet_matches_the_split_by_split_reference():
+    # exact ==, caps included: the grouped Leibniz walk must give every
+    # key the coefficient and the cap of one product per split
+    seen = set()
+    for d1, d2 in _oracle_pairs():
+        assert bullet(d1, d2) == helpers.bullet_reference(d1, d2)
+        assert bullet(d2, d1) == helpers.bullet_reference(d2, d1)
+        assert (gerstenhaber_bracket(d1, d2)
+                == helpers.gerstenhaber_reference(d1, d2))
+        for d in (d1, d2):
+            assert hochschild_differential(d) == helpers.hochschild_reference(d)
+        seen.add((d1.degree, d2.degree))
+        if d1.degree >= 1 and d2.degree % 2:
+            seen.add("negative insertion sign")
+        if any(e >= 2 for slots in d1.terms for m in slots for e in m):
+            seen.add("multinomial > 1")
+        if all(set(c.terms) <= {(0,) * c.dim} for c in d2.terms.values()):
+            seen.add("constant d2")
+    assert len(seen) == 3 * 4 + 3
 
 
 def test_insertion_distributes_leibniz():

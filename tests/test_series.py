@@ -48,6 +48,17 @@ def test_agrees_with_clamps_to_min_cap():
     assert not a.agrees_with(c, 6)
 
 
+@pytest.mark.parametrize("c", [1, Fraction(1), -1, Fraction(-1)])
+def test_scale_by_a_unit_equals_the_multiplied_series(c):
+    s = TruncatedSeries(2, 5, {(0, 0): 3, (1, 2): Fraction(-2, 7),
+                               (4, 1): Fraction(5, 3)})
+    got = s.scale(c)
+    assert got == TruncatedSeries(2, 5, {e: c * v for e, v in s.terms.items()})
+    assert got == s * TruncatedSeries.const(2, c, 5)
+    assert got.cap == s.cap
+    assert TruncatedSeries.zero(2, -1).scale(c) == TruncatedSeries.zero(2, -1)
+
+
 def test_json_roundtrip():
     s = TruncatedSeries(3, 5, {(1, 0, 2): Fraction(-7, 3), (0, 0, 0): 2})
     assert TruncatedSeries.from_json(s.to_json()) == s
