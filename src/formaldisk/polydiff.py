@@ -48,9 +48,12 @@ def _add_multi(a, b):
 
 
 def _axis_compositions(total, parts):
-    """All ways to split `total` into `parts` ordered non-negative parts."""
-    if parts == 0:
-        if total == 0:
+    """All ways to split `total` into `parts` ordered non-negative parts.
+
+    There is one way into 0 parts when `total` is 0, none into fewer.
+    """
+    if parts <= 0:
+        if parts == total == 0:
             yield ()
         return
     for first in range(total + 1):
@@ -58,14 +61,14 @@ def _axis_compositions(total, parts):
             yield (first,) + rest
 
 
-@lru_cache(maxsize=4096)  # the same few receiving multi-indices recur
+@lru_cache(maxsize=512)  # the tier-1 suite asks for 177 distinct keys
 def _multi_splits(multi, parts):
     """Split a multi-index into `parts` ordered multi-indices.
 
     Returns (split_tuple, multinomial_coefficient) pairs; the coefficient
     is the product over axes of the multinomials, i.e. the number of
     ways to distribute the individual derivatives.  A nonzero multi-index
-    has no split into 0 parts.
+    has no split into 0 parts, and no multi-index one into fewer.
     """
     per_axis = [list(_axis_compositions(total, parts)) for total in multi]
     out = []
@@ -183,9 +186,9 @@ def _insert_term(c1, slots1, i, d2, sign):
     nu of it onto d2's coefficient, the rest over d2's slots (for a
     degree -1 insert, a function, all of it lands on the function and
     the slot disappears).  The multinomial factors through nu, so the
-    product c1 * d^nu c2 is built once per term of d2 and nu, and scaled
-    only by a multiplier other than +-1.  Yields (slots, coefficient)
-    pairs, each times the insertion sign.
+    product c1 * d^nu c2 is built once per term of d2 and nu.  An insert
+    of degree below -1 has no terms and no splits.  Yields (slots,
+    coefficient) pairs, each times the insertion sign.
     """
     for (nu, rest), binom in _multi_splits(slots1[i], 2):
         splits = _multi_splits(rest, d2.degree + 1)
@@ -200,8 +203,7 @@ def _insert_term(c1, slots1, i, d2, sign):
             for betas, mult in splits:
                 k = sign * binom * mult
                 block = tuple(_add_multi(b, m) for b, m in zip(betas, s2))
-                yield (slots1[:i] + block + slots1[i + 1:],
-                       c if k == 1 else -c if k == -1 else c.scale(k))
+                yield slots1[:i] + block + slots1[i + 1:], c.scale(k)
 
 
 def bullet(d1, d2):

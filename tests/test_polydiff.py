@@ -128,6 +128,27 @@ def test_bullet_matches_the_split_by_split_reference():
     assert len(seen) == 3 * 4 + 3
 
 
+def test_insert_of_degree_below_minus_one_is_zero():
+    # bullet of two functions is the zero operator of degree -2; inserting
+    # it anywhere, or bracketing with it, gives zero as the reference does
+    rng = random.Random(RNG_SEED + 6)
+    for _ in range(6):
+        dim = rng.randint(1, 3)
+        f, g = (random_operator(rng, dim, CAP, 0) for _ in range(2))
+        z = bullet(f, g)
+        assert z.degree == -2 and z.is_zero()
+        assert z == helpers.bullet_reference(f, g)
+        for deg1 in range(3):
+            d1 = random_operator(rng, dim, CAP, deg1 + 1, max_order=3)
+            for w in (z, PolyDiffOp.zero(dim, -2)):
+                assert bullet(d1, w).is_zero()
+                assert bullet(d1, w) == helpers.bullet_reference(d1, w)
+                assert (gerstenhaber_bracket(d1, w)
+                        == helpers.gerstenhaber_reference(d1, w))
+        assert hochschild_differential(z) == helpers.hochschild_reference(z)
+        assert hochschild_differential(z).is_zero()
+
+
 def test_insertion_distributes_leibniz():
     # inserting a first-order operator into a second-order slot must
     # hit the coefficient and both remaining slots:
