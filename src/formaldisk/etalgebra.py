@@ -25,7 +25,7 @@ from math import factorial
 
 from .series import (DEFAULT_CAP, SparseSum, TruncatedSeries,
                      nilpotent_powers, sparse_sum)
-from .polyvector import DifferentialForm, contract, merge_with_sign
+from .polyvector import DifferentialForm, contract, sort_with_sign
 from .polydiff import hkr
 
 
@@ -89,10 +89,10 @@ class EtaFormScalar(SparseSum):
         def products():
             for (e1, f1), s1 in self.terms.items():
                 for (e2, f2), s2 in other.terms.items():
-                    se, eta = merge_with_sign(e1, e2)
+                    se, eta = sort_with_sign(e1 + e2)
                     if se == 0:
                         continue
-                    sf, form = merge_with_sign(f1, f2)
+                    sf, form = sort_with_sign(f1 + f2)
                     if sf == 0:
                         continue
                     koszul = -1 if (len(f1) % 2) and (len(e2) % 2) else 1

@@ -13,13 +13,10 @@ walks each vertex's signed components (every permutation of every
 stored key) instead of all dim^E assignments: the cost is the product
 of the per-vertex component counts.
 
-The first Taylor coefficient acts on a field with m wedge factors as
-
-    u_one(gamma)(f_1, .., f_m)
-        = (-1)^{m(m-1)/2} (1/m!) <df_1 ^ .. ^ df_m, gamma>,
-
-which is a full Einstein sum over signed components and therefore an
-independent construction of the signed HKR operator.
+The first Taylor coefficient of a field with m wedge factors is the
+operator of the corolla gamma0(m) (one aerial vertex, m ground
+vertices) times its weight (-1)^{m(m-1)/2}/m!: the signed HKR map, and
+the j = 0 term of the twisted coefficient below.
 
 For twisting data given by odd-coefficient vector fields, the degree
 shift makes all but finitely many terms vanish and the twisted first
@@ -55,8 +52,8 @@ from math import factorial
 from .series import (DEFAULT_CAP, Q0, Q1, TruncatedSeries, SeriesMatrix,
                      UnivariateSeries, sparse_sum, useries_div)
 from .polyvector import hkr_components
-from .polydiff import PolyDiffOp, _unit_multi
-from .graphs import wheel_survivors
+from .polydiff import PolyDiffOp
+from .graphs import gamma0, wheel_survivors
 from .weights import theta_series
 from .etalgebra import (EtaFormScalar, EtaOperator,
                         contract_scalar_into_field, hkr_eta)
@@ -126,16 +123,17 @@ def graph_operator(graph, fields):
 
 
 def u_one(field):
-    """First Taylor coefficient on a single field, built by Einstein sum."""
-    dim = field.dim
-    k = field.degree + 1
-    if k == 0:
-        f = field.as_function()
-        return PolyDiffOp.function(f) if f is not None else PolyDiffOp.zero(dim, -1)
-    pref = Fraction((-1) ** ((k * (k - 1) // 2) % 2), factorial(k))
-    return PolyDiffOp._make(dim, k - 1, sparse_sum(
-        (tuple(_unit_multi(dim, i) for i in idx), comp.scale(pref))
-        for idx, comp in hkr_components(field)))
+    """First Taylor coefficient on one field: the corolla's operator.
+
+    For a field with m wedge factors it is the operator of gamma0(m)
+    times the weight (-1)^{m(m-1)/2}/m!.  A field of degree below -1 is
+    zero and has no corolla; it maps to the zero operator of its degree.
+    """
+    m = field.degree + 1
+    if m < 0:
+        return PolyDiffOp.zero(field.dim, field.degree)
+    return graph_operator(gamma0(m), [field]).scale(
+        _subset_coefficient((), m, None))
 
 
 # ---------------------------------------------------------------------

@@ -26,11 +26,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product as _cartesian
+from itertools import product as _cartesian
 from math import factorial
 
 from .series import DEFAULT_CAP, GradedSum, TruncatedSeries, sparse_sum
-from .polyvector import sort_with_sign
+from .polyvector import hkr_components
 
 
 def _zero_multi(dim):
@@ -234,17 +234,15 @@ def hochschild_differential(d, cap=None):
 
 
 def hkr(field):
-    """Signed antisymmetrized HKR quantization of a poly-vector field."""
+    """Signed antisymmetrized HKR quantization of a poly-vector field.
+
+    The field is scaled by the prefactor once per key; hkr_components
+    then gives every ordering of every key, with its sign.  A field of
+    degree below -1 is zero and maps to the zero of its degree.
+    """
     dim = field.dim
     k = field.degree + 1
-    if k == 0:
-        f = field.as_function()
-        if f is None:
-            return PolyDiffOp.zero(dim, -1)
-        return PolyDiffOp.function(f)
-    pref = Fraction((-1) ** ((k * (k - 1) // 2) % 2), factorial(k))
-    terms = ((tuple(_unit_multi(dim, idx[p]) for p in sigma),
-              s.scale(pref * sort_with_sign(sigma)[0]))
-             for idx, s in field.comps.items()
-             for sigma in permutations(range(k)))
-    return PolyDiffOp._make(dim, k - 1, sparse_sum(terms))
+    pref = Fraction((-1) ** ((k * (k - 1) // 2) % 2), factorial(max(k, 0)))
+    return PolyDiffOp._make(dim, field.degree, sparse_sum(
+        (tuple(_unit_multi(dim, i) for i in idx), s)
+        for idx, s in hkr_components(field.scale(pref))))

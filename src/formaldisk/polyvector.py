@@ -45,13 +45,12 @@ def sort_with_sign(idx):
     return sign, tuple(lst)
 
 
-def merge_with_sign(left, right):
-    """Concatenate two strictly increasing tuples with the shuffle sign."""
-    return sort_with_sign(tuple(left) + tuple(right))
-
-
 class _Alternating(GradedSum):
-    """Shared storage for alternating tensors: increasing tuple -> series."""
+    """Shared storage for alternating tensors: increasing tuple -> series.
+
+    A key has degree + _shift entries: _shift is 1 for fields, whose
+    degree -1 is a function, and 0 for forms.
+    """
 
     __slots__ = ("dim", "degree", "comps")
 
@@ -61,7 +60,7 @@ class _Alternating(GradedSum):
         clean = {}
         for idx, s in (comps or {}).items():
             idx = tuple(idx)
-            if len(idx) != self._arity():
+            if len(idx) != self.degree + self._shift:
                 raise ValueError("index tuple %r has wrong length" % (idx,))
             if any(not 1 <= i <= dim for i in idx):
                 raise ValueError("axis out of range in %r" % (idx,))
@@ -73,8 +72,15 @@ class _Alternating(GradedSum):
                 clean[idx] = s
         self.comps = clean
 
-    def _arity(self):
-        raise NotImplementedError
+    @classmethod
+    def from_wedge(cls, dim, axes, coeff=1):
+        """coeff times the wedge of the basis elements of `axes`, sorted
+        with its sign; zero on a repeated axis."""
+        if isinstance(coeff, (int, Fraction)):
+            coeff = TruncatedSeries.const(dim, coeff)
+        sign, key = sort_with_sign(axes)
+        comps = {key: coeff if sign == 1 else -coeff} if sign else {}
+        return cls(dim, len(axes) - cls._shift, comps)
 
     def cap(self):
         if not self.comps:
@@ -106,6 +112,10 @@ class _Alternating(GradedSum):
                  for r in obj["components"]}
         return cls(obj["d"], obj["degree"], comps)
 
+    def __repr__(self):
+        return "%s(dim=%d, degree=%d, %r)" % (
+            type(self).__name__, self.dim, self.degree, self.comps)
+
 
 class PolyVectorField(_Alternating):
     """Shifted-degree p field: components on increasing (p+1)-tuples.
@@ -113,8 +123,7 @@ class PolyVectorField(_Alternating):
     Degree -1 is a function, stored at the empty tuple.
     """
 
-    def _arity(self):
-        return self.degree + 1
+    _shift = 1
 
     @classmethod
     def zero(cls, dim, degree=-1):
@@ -124,32 +133,16 @@ class PolyVectorField(_Alternating):
     def function(cls, series):
         return cls(series.dim, -1, {(): series})
 
-    @classmethod
-    def from_wedge(cls, dim, axes, coeff=1):
-        """coeff * d/dt_{axes[0]} ^ ... with sorting sign."""
-        if isinstance(coeff, (int, Fraction)):
-            coeff = TruncatedSeries.const(dim, coeff)
-        sign, key = sort_with_sign(axes)
-        if sign == 0:
-            return cls(dim, len(axes) - 1)
-        c = coeff if sign == 1 else -coeff
-        return cls(dim, len(axes) - 1, {key: c})
-
     def as_function(self):
         if self.degree != -1 and self.comps:
             raise ValueError("not a degree -1 element")
         return self.comps.get((), None)
 
-    def __repr__(self):
-        return "PolyVectorField(dim=%d, degree=%d, %r)" % (
-            self.dim, self.degree, self.comps)
-
 
 class DifferentialForm(_Alternating):
     """Exterior form with series coefficients, degree q >= 0."""
 
-    def _arity(self):
-        return self.degree
+    _shift = 0
 
     @classmethod
     def zero(cls, dim, degree=0):
@@ -157,16 +150,7 @@ class DifferentialForm(_Alternating):
 
     @classmethod
     def from_basis(cls, dim, axes, coeff):
-        if isinstance(coeff, (int, Fraction)):
-            coeff = TruncatedSeries.const(dim, coeff)
-        sign, key = sort_with_sign(axes)
-        if sign == 0:
-            return cls(dim, len(axes))
-        return cls(dim, len(axes), {key: coeff if sign == 1 else -coeff})
-
-    def __repr__(self):
-        return "DifferentialForm(dim=%d, degree=%d, %r)" % (
-            self.dim, self.degree, self.comps)
+        return cls.from_wedge(dim, axes, coeff)
 
 
 def exterior_derivative(series):
@@ -182,7 +166,7 @@ def _wedge(a, b, degree):
     def products():
         for i1, s1 in a.comps.items():
             for i2, s2 in b.comps.items():
-                sign, key = merge_with_sign(i1, i2)
+                sign, key = sort_with_sign(i1 + i2)
                 if sign:
                     yield key, (s1 * s2).scale(sign)
     return type(a)._make(a.dim, degree, sparse_sum(products()))
@@ -336,9 +320,10 @@ def schouten_bracket(a, b):
 def hkr_components(field):
     """Signed components over all (not just increasing) index tuples.
 
-    Walks every permutation of every stored key, sorted by axis tuple:
-    the nonzero part of a scan over all index tuples, in its order.
-    Helper for Einstein-sum style evaluations; yields (tuple, series).
+    Walks every permutation of every stored key: the nonzero part of a
+    scan over all index tuples, in no particular order.  A function is
+    the one permutation of the empty key.  Yields (tuple, series).
     """
-    for idx in sorted(p for key in field.comps for p in permutations(key)):
-        yield idx, field.component(idx)
+    for key in field.comps:
+        for idx in permutations(key):
+            yield idx, field.component(idx)

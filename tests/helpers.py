@@ -7,7 +7,9 @@ oracles work purely through operator *evaluation* on explicit function
 arguments, never through term manipulation.  The one structural
 insertion oracle, bullet_reference, keeps the first term-by-term
 product, which compares exactly, caps included, where evaluation only
-agrees through cap - 3.
+agrees through cap - 3.  hkr_reference likewise keeps the HKR sum over
+position permutations, one scaling per permutation, for exact
+comparison.
 """
 
 from fractions import Fraction
@@ -191,6 +193,33 @@ def hochschild_reference(d, cap=None):
     if cap is None:
         cap = min((c.cap for c in d.terms.values()), default=DEFAULT_CAP)
     return gerstenhaber_reference(PolyDiffOp.multiplication(d.dim, cap), d)
+
+
+# -- HKR map by position permutations ---------------------------------
+
+def hkr_reference(field):
+    """(-1)^{k(k-1)/2} (1/k!) sum_sigma sgn(sigma) e_{i_sigma(1)} x .. x
+    e_{i_sigma(k)}, one term per key and permutation sigma of the k
+    positions, each coefficient scaled by the prefactor times the sign
+    sort_with_sign gives sigma.
+    """
+    from itertools import permutations
+    from formaldisk import PolyDiffOp, sort_with_sign
+    dim = field.dim
+    k = field.degree + 1
+    if k == 0:
+        f = field.as_function()
+        if f is None:
+            return PolyDiffOp.zero(dim, -1)
+        return PolyDiffOp.function(f)
+    pref = Fraction((-1) ** ((k * (k - 1) // 2) % 2), factorial(k))
+    terms = {}
+    for idx, s in field.comps.items():
+        for sigma in permutations(range(k)):
+            slots = tuple(tuple(int(a == idx[p]) for a in range(1, dim + 1))
+                          for p in sigma)
+            terms[slots] = s.scale(pref * sort_with_sign(sigma)[0])
+    return PolyDiffOp(dim, k - 1, terms)
 
 
 # -- bivector action on a pair of functions ---------------------------

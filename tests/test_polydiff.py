@@ -1,12 +1,12 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
 from formaldisk import (PolyDiffOp, PolyVectorField, TruncatedSeries, bullet,
                         cup, gerstenhaber_bracket, hkr,
-                        hochschild_differential)
+                        hochschild_differential, schouten_bracket, u_one)
 from formaldisk.suites import random_operator, random_series
 
 import helpers
@@ -216,6 +216,62 @@ def test_hkr_bivector_antisymmetrization():
     want = Fraction(-1, 2)
     assert q.terms[((1, 0), (0, 1))] == t2.scale(want)
     assert q.terms[((0, 1), (1, 0))] == t2.scale(-want)
+
+
+def _hkr_fields():
+    """Seeded fields for the HKR oracle: d <= 5 and every degree -1 .. d-1.
+
+    Up to three keys per field, each at its own cap, so a top-degree key
+    at d = 5 has 120 orderings and caps differ within a field; every
+    (d, degree) also gets its zero field.
+    """
+    rng = random.Random(RNG_SEED + 7)
+    for dim in range(1, 6):
+        for degree in range(-1, dim):
+            pool = list(combinations(range(1, dim + 1), degree + 1))
+            yield PolyVectorField.zero(dim, degree)
+            for _ in range(3):
+                yield PolyVectorField(dim, degree, {
+                    rng.choice(pool): random_series(
+                        rng, dim, rng.choice((CAP - 2, CAP - 1, CAP)),
+                        nonzero=True)
+                    for _ in range(3)})
+
+
+def test_hkr_matches_the_position_permutation_reference():
+    # exact ==, caps included: scaling each key once and reading a signed
+    # component per ordering must give every slot tuple the coefficient
+    # and the cap of the reference's one scaling per permutation
+    seen = set()
+    for field in _hkr_fields():
+        want = helpers.hkr_reference(field)
+        assert hkr(field) == want
+        assert u_one(field) == want
+        seen.add((field.dim, field.degree))
+        if not field:
+            seen.add("zero")
+        elif field.degree == -1:
+            seen.add("function")
+        if len({s.cap for s in field.comps.values()}) > 1:
+            seen.add("mixed caps")
+    assert len(seen) == sum(d + 1 for d in range(1, 6)) + 3
+
+
+def test_hkr_of_the_bracket_of_two_functions_is_the_degree_minus_two_zero():
+    # [f, g] of two functions is the zero field of degree -2; HKR and U_1
+    # send it to the zero operator of that degree, which is also the
+    # Gerstenhaber bracket of hkr(f) and hkr(g)
+    rng = random.Random(RNG_SEED + 8)
+    for _ in range(6):
+        dim = rng.randint(1, 3)
+        f, g = (PolyVectorField.function(random_series(rng, dim, CAP,
+                                                       nonzero=True))
+                for _ in range(2))
+        z = schouten_bracket(f, g)
+        assert z.degree == -2
+        assert hkr(z) == gerstenhaber_bracket(hkr(f), hkr(g))
+        for op in (hkr(z), u_one(z)):
+            assert op.degree == -2 and op.is_zero()
 
 
 def test_hkr_lands_in_cocycles():
