@@ -82,12 +82,13 @@ class AdmissibleGraph:
                              % type(obj).__name__)
         if any(type(obj.get(k, 0)) is not int for k in ("n", "m", "epsilon")):
             raise ValueError("n, m and epsilon must be integers")
-        try:
-            return cls(obj["n"], obj["m"],
-                       tuple(tuple(e) for e in obj["edges"]),
-                       obj.get("epsilon", 0))
-        except TypeError as exc:
-            raise ValueError("malformed edges: %s" % exc) from None
+        edges = obj.get("edges")
+        if not isinstance(edges, list) or any(
+                not isinstance(e, list) or len(e) != 2
+                or any(type(x) is not int for x in e) for e in edges):
+            raise ValueError("edges must be a list of integer pairs")
+        return cls(obj["n"], obj["m"], tuple(map(tuple, edges)),
+                   obj.get("epsilon", 0))
 
     def canonical_hash(self):
         blob = json.dumps(self.to_json(), sort_keys=True).encode()

@@ -107,9 +107,8 @@ class SmallDGLie:
         return elem_scale(self.d(x), -1)
 
     def q2(self, x, y):
-        return sparse_sum((t, (-1) ** (self.degrees[a] % 2) * ca * cb * v)
-                          for a, ca in x.items() for b, cb in y.items()
-                          for t, v in self._bracket_basis(a, b).items())
+        return self.bracket({a: (-1) ** (self.degrees[a] % 2) * c
+                             for a, c in x.items()}, y)
 
     def check_axioms(self):
         """Exhaustive d^2, Leibniz and Jacobi checks; returns violations."""

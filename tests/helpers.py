@@ -9,7 +9,9 @@ insertion oracle, bullet_reference, keeps the first term-by-term
 product, which compares exactly, caps included, where evaluation only
 agrees through cap - 3.  hkr_reference likewise keeps the HKR sum over
 position permutations, one scaling per permutation, for exact
-comparison.
+comparison, and schouten_reference the Schouten bracket's recursion
+from its axioms, which agrees with the closed formula exactly where all
+caps are equal.
 """
 
 from fractions import Fraction
@@ -220,6 +222,84 @@ def hkr_reference(field):
                           for p in sigma)
             terms[slots] = s.scale(pref * sort_with_sign(sigma)[0])
     return PolyDiffOp(dim, k - 1, terms)
+
+
+# -- Schouten bracket by recursion from its axioms ----------------------
+#
+# Functions commute, a vector field acts by Lie derivative, and the
+# bracket extends as a graded derivation of the wedge,
+#
+#   [Y ^ c, b] = (-1)^{(|c| + 1)|b|} [Y, b] ^ c + Y ^ [c, b],
+#
+# and by graded antisymmetry, so every sign is forced.  Each step builds
+# an intermediate field and drops a product that is zero before summing.
+
+def _lie_reference(coeff, axis, target):
+    """Lie derivative of `target` along the vector field coeff*d/dt_axis."""
+    from formaldisk import PolyVectorField, sort_with_sign
+    from formaldisk.series import sparse_sum
+
+    def terms():
+        for idx, s in target.comps.items():
+            # action on the coefficient
+            ds = coeff * s.partial(axis)
+            if ds:
+                yield idx, ds
+            # action on each wedge factor: [c e_a, e_j] = -(d_j c) e_a
+            for pos, j in enumerate(idx):
+                dc = coeff.partial(j)
+                if not dc:
+                    continue
+                sign, key = sort_with_sign(idx[:pos] + (axis,) + idx[pos + 1:])
+                if sign == 0:
+                    continue
+                term = (s * dc).scale(-sign)
+                if term:
+                    yield key, term
+    return PolyVectorField._make(target.dim, target.degree,
+                                 sparse_sum(terms()))
+
+
+def _bracket_monomial_reference(c1, idx1, b):
+    """[c1 * e_{idx1}, b]: flip a function, take the Lie derivative of a
+    vector field, and split the first factor Y = c1 e_i off a longer word."""
+    from formaldisk import PolyVectorField, wedge_fields
+    dim = b.dim
+    if len(idx1) == 0:
+        # [f, b] = -(-1)^{(-1)|b|} [b, f]
+        inner = _bracket_with_function_reference(b, c1)
+        return inner.scale(-((-1) ** (b.degree % 2)))
+    if len(idx1) == 1:
+        return _lie_reference(c1, idx1[0], b)
+    y_axis, rest = idx1[0], idx1[1:]
+    p_c = len(rest) - 1
+    y = PolyVectorField(dim, 0, {(y_axis,): c1})
+    sign = (-1) ** (((p_c + 1) * b.degree) % 2)
+    # [Y, b] already carries c1, so its wedge partner is the bare e_rest
+    term1 = wedge_fields(_lie_reference(c1, y_axis, b),
+                         PolyVectorField(dim, p_c, {rest: c1.one_like()}))
+    term2 = wedge_fields(y, _bracket_monomial_reference(c1.one_like(), rest, b))
+    return term1.scale(sign) + term2
+
+
+def _bracket_with_function_reference(b, f):
+    """[b, f] for a function f, by peeling wedge factors of b."""
+    from formaldisk import PolyVectorField
+    from formaldisk.polyvector import _field_sum
+    f = PolyVectorField.function(f)
+    # functions commute: the degree -1 part of b brackets to zero
+    return _field_sum(b.dim, b.degree - 1,
+                      (_bracket_monomial_reference(s, idx, f)
+                       for idx, s in b.comps.items() if idx))
+
+
+def schouten_reference(a, b):
+    """[a, b] term by term of a through the axiom recursion above."""
+    from formaldisk.polyvector import _field_sum
+    assert a.dim == b.dim
+    return _field_sum(a.dim, a.degree + b.degree,
+                      (_bracket_monomial_reference(s, idx, b)
+                       for idx, s in a.comps.items()))
 
 
 # -- bivector action on a pair of functions ---------------------------

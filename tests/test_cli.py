@@ -249,6 +249,10 @@ def test_integral_config_values_are_read_as_integers(value):
      "need at least one aerial vertex"),
     ({"n": 2, "m": 0, "epsilon": 1, "edges": [[1, 2]]},
      "form degree 1 does not match moduli 2"),
+    ({"n": 1, "m": 1, "edges": [[1.7, 2.2]]},
+     "edges must be a list of integer pairs"),
+    ({"n": 1, "m": 1, "edges": [[True, "2"]]},
+     "edges must be a list of integer pairs"),
 ])
 def test_bad_graph_files_exit_2_before_any_work(graph, message, tmp_path,
                                                 monkeypatch, capsys):

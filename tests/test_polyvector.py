@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 from formaldisk import (DifferentialForm, PolyVectorField, TruncatedSeries,
                         contract, exterior_derivative, pairing,
@@ -9,7 +10,7 @@ from formaldisk import (DifferentialForm, PolyVectorField, TruncatedSeries,
                         wedge_forms, hkr_components)
 from formaldisk.suites import random_field, random_series
 
-from helpers import lie_bracket_vf
+from helpers import lie_bracket_vf, schouten_reference
 
 CAP = 6
 
@@ -99,6 +100,79 @@ def test_schouten_leibniz_wedge_instance():
     xf = schouten_bracket(x, PolyVectorField.function(f)).as_function()
     xg = schouten_bracket(x, PolyVectorField.function(g)).as_function()
     assert lhs.agrees_with(xf * g + f * xg, CAP - 1)
+
+
+def _pairs(rng, count, max_dim, mixed_caps):
+    """(a, b): seeded fields of every degree with up to three terms each,
+    every coefficient at one cap per pair, or at its own if mixed_caps."""
+    for _ in range(count):
+        dim = rng.randint(1, max_dim)
+        cap = rng.randint(2, 8)
+        pair = []
+        for _ in range(2):
+            degree = rng.randint(-1, dim - 1)
+            keys = list(combinations(range(1, dim + 1), degree + 1))
+            comps = {rng.choice(keys): random_series(
+                         rng, dim, rng.randint(2, 8) if mixed_caps else cap)
+                     for _ in range(rng.randint(0, 3))}
+            pair.append(PolyVectorField(dim, degree, comps))
+        yield pair
+
+
+def test_schouten_matches_the_axiom_recursion_at_uniform_caps():
+    # with one cap throughout, no product truncates below another, and
+    # the closed formula equals the recursion exactly, caps included
+    rng = random.Random(20240615)
+    seen = set()
+    for a, b in _pairs(rng, 700, 5, mixed_caps=False):
+        assert schouten_bracket(a, b) == schouten_reference(a, b)
+        seen.add(("dim", a.dim))
+        for x in (a, b):
+            seen.add(("degree", x.degree))
+            seen.add("zero" if x.is_zero() else
+                     "function" if x.degree == -1 else "field")
+    assert seen >= ({("dim", d) for d in range(1, 6)}
+                    | {("degree", p) for p in range(-1, 5)}
+                    | {"zero", "function", "field"})
+
+
+def _lifted(field):
+    """The same polynomials at cap 20, far above any product of them."""
+    return PolyVectorField(field.dim, field.degree,
+                           {k: TruncatedSeries(field.dim, 20, s.terms)
+                            for k, s in field.comps.items()})
+
+
+def test_schouten_is_right_within_its_caps_at_mixed_caps():
+    # each key's coefficient is valid through its own cap: a product that
+    # truncates to zero still lowers the cap of the key it lands on
+    t1, t2 = (TruncatedSeries.variable(2, i, 3) for i in (1, 2))
+    a = PolyVectorField(2, 0, {(1,): t1})
+    b = PolyVectorField(2, 1, {(1, 2): TruncatedSeries(2, 2, (-t1 * t2).terms)})
+    assert schouten_reference(_lifted(a), _lifted(b)).is_zero()
+    assert schouten_bracket(a, b).is_zero()
+    rng = random.Random(0)
+    for a, b in _pairs(rng, 600, 4, mixed_caps=True):
+        got = schouten_bracket(a, b)
+        want = schouten_reference(_lifted(a), _lifted(b))
+        for key, s in got.comps.items():
+            exact = want.comps.get(key, s.zero_like())
+            assert s.agrees_with(exact, s.cap), (a, b, key)
+
+
+def test_schouten_is_a_graded_derivation_of_the_wedge():
+    # [a, b ^ c] = [a, b] ^ c + (-1)^{|a|(|b|+1)} b ^ [a, c]
+    rng = random.Random(31337)
+    for _ in range(600):
+        dim = rng.randint(1, 4)
+        cap = rng.randint(2, 6)
+        a, b, c = (random_field(rng, dim, cap, rng.randint(-1, dim - 1),
+                                rng.randint(1, 2)) for _ in range(3))
+        sign = (-1) ** ((a.degree * (b.degree + 1)) % 2)
+        lhs = schouten_bracket(a, wedge_fields(b, c))
+        rhs = (wedge_fields(schouten_bracket(a, b), c)
+               + wedge_fields(b, schouten_bracket(a, c)).scale(sign))
+        assert lhs == rhs
 
 
 def test_pairing_and_contract():
