@@ -12,8 +12,7 @@ __version__ = "0.1.0"
 
 from .series import (DEFAULT_CAP, TruncatedSeries, UnivariateSeries,
                      SeriesMatrix, nilpotent_powers, series_at_matrix,
-                     matrix_exp, sinh_quotient_series, useries_div,
-                     useries_exp, useries_log, useries_sqrt)
+                     matrix_exp, sinh_quotient_series, useries_exp)
 from .polyvector import (PolyVectorField, DifferentialForm,
                          schouten_bracket, wedge_fields, wedge_forms,
                          contract, exterior_derivative, hkr_components,
@@ -41,8 +40,7 @@ from .suites import SUITES, run_suite
 __all__ = [
     "DEFAULT_CAP", "TruncatedSeries", "UnivariateSeries", "SeriesMatrix",
     "nilpotent_powers", "series_at_matrix", "matrix_exp",
-    "sinh_quotient_series", "useries_div", "useries_exp", "useries_log",
-    "useries_sqrt",
+    "sinh_quotient_series", "useries_exp",
     "PolyVectorField", "DifferentialForm", "schouten_bracket",
     "wedge_fields", "wedge_forms", "contract", "exterior_derivative",
     "hkr_components", "pairing", "sort_with_sign",

@@ -49,8 +49,8 @@ from fractions import Fraction
 from itertools import combinations, product as _cartesian
 from math import factorial
 
-from .series import (DEFAULT_CAP, Q0, Q1, TruncatedSeries, SeriesMatrix,
-                     UnivariateSeries, sparse_sum, useries_div)
+from .series import (DEFAULT_CAP, TruncatedSeries, SeriesMatrix,
+                     UnivariateSeries, bernoulli_numbers, sparse_sum)
 from .polyvector import hkr_components
 from .polydiff import PolyDiffOp
 from .graphs import gamma0, wheel_survivors
@@ -283,23 +283,18 @@ def twisted_first_taylor(mc, field, j_max=None):
 # ---------------------------------------------------------------------
 
 def todd_series(order):
-    """q(x) = x / (1 - e^{-x})."""
-    denom = [Q0] * (order + 1)
-    fact = 1
-    for k in range(1, order + 2):
-        fact *= k
-        if k - 1 <= order:
-            # coefficient of x^{k-1} in (1 - e^{-x})/x
-            denom[k - 1] = Fraction((-1) ** (k + 1), fact)
-    one = UnivariateSeries([Q1] + [Q0] * order)
-    return useries_div(one, UnivariateSeries(denom))
+    """q(x) = x / (1 - e^{-x}) = sum_n B_n x^n / n!, with B_1 = +1/2."""
+    return UnivariateSeries([b / factorial(n) for n, b
+                             in enumerate(bernoulli_numbers(order))])
 
 
 def tilde_todd_series(order):
-    """q~(x) = x / (e^{x/2} - e^{-x/2}), the symmetrized Todd series."""
-    from .series import sinh_quotient_series
-    one = UnivariateSeries([Q1] + [Q0] * order)
-    return useries_div(one, sinh_quotient_series(order))
+    """q~(x) = x / (e^{x/2} - e^{-x/2}), the symmetrized Todd series.
+
+    q~(x) = q(x) e^{-x/2}, so q~_n = (2^{1-n} - 1) B_n / n!.
+    """
+    return UnivariateSeries([(Fraction(2) ** (1 - n) - 1) * b / factorial(n)
+                             for n, b in enumerate(bernoulli_numbers(order))])
 
 
 def exp_half_series(order, sign=1):

@@ -80,6 +80,9 @@ class AdmissibleGraph:
         if not isinstance(obj, dict):
             raise ValueError("a graph is a JSON object, got %s"
                              % type(obj).__name__)
+        for k in ("n", "m"):
+            if k not in obj:
+                raise ValueError("a graph needs the field %r" % k)
         if any(type(obj.get(k, 0)) is not int for k in ("n", "m", "epsilon")):
             raise ValueError("n, m and epsilon must be integers")
         edges = obj.get("edges")

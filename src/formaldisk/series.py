@@ -4,9 +4,9 @@ Everything here is plain fractions.Fraction arithmetic.  A multivariate
 series carries an explicit validity cap N: coefficients of total degree
 <= N are meaningful, higher ones are silently dropped.  Products take
 the minimum of the caps of the factors, differentiation lowers the cap
-by one.  Univariate series (used for Bernoulli-type generating
-functions and Todd series) are dense coefficient lists with the same
-exact arithmetic.
+by one.  Univariate series (the Bernoulli-type generating functions
+and Todd series, all from one table of Bernoulli numbers) are dense
+coefficient lists with the same exact arithmetic.
 
 The sparse-sum core at the top (sparse_sum, SparseSum) is the key ->
 coefficient algebra that every coefficient container of the package is
@@ -18,6 +18,7 @@ cap among them, whatever their order.
 
 from __future__ import annotations
 
+import functools
 import json
 from fractions import Fraction
 from math import factorial
@@ -350,10 +351,6 @@ class UnivariateSeries:
         if not self.coeffs:
             self.coeffs = [Q0]
 
-    @classmethod
-    def zero(cls, order):
-        return cls([Q0] * (order + 1))
-
     @property
     def order(self):
         return len(self.coeffs) - 1
@@ -370,18 +367,9 @@ class UnivariateSeries:
     def __hash__(self):
         return hash(tuple(self.coeffs))
 
-    def truncate(self, order):
-        c = self.coeffs[:order + 1]
-        c += [Q0] * (order + 1 - len(c))
-        return UnivariateSeries(c)
-
     def __add__(self, other):
         n = min(self.order, other.order)
         return UnivariateSeries([self[k] + other[k] for k in range(n + 1)])
-
-    def __sub__(self, other):
-        n = min(self.order, other.order)
-        return UnivariateSeries([self[k] - other[k] for k in range(n + 1)])
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -400,35 +388,8 @@ class UnivariateSeries:
 
     __rmul__ = __mul__
 
-    def derivative(self):
-        if self.order == 0:
-            return UnivariateSeries([Q0])
-        return UnivariateSeries([self.coeffs[k] * k
-                                 for k in range(1, self.order + 1)])
-
-    def integrate(self):
-        """Antiderivative with zero constant term; gains one order."""
-        out = [Q0] * (self.order + 2)
-        for k, c in enumerate(self.coeffs):
-            out[k + 1] = c / (k + 1)
-        return UnivariateSeries(out)
-
     def __repr__(self):
         return "UnivariateSeries(%s)" % (self.coeffs,)
-
-
-def useries_div(num, den):
-    """num/den with den having nonzero constant term."""
-    if den[0] == 0:
-        raise ValueError("division requires an invertible constant term")
-    n = min(num.order, den.order)
-    out = [Q0] * (n + 1)
-    for k in range(n + 1):
-        acc = num[k]
-        for j in range(1, k + 1):
-            acc -= den[j] * out[k - j]
-        out[k] = acc / den[0]
-    return UnivariateSeries(out)
 
 
 def useries_exp(f):
@@ -443,36 +404,6 @@ def useries_exp(f):
         for j in range(1, k + 1):
             acc += j * f[j] * out[k - j]
         out[k] = acc / k
-    return UnivariateSeries(out)
-
-
-def useries_log(f):
-    """log(f) for f with constant term 1, by composing log(1+u)."""
-    if f[0] != 1:
-        raise ValueError("log requires constant term 1")
-    n = f.order
-    u = UnivariateSeries([f[k] if k else Q0 for k in range(n + 1)])
-    out = UnivariateSeries.zero(n)
-    power = UnivariateSeries([Q1] + [Q0] * n)
-    for k in range(1, n + 1):
-        power = (power * u).truncate(n)
-        sign = Q1 if k % 2 == 1 else -Q1
-        out = out + power * (sign / k)
-    return out
-
-
-def useries_sqrt(f):
-    """Square root with constant term 1."""
-    if f[0] != 1:
-        raise ValueError("sqrt requires constant term 1")
-    n = f.order
-    out = [Q0] * (n + 1)
-    out[0] = Q1
-    for k in range(1, n + 1):
-        acc = f[k]
-        for j in range(1, k):
-            acc -= out[j] * out[k - j]
-        out[k] = acc / 2
     return UnivariateSeries(out)
 
 
@@ -599,3 +530,19 @@ def sinh_quotient_series(order):
             fact *= i
         coeffs[2 * k] = Q1 / (Fraction(4) ** k * fact)
     return UnivariateSeries(coeffs)
+
+
+@functools.cache
+def bernoulli_numbers(n):
+    """B_0, ..., B_n with B_1 = +1/2: x / (1 - e^{-x}) = sum B_k x^k / k!.
+
+    Akiyama-Tanigawa: row m starts from 1/(m+1), and each entry j-1
+    becomes j (a_{j-1} - a_j); B_m is the first entry of row m.
+    """
+    out, row = [], []
+    for m in range(n + 1):
+        row.append(Fraction(1, m + 1))
+        for j in range(m, 0, -1):
+            row[j - 1] = j * (row[j - 1] - row[j])
+        out.append(row[0])
+    return tuple(out)

@@ -16,7 +16,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from .series import (DEFAULT_CAP, TruncatedSeries, matrix_exp,
-                     series_at_matrix, SeriesMatrix)
+                     series_at_matrix, SeriesMatrix, sinh_quotient_series,
+                     useries_exp)
 from .polyvector import (PolyVectorField, contract, exterior_derivative,
                          schouten_bracket)
 from .polydiff import (PolyDiffOp, bullet, gerstenhaber_bracket,
@@ -24,9 +25,7 @@ from .polydiff import (PolyDiffOp, bullet, gerstenhaber_bracket,
 from .graphs import (classify_wheels, cycle_type_of_wheelish, gamma0,
                      graphs_with_profile, opposite_wheel, vanishing_tag)
 from .weights import (inverse_sqrt_sinh_quotient, mc_weight, mc_weight_cached,
-                      modified_bernoulli_series,
-                      modified_bernoulli_series_by_division, theta_series,
-                      wheel_weight_closed)
+                      theta_series, wheel_weight_closed)
 from .formality import (MaurerCartanData, closed_form_map, exp_half_series,
                         tilde_todd_series, todd_series,
                         twisted_first_taylor, u_one)
@@ -117,23 +116,18 @@ def suite_hkr(d_max=3, degree_max=3):
 
 
 def suite_weights_closed(l_max=4):
-    """Closed wheel weights along two independent series routes."""
+    """Closed wheel weights, and theta against the sinh quotient."""
     expected = {1: Fraction(0), 2: Fraction(1, 24), 3: Fraction(0),
                 4: Fraction(1, 1440)}
     checks = []
-    for l in range(1, l_max + 1):
-        a = wheel_weight_closed(l, route="log")
-        b = wheel_weight_closed(l, route="division")
-        row = _check("W_%d routes agree" % l, a == b,
-                     log=str(a), division=str(b))
-        checks.append(row)
-        if l in expected:
-            checks.append(_check("W_%d value" % l, a == expected[l],
-                                 got=str(a), want=str(expected[l])))
-    s_log = modified_bernoulli_series(2 * l_max)
-    s_div = modified_bernoulli_series_by_division(2 * l_max)
-    checks.append(_check("modified Bernoulli series routes agree",
-                         s_log.coeffs == s_div.coeffs))
+    for l in range(1, min(l_max, 4) + 1):
+        w = wheel_weight_closed(l)
+        checks.append(_check("W_%d value" % l, w == expected[l],
+                             got=str(w), want=str(expected[l])))
+    order = 2 * l_max
+    checks.append(_check(
+        "exp(-2 theta) is the sinh quotient through order %d" % order,
+        useries_exp(theta_series(order) * -2) == sinh_quotient_series(order)))
     return _report("weights-closed", checks)
 
 
@@ -300,7 +294,7 @@ def suite_todd(order=10, matrix_order=6):
     prod = q * exp_half_series(order, sign=-1)
     checks.append(_check(
         "modified Todd = Todd * exp(-x/2) through order %d" % order,
-        prod.truncate(order).coeffs == qt.truncate(order).coeffs,
+        prod == qt,
         q=[str(c) for c in q.coeffs], qtilde=[str(c) for c in qt.coeffs]))
     # matrix identity on a nilpotent 2x2 with series entries
     dim, cap = 2, matrix_order

@@ -1,13 +1,13 @@
 """Graph weights: closed-form wheel values and Monte Carlo integration.
 
-The closed-form side expands the modified Bernoulli generating series
+The closed-form side reads the modified Bernoulli generating series
 
     sum_l  s_hat_l x^l = (1/2) log((e^{x/2} - e^{-x/2}) / x)
 
-and sets  W_l = -(-1)^{l(l+1)/2} l s_hat_l,  so W_1 = 0, W_2 = 1/24,
-W_3 = 0, W_4 = 1/1440.  Two independent derivations of s_hat are kept
-(series-log composition versus logarithmic-derivative division) so the
-values can be cross-checked without shared code paths.
+off the Bernoulli numbers (B_1 = +1/2): s_hat_l = B_l / (2l l!) for even
+l >= 2, zero otherwise.  It sets  W_l = -(-1)^{l(l+1)/2} l s_hat_l,  so
+W_1 = 0, W_2 = 1/24, W_3 = 0, W_4 = 1/1440.  theta = -s_hat is the
+series of the determinant factor.
 
 The Monte Carlo side integrates the wedge of hyperbolic angle forms
 
@@ -72,12 +72,10 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict
-from fractions import Fraction
 
 import numpy as np
 
-from .series import (Q0, Q1, UnivariateSeries, sinh_quotient_series,
-                     useries_div, useries_log)
+from .series import Q0, UnivariateSeries, bernoulli_numbers, useries_exp
 
 TWO_PI = 2.0 * math.pi
 COLLISION_MARGIN = 1e-9
@@ -100,51 +98,37 @@ SAMPLER = ("v%d chunk=%d rmin=%r rmax=%r base=%r margin=%r"
 # closed-form wheel weights
 # ---------------------------------------------------------------------
 
-def modified_bernoulli_series(order):
-    """s_hat coefficients via (1/2) log of the sinh quotient."""
-    return useries_log(sinh_quotient_series(order)) * Fraction(1, 2)
-
-def modified_bernoulli_series_by_division(order):
-    """Independent route: integrate g'/g termwise instead of composing log.
-
-    With g the sinh quotient, (log g)' = g'/g is computed by series
-    division and integrated; the half factor is applied at the end.
-    """
-    g = sinh_quotient_series(order)
-    ratio = useries_div(g.derivative(), g.truncate(order - 1))
-    return ratio.integrate().truncate(order) * Fraction(1, 2)
-
-def modified_bernoulli(l, route="log"):
-    if l < 0:
-        raise ValueError("negative index")
-    series = (modified_bernoulli_series(l + 2) if route == "log"
-              else modified_bernoulli_series_by_division(l + 2))
-    return series[l]
-
-def wheel_weight_closed(l, route="log"):
-    """W_l = -(-1)^{l(l+1)/2} l s_hat_l; zero for odd l."""
-    if l < 1:
-        raise ValueError("wheel length must be >= 1")
-    sign = (-1) ** (((l + 1) * l // 2) % 2)
-    return -sign * l * modified_bernoulli(l, route=route)
-
 @functools.cache
 def _theta_coeffs(order):
-    return tuple((modified_bernoulli_series(order) * Fraction(-1)).coeffs)
+    b = bernoulli_numbers(order)
+    return tuple(-b[k] / (2 * k * math.factorial(k)) if k and k % 2 == 0
+                 else Q0 for k in range(order + 1))
 
 def theta_series(order):
     """-(1/2) log((e^{x/2} - e^{-x/2})/x), the matrix-logarithm series.
 
-    Computed once per process and order; every call returns a fresh
-    series.  Its x^k coefficient does not depend on the order.
+    theta_k = -B_k / (2k k!) for even k >= 2, zero otherwise.  Computed
+    once per process and order; every call returns a fresh series.  Its
+    x^k coefficient does not depend on the order.
     """
     return UnivariateSeries(_theta_coeffs(order))
 
+def modified_bernoulli(l):
+    """s_hat_l = -theta_l = B_l / (2l l!) for even l >= 2, zero otherwise."""
+    if l < 0:
+        raise ValueError("negative index")
+    return -_theta_coeffs(l)[l]
+
+def wheel_weight_closed(l):
+    """W_l = -(-1)^{l(l+1)/2} l s_hat_l; zero for odd l."""
+    if l < 1:
+        raise ValueError("wheel length must be >= 1")
+    sign = (-1) ** (((l + 1) * l // 2) % 2)
+    return -sign * l * modified_bernoulli(l)
+
 def inverse_sqrt_sinh_quotient(order):
-    """sqrt(x / (e^{x/2} - e^{-x/2})) as a series, constant term 1."""
-    from .series import useries_sqrt
-    one = UnivariateSeries([Q1] + [Q0] * order)
-    return useries_sqrt(useries_div(one, sinh_quotient_series(order)))
+    """sqrt(x / (e^{x/2} - e^{-x/2})) = exp(theta) as a series."""
+    return useries_exp(theta_series(order))
 
 
 # ---------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Independent reference implementations used as test oracles.
 
 Nothing here reuses the structural code paths under test: Bernoulli
-numbers come from the defining recurrence instead of series logs, the
+numbers come from the defining recurrence, theta_by_log builds theta as
+a composed series logarithm instead of from Bernoulli numbers, the
 Lie bracket is spelled out in coordinates, and the Hochschild/insertion
 oracles work purely through operator *evaluation* on explicit function
 arguments, never through term manipulation.  The one structural
@@ -51,6 +52,27 @@ def wheel_weight_from_bernoulli(l):
         return Fraction(0)
     k = l // 2
     return -Fraction((-1) ** k) * bernoulli(l) / (2 * factorial(l))
+
+
+def useries_log(f):
+    """log(f) for f with constant term 1, by composing log(1 + u)."""
+    from formaldisk import UnivariateSeries
+    if f[0] != 1:
+        raise ValueError("log requires constant term 1")
+    n = f.order
+    u = UnivariateSeries([0] + f.coeffs[1:])
+    out = UnivariateSeries([0] * (n + 1))
+    power = UnivariateSeries([1] + [0] * n)
+    for k in range(1, n + 1):
+        power = power * u  # a product keeps the lower order, n
+        out = out + power * Fraction((-1) ** (k + 1), k)
+    return out
+
+
+def theta_by_log(order):
+    """theta = -(1/2) log((e^{x/2} - e^{-x/2})/x) through `order`."""
+    from formaldisk import sinh_quotient_series
+    return useries_log(sinh_quotient_series(order)) * Fraction(-1, 2)
 
 
 # -- coordinate Lie bracket of two vector fields ----------------------

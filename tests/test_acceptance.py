@@ -42,7 +42,8 @@ def test_criterion_01_first_taylor_is_hkr(capsys):
 
 
 def test_criterion_02_wheel_weights_closed_form(capsys):
-    _suite_line(capsys, 2, "W_1..W_4 = 0, 1/24, 0, 1/1440 by two series routes",
+    _suite_line(capsys, 2,
+                "W_1..W_4 = 0, 1/24, 0, 1/1440 from the Bernoulli numbers",
                 "weights-closed", l_max=4)
 
 

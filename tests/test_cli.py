@@ -253,6 +253,7 @@ def test_integral_config_values_are_read_as_integers(value):
      "edges must be a list of integer pairs"),
     ({"n": 1, "m": 1, "edges": [[True, "2"]]},
      "edges must be a list of integer pairs"),
+    ({"m": 1, "edges": [[1, 2]]}, "a graph needs the field 'n'"),
 ])
 def test_bad_graph_files_exit_2_before_any_work(graph, message, tmp_path,
                                                 monkeypatch, capsys):

@@ -6,6 +6,7 @@ in the comments so they can be re-checked without any code.
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -16,7 +17,8 @@ from formaldisk import (AdmissibleGraph, DifferentialForm, EtaFormScalar,
                         graph_operator, hkr, theta_and_det,
                         twisted_first_taylor, u_one,
                         xi_matrix, todd_series, tilde_todd_series,
-                        exp_half_series)
+                        exp_half_series, sinh_quotient_series,
+                        UnivariateSeries)
 from formaldisk.cli import _standard_pair
 from formaldisk.suites import random_field
 
@@ -451,14 +453,11 @@ def test_wheel_identity_with_eta_words_on_two_term_data(dim, seed):
     assert lhs.agrees_with(rhs, CAP - 3)
 
 
-def test_theta_series_is_not_rebuilt_after_a_warm_up_pass(monkeypatch):
+def test_theta_series_is_not_rebuilt_after_a_warm_up_pass():
     # theta's coefficients are cached per order: a second pass over the
-    # same points builds no log series at all
-    calls = []
-    real_log = weights.useries_log
-    monkeypatch.setattr(weights, "useries_log",
-                        lambda f: calls.append(f.order) or real_log(f))
-    weights._theta_coeffs.cache_clear()
+    # same points builds none
+    cache = weights._theta_coeffs
+    cache.cache_clear()
     inputs = [_benchmark_style(point, 0) for point in
               ((2, 2, 2), (3, 3, 3), (4, 4, 4), (5, 4, 4), (5, 5, 3))]
 
@@ -467,10 +466,10 @@ def test_theta_series_is_not_rebuilt_after_a_warm_up_pass(monkeypatch):
             assert twisted_first_taylor(mc, gamma).agrees_with(
                 closed_form_map(mc, gamma), CAP - 3)
     one_pass()
-    warm_up = len(calls)
+    warm_up = cache.cache_info().misses
     one_pass()
     assert warm_up > 0
-    assert len(calls) == warm_up
+    assert cache.cache_info().misses == warm_up
 
 
 def test_todd_series_coefficients():
@@ -480,8 +479,18 @@ def test_todd_series_coefficients():
     qt = tilde_todd_series(6)
     assert qt.coeffs[:5] == [Fraction(1), Fraction(0), Fraction(-1, 24),
                              Fraction(0), Fraction(7, 5760)]
-    prod = q * exp_half_series(6, sign=-1)
-    assert prod.truncate(6).coeffs == qt.truncate(6).coeffs
+    assert q * exp_half_series(6, sign=-1) == qt
+
+
+def test_todd_series_are_the_reciprocals_of_their_closed_forms():
+    # (1 - e^{-x})/x = sum_k (-1)^k x^k / (k+1)!, and q~ is 1 over the
+    # sinh quotient; both products are 1 through order 16
+    order = 16
+    one = UnivariateSeries([1] + [0] * order)
+    denom = UnivariateSeries([Fraction((-1) ** k, factorial(k + 1))
+                              for k in range(order + 1)])
+    assert todd_series(order) * denom == one
+    assert tilde_todd_series(order) * sinh_quotient_series(order) == one
 
 
 def test_eta_operator_agreement_tolerates_word_mismatch():

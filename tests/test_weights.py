@@ -18,7 +18,7 @@ from formaldisk.weights import (BLOCK, SAMPLER, TWO_PI, _chunk_sums,
 from formaldisk.series import sinh_quotient_series
 
 from helpers import (bernoulli, chunk_sums_reference, dense_jacobian,
-                     wheel_weight_from_bernoulli)
+                     theta_by_log, wheel_weight_from_bernoulli)
 
 
 def test_wheel_weights_match_bernoulli_recurrence():
@@ -34,10 +34,8 @@ def test_known_small_weights():
     assert wheel_weight_closed(6) == Fraction(1, 60480)
 
 
-def test_two_series_routes_agree():
-    for l in range(1, 9):
-        assert (wheel_weight_closed(l, route="log")
-                == wheel_weight_closed(l, route="division"))
+def test_theta_series_matches_the_log_route():
+    assert theta_series(16) == theta_by_log(16)
 
 
 def test_modified_bernoulli_values():
@@ -71,7 +69,7 @@ def test_theta_series_coefficients_do_not_depend_on_the_order():
 def test_inverse_sqrt_squares_to_reciprocal():
     order = 8
     r = inverse_sqrt_sinh_quotient(order)
-    prod = (r * r * sinh_quotient_series(order)).truncate(order)
+    prod = r * r * sinh_quotient_series(order)
     want = [Fraction(1)] + [Fraction(0)] * order
     assert prod.coeffs == want
 
