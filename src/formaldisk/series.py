@@ -1,12 +1,14 @@
 """Exact truncated power series over the rationals.
 
-Everything here is plain fractions.Fraction arithmetic.  A multivariate
-series carries an explicit validity cap N: coefficients of total degree
-<= N are meaningful, higher ones are silently dropped.  Products take
-the minimum of the caps of the factors, differentiation lowers the cap
-by one.  Univariate series (the Bernoulli-type generating functions
-and Todd series, all from one table of Bernoulli numbers) are dense
-coefficient lists with the same exact arithmetic.
+A multivariate series stores integer numerators over one positive
+denominator, kept in lowest terms by a single gcd per result, so its
+arithmetic is integer arithmetic; its coefficients are read out as
+fractions.Fraction.  It carries an explicit validity cap N:
+coefficients of total degree <= N are meaningful, higher ones are
+silently dropped.  Products take the minimum of the caps of the
+factors, differentiation lowers the cap by one.  Univariate series
+(the Bernoulli-type generating functions and Todd series, all from one
+table of Bernoulli numbers) are dense lists of Fraction coefficients.
 
 The sparse-sum core at the top (sparse_sum, SparseSum) is the key ->
 coefficient algebra that every coefficient container of the package is
@@ -21,7 +23,8 @@ from __future__ import annotations
 import functools
 import json
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
+from operator import add
 
 DEFAULT_CAP = 8
 
@@ -29,12 +32,16 @@ Q0 = Fraction(0)
 Q1 = Fraction(1)
 
 
-def _as_fraction(x):
-    if isinstance(x, Fraction):
+def _exact(x):
+    """x itself if it is an exact coefficient: an int or a Fraction."""
+    if isinstance(x, (int, Fraction)):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
     raise TypeError("exact coefficient expected, got %r" % (x,))
+
+
+def _as_fraction(x):
+    x = _exact(x)
+    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 def sparse_sum(pairs, start=()):
@@ -151,23 +158,23 @@ class GradedSum(SparseSum):
 
 
 class TruncatedSeries(SparseSum):
-    """Sparse multivariate power series, exponent tuple -> Fraction.
+    """Sparse multivariate power series: integer numerators over one den.
 
-    Exponent tuples have length dim and non-negative entries; terms of
-    total degree > cap are never stored.  A cap of -1 marks a series
-    with no trustworthy coefficients at all (it arises from
-    differentiating a cap-0 series) and behaves as zero.
+    The coefficient of t^exp is nums[exp] / den.  Exponent tuples have
+    length dim and non-negative entries; terms of total degree > cap are
+    never stored.  A cap of -1 marks a series with no trustworthy
+    coefficients at all (it arises from differentiating a cap-0 series)
+    and behaves as zero.  Normal form: den > 0, gcd(den, *nums) == 1,
+    and a zero series has den == 1, so == and hash compare the fields.
     """
 
-    __slots__ = ("dim", "cap", "terms")
+    __slots__ = ("dim", "cap", "den", "nums")
 
     def __init__(self, dim, cap, terms=None):
         if dim < 1:
             raise ValueError("dim must be >= 1")
         if cap < -1:
             raise ValueError("cap must be >= -1")
-        self.dim = dim
-        self.cap = cap
         clean = {}
         for exp, c in (terms or {}).items():
             exp = tuple(exp)
@@ -175,10 +182,39 @@ class TruncatedSeries(SparseSum):
                 raise ValueError("bad exponent %r for dim %d" % (exp, dim))
             if sum(exp) > cap:
                 continue
-            c = _as_fraction(c)
-            if c != 0:
+            if _exact(c) != 0:
                 clean[exp] = c
-        self.terms = clean
+        # over the lcm of reduced denominators the numerators share no
+        # prime with it: the result is normal without a gcd
+        den = lcm(*(c.denominator for c in clean.values()))
+        self.dim = dim
+        self.cap = cap
+        self.den = den
+        self.nums = {e: c.numerator * (den // c.denominator)
+                     for e, c in clean.items()}
+
+    @classmethod
+    def _make(cls, dim, cap, den, nums):
+        # SparseSum._make without its setattr loop: every series result
+        # is built here
+        self = object.__new__(cls)
+        self.dim = dim
+        self.cap = cap
+        self.den = den
+        self.nums = nums
+        return self
+
+    @classmethod
+    def _normal(cls, dim, cap, den, nums):
+        """The series nums / den, divided by the gcd of them all."""
+        if not nums:
+            den = 1
+        elif den != 1:
+            g = gcd(den, *nums.values())
+            if g != 1:
+                den //= g
+                nums = {e: n // g for e, n in nums.items()}
+        return cls._make(dim, cap, den, nums)
 
     # -- constructors -------------------------------------------------
 
@@ -188,7 +224,6 @@ class TruncatedSeries(SparseSum):
 
     @classmethod
     def const(cls, dim, value, cap=DEFAULT_CAP):
-        value = _as_fraction(value)
         return cls(dim, cap, {tuple([0] * dim): value})
 
     @classmethod
@@ -198,32 +233,39 @@ class TruncatedSeries(SparseSum):
             raise ValueError("axis %d out of range 1..%d" % (i, dim))
         exp = [0] * dim
         exp[i - 1] = 1
-        return cls(dim, cap, {tuple(exp): Q1})
+        return cls(dim, cap, {tuple(exp): 1})
 
     @classmethod
     def monomial(cls, dim, exp, coeff=Q1, cap=DEFAULT_CAP):
-        return cls(dim, cap, {tuple(exp): _as_fraction(coeff)})
+        return cls(dim, cap, {tuple(exp): coeff})
 
     def zero_like(self):
-        return TruncatedSeries._make(self.dim, self.cap, {})
+        return TruncatedSeries._make(self.dim, self.cap, 1, {})
 
     def one_like(self):
         return TruncatedSeries.const(self.dim, 1, self.cap)
 
     # -- basic queries ------------------------------------------------
 
+    @property
+    def terms(self):
+        """exp -> Fraction coefficient, a fresh dict."""
+        den = self.den
+        return {e: Fraction(n, den) for e, n in self.nums.items()}
+
     def coefficient(self, exp):
-        return self.terms.get(tuple(exp), Q0)
+        n = self.nums.get(tuple(exp))
+        return Q0 if n is None else Fraction(n, self.den)
 
     def constant_term(self):
-        return self.terms.get(tuple([0] * self.dim), Q0)
+        return self.coefficient([0] * self.dim)
 
     def has_even_grade(self):
         # series in the coordinates sit in cohomological degree zero
         return True
 
     def _header(self):
-        return (self.dim, self.cap)
+        return (self.dim, self.cap, self.den)
 
     def agrees_with(self, other, through=None):
         """Coefficientwise equality through min(cap) (or `through`)."""
@@ -232,9 +274,10 @@ class TruncatedSeries(SparseSum):
         lim = min(self.cap, other.cap)
         if through is not None:
             lim = min(lim, through)
-        keys = set(self.terms) | set(other.terms)
-        return all(self.terms.get(k, Q0) == other.terms.get(k, Q0)
-                   for k in keys if sum(k) <= lim)
+        a, b = self.nums, other.nums
+        d1, d2 = self.den, other.den
+        return all(a.get(k, 0) * d2 == b.get(k, 0) * d1
+                   for k in a.keys() | b.keys() if sum(k) <= lim)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -247,10 +290,18 @@ class TruncatedSeries(SparseSum):
             other = TruncatedSeries.const(self.dim, other, self.cap)
         self._check_dim(other)
         cap = min(self.cap, other.cap)
-        terms = sparse_sum(other.terms.items(), self.terms)
+        d1, d2 = self.den, other.den
+        a, b = self.nums, other.nums
+        if d1 != d2:  # both over the lcm of the denominators
+            g = gcd(d1, d2)
+            m1, m2 = d2 // g, d1 // g
+            a = {e: n * m1 for e, n in a.items()}
+            b = {e: n * m2 for e, n in b.items()}
+            d1 *= m1
+        nums = sparse_sum(b.items(), a)
         if self.cap != other.cap:
-            terms = {e: c for e, c in terms.items() if sum(e) <= cap}
-        return TruncatedSeries._make(self.dim, cap, terms)
+            nums = {e: n for e, n in nums.items() if sum(e) <= cap}
+        return TruncatedSeries._normal(self.dim, cap, d1, nums)
 
     __radd__ = __add__
 
@@ -261,12 +312,14 @@ class TruncatedSeries(SparseSum):
         cap = min(self.cap, other.cap)
 
         def products():
-            for e1, c1 in self.terms.items():
+            right = [(e2, sum(e2), n2) for e2, n2 in other.nums.items()]
+            for e1, n1 in self.nums.items():
                 room = cap - sum(e1)
-                for e2, c2 in other.terms.items():
-                    if sum(e2) <= room:
-                        yield tuple(a + b for a, b in zip(e1, e2)), c1 * c2
-        return TruncatedSeries._make(self.dim, cap, sparse_sum(products()))
+                for e2, deg2, n2 in right:
+                    if deg2 <= room:
+                        yield tuple(map(add, e1, e2)), n1 * n2
+        return TruncatedSeries._normal(self.dim, cap, self.den * other.den,
+                                       sparse_sum(products()))
 
     __rmul__ = __mul__
 
@@ -274,29 +327,35 @@ class TruncatedSeries(SparseSum):
         """Multiply by a rational, or by a series as c * self."""
         if isinstance(c, TruncatedSeries):
             return c * self
-        c = _as_fraction(c)
-        if c == 0:
+        if _exact(c) == 0:
             return self.zero_like()
         if c == 1:  # a series is never changed after it is made
             return self
         if c == -1:
             return -self
-        return TruncatedSeries._make(self.dim, self.cap,
-                                     {e: c * v for e, v in self.terms.items()})
+        p, q = c.numerator, c.denominator
+        g = gcd(self.den, p)  # the numerators share no prime with den
+        p //= g
+        nums = {e: p * n for e, n in self.nums.items()}
+        if q == 1:
+            return TruncatedSeries._make(self.dim, self.cap, self.den // g, nums)
+        return TruncatedSeries._normal(self.dim, self.cap, self.den // g * q,
+                                       nums)
 
     def partial(self, i):
         """d/dt_i; the result cap drops by one."""
         if not 1 <= i <= self.dim:
             raise ValueError("axis %d out of range 1..%d" % (i, self.dim))
-        terms = {}
-        for exp, c in self.terms.items():
+        nums = {}
+        for exp, n in self.nums.items():
             k = exp[i - 1]
             if k == 0:
                 continue
             e = list(exp)
             e[i - 1] = k - 1
-            terms[tuple(e)] = c * k
-        return TruncatedSeries._make(self.dim, max(self.cap - 1, -1), terms)
+            nums[tuple(e)] = n * k
+        return TruncatedSeries._normal(self.dim, max(self.cap - 1, -1),
+                                       self.den, nums)
 
     def partial_multi(self, multi):
         """Iterated partial for a multi-index (k_1, ..., k_dim)."""
@@ -309,9 +368,10 @@ class TruncatedSeries(SparseSum):
     # -- serialization ------------------------------------------------
 
     def to_json(self):
+        terms = self.terms
         rows = []
-        for exp in sorted(self.terms):
-            c = self.terms[exp]
+        for exp in sorted(terms):
+            c = terms[exp]
             rows.append({"exp": list(exp), "num": str(c.numerator),
                          "den": str(c.denominator)})
         return {"d": self.dim, "cap": self.cap, "terms": rows}
@@ -328,11 +388,12 @@ class TruncatedSeries(SparseSum):
         return json.dumps(self.to_json(), sort_keys=True)
 
     def __repr__(self):
-        if not self.terms:
+        if not self.nums:
             return "TruncatedSeries(dim=%d, cap=%d, 0)" % (self.dim, self.cap)
+        terms = self.terms
         bits = []
-        for exp in sorted(self.terms):
-            bits.append("%s*t^%s" % (self.terms[exp], list(exp)))
+        for exp in sorted(terms):
+            bits.append("%s*t^%s" % (terms[exp], list(exp)))
         return "TruncatedSeries(dim=%d, cap=%d, %s)" % (
             self.dim, self.cap, " + ".join(bits))
 
@@ -365,7 +426,11 @@ class UnivariateSeries:
         return all(self[k] == other[k] for k in range(n + 1))
 
     def __hash__(self):
-        return hash(tuple(self.coeffs))
+        # == pads with zeros, so trailing zeros must not change the hash
+        n = len(self.coeffs)
+        while n and self.coeffs[n - 1] == 0:
+            n -= 1
+        return hash(tuple(self.coeffs[:n]))
 
     def __add__(self, other):
         n = min(self.order, other.order)

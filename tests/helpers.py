@@ -12,7 +12,9 @@ agrees through cap - 3.  hkr_reference likewise keeps the HKR sum over
 position permutations, one scaling per permutation, for exact
 comparison, and schouten_reference the Schouten bracket's recursion
 from its axioms, which agrees with the closed formula exactly where all
-caps are equal.
+caps are equal.  The series_*_reference functions keep truncated-series
+arithmetic on one Fraction per coefficient, the oracle of the integer
+numerators over one denominator that TruncatedSeries stores.
 """
 
 from fractions import Fraction
@@ -73,6 +75,56 @@ def theta_by_log(order):
     """theta = -(1/2) log((e^{x/2} - e^{-x/2})/x) through `order`."""
     from formaldisk import sinh_quotient_series
     return useries_log(sinh_quotient_series(order)) * Fraction(-1, 2)
+
+
+# -- truncated series on one Fraction per coefficient -----------------
+#
+# Each takes TruncatedSeries and returns the (cap, exp -> Fraction) pair
+# of the result, zero coefficients dropped.
+
+def _drop_zeros(terms, cap):
+    return {e: c for e, c in terms.items() if c and sum(e) <= cap}
+
+
+def series_add_reference(a, b):
+    cap = min(a.cap, b.cap)
+    terms = dict(a.terms)
+    for e, c in b.terms.items():
+        terms[e] = terms.get(e, 0) + c
+    return cap, _drop_zeros(terms, cap)
+
+
+def series_mul_reference(a, b):
+    cap = min(a.cap, b.cap)
+    terms = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            terms[e] = terms.get(e, 0) + c1 * c2
+    return cap, _drop_zeros(terms, cap)
+
+
+def series_scale_reference(a, c):
+    return a.cap, _drop_zeros({e: c * v for e, v in a.terms.items()}, a.cap)
+
+
+def series_partial_reference(a, i):
+    terms = {}
+    for exp, c in a.terms.items():
+        if exp[i - 1]:
+            e = list(exp)
+            e[i - 1] -= 1
+            terms[tuple(e)] = c * exp[i - 1]
+    cap = max(a.cap - 1, -1)
+    return cap, _drop_zeros(terms, cap)
+
+
+def series_agrees_reference(a, b, through=None):
+    lim = min(a.cap, b.cap, b.cap if through is None else through)
+    x, y = a.terms, b.terms
+    return a.dim == b.dim and all(x.get(k, 0) == y.get(k, 0)
+                                  for k in x.keys() | y.keys()
+                                  if sum(k) <= lim)
 
 
 # -- coordinate Lie bracket of two vector fields ----------------------

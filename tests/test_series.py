@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -8,7 +10,9 @@ from formaldisk import (DEFAULT_CAP, TruncatedSeries, UnivariateSeries,
 from formaldisk.series import bernoulli_numbers
 import formaldisk
 
-from helpers import bernoulli, useries_log
+from helpers import (bernoulli, series_add_reference, series_agrees_reference,
+                     series_mul_reference, series_partial_reference,
+                     series_scale_reference, useries_log)
 
 
 def test_every_public_name_resolves():
@@ -74,6 +78,106 @@ def test_json_roundtrip():
 
 
 # ---------------------------------------------------------------------
+# integer numerators over one denominator
+# ---------------------------------------------------------------------
+
+def assert_normal(s):
+    """Normal form: int numerators, den > 0, gcd 1, den 1 for zero."""
+    assert type(s.den) is int and s.den > 0
+    assert all(type(n) is int and n for n in s.nums.values())
+    assert gcd(s.den, *s.nums.values()) == 1
+    assert s.nums or s.den == 1
+
+
+def random_series(rng, dim, cap):
+    """Up to six terms up to degree cap + 1, denominators 1, 2, 3, 4, 6, 7."""
+    terms = {}
+    for _ in range(rng.randrange(7)):
+        exp = [0] * dim
+        for _ in range(rng.randrange(max(cap + 2, 0) + 1)):
+            exp[rng.randrange(dim)] += 1
+        terms[tuple(exp)] = Fraction(rng.randint(-5, 5),
+                                     rng.choice((1, 2, 3, 4, 6, 7)))
+    return TruncatedSeries(dim, cap, terms)
+
+
+SCALARS = (0, 1, -1, 2, -3, 6, Fraction(1, 2), Fraction(-2, 3),
+           Fraction(7, 4), Fraction(-6, 7))
+
+
+def test_int_numerators_match_the_fraction_oracle():
+    rng = random.Random(17)
+    for _ in range(300):
+        dim = rng.randint(1, 4)
+        a = random_series(rng, dim, rng.randint(-1, 5))
+        b = random_series(rng, dim, rng.randint(-1, 5))
+        minus_b = TruncatedSeries(dim, b.cap,
+                                  {e: -c for e, c in b.terms.items()})
+        c = rng.choice(SCALARS)
+        i = rng.randint(1, dim)
+        for got, (cap, terms) in [
+                (a + b, series_add_reference(a, b)),
+                (a - b, series_add_reference(a, minus_b)),
+                (a * b, series_mul_reference(a, b)),
+                (a.scale(c), series_scale_reference(a, c)),
+                (a.partial(i), series_partial_reference(a, i))]:
+            assert_normal(got)
+            assert got.cap == cap and got.terms == terms
+            want = TruncatedSeries(dim, cap, terms)
+            assert got == want and hash(got) == hash(want)
+        # a copy that differs only above a random degree agrees below it
+        k = rng.randint(0, 5)
+        near = a + TruncatedSeries.monomial(dim, (k + 1,) + (0,) * (dim - 1),
+                                            Fraction(1, 3), a.cap)
+        for x, y, through in [(a, b, None), (a, b, k), (a, near, k),
+                              (near, a, None)]:
+            assert (x.agrees_with(y, through)
+                    == series_agrees_reference(x, y, through))
+        assert a.agrees_with(near, k)
+
+
+def test_equal_values_share_one_normal_form():
+    t1 = TruncatedSeries.variable(2, 1)
+    half = t1.scale(Fraction(1, 2))
+    assert half.den == 2
+    for got, want in [
+            (half + half, t1),
+            (t1.scale(Fraction(2, 3)).scale(Fraction(3, 2)), t1)]:
+        assert got == want and hash(got) == hash(want)
+        assert got.den == 1
+    s = TruncatedSeries(2, 5, {(0, 0): Fraction(1, 2), (1, 2): Fraction(-2, 7),
+                               (4, 1): Fraction(5, 3)})
+    assert s.den == 42
+    back = s.scale(2).scale(Fraction(1, 2))
+    assert back == s and hash(back) == hash(s)
+    for c in (-3, Fraction(-2, 3), -42):
+        got = s.scale(c)
+        want = TruncatedSeries(2, 5, {e: c * v for e, v in s.terms.items()})
+        assert got == want and hash(got) == hash(want)
+        assert_normal(got)
+    # cancels through the lower cap 3: zero at that cap, over den 1
+    low = TruncatedSeries(2, 3, s.terms)
+    diff = s - low
+    assert diff.is_zero() and diff.cap == 3 and diff.den == 1
+    assert diff == TruncatedSeries.zero(2, 3)
+    assert hash(diff) == hash(TruncatedSeries.zero(2, 3))
+
+
+def test_terms_are_fractions_and_read_only():
+    s = TruncatedSeries(1, 4, {(1,): Fraction(3, 6), (2,): 2})
+    assert s.terms == {(1,): Fraction(1, 2), (2,): Fraction(2)}
+    assert all(type(c) is Fraction for c in s.terms.values())
+    assert s.coefficient((1,)) == Fraction(1, 2)
+    assert type(s.constant_term()) is Fraction
+    with pytest.raises(AttributeError):
+        s.terms = {}
+    with pytest.raises(TypeError):
+        TruncatedSeries(1, 4, {(1,): 0.5})
+    with pytest.raises(TypeError):
+        s.scale(0.5)
+
+
+# ---------------------------------------------------------------------
 # univariate layer
 # ---------------------------------------------------------------------
 
@@ -82,6 +186,13 @@ def test_exp_log_inverse():
     assert useries_log(useries_exp(x)) == x
     one_plus = UnivariateSeries([Fraction(1), Fraction(1)] + [Fraction(0)] * 8)
     assert useries_exp(useries_log(one_plus)) == one_plus
+
+
+def test_univariate_hash_ignores_trailing_zeros():
+    a, b = UnivariateSeries([1]), UnivariateSeries([1, 0])
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert len({UnivariateSeries([]), UnivariateSeries([0, 0, 0])}) == 1
 
 
 def test_bernoulli_numbers_match_the_defining_recurrence():
