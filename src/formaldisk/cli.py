@@ -183,7 +183,9 @@ def _cmd_formality(args, config):
         return 2
     started = time.time()
     lhs = twisted_first_taylor(mc, gamma)
+    graph_done = time.time()
     rhs = closed_form_map(mc, gamma)
+    closed_done = time.time()
     agree = lhs.agrees_with(rhs, cap - 3)
     report = _base_report("formality", {
         "dimension": d, "eta_generators": s, "cap": cap,
@@ -191,7 +193,10 @@ def _cmd_formality(args, config):
     report["graph_side"] = _eta_operator_json(lhs)
     report["closed_side"] = _eta_operator_json(rhs)
     report["agree"] = agree
-    report["timings"] = {"seconds": round(time.time() - started, 3)}
+    report["timings"] = {
+        "seconds": round(time.time() - started, 3),
+        "stages": {"graph_side": round(graph_done - started, 3),
+                   "closed_side": round(closed_done - graph_done, 3)}}
     _emit(report, args.out)
     return 0 if agree else 1
 

@@ -8,10 +8,11 @@ edges)-derivative of the (outgoing edges)-component, with ground
 vertices collecting their incoming derivatives into argument slots.
 The operator vanishes unless every aerial out-degree matches the
 number of wedge factors sitting there.  Only assignments that pick a
-nonzero component at every aerial vertex contribute, so graph_operator
-walks each vertex's signed components (every permutation of every
-stored key) instead of all dim^E assignments: the cost is the product
-of the per-vertex component counts.
+nonzero component at every aerial vertex and leave every differentiated
+component nonzero contribute.  So graph_operator places the vertices in
+order, orders each stored key one out-edge at a time with its sign, and
+differentiates as soon as an edge's axis and its target are known: a
+branch ends at its first zero partial instead of being built in full.
 
 The first Taylor coefficient of a field with m wedge factors is the
 operator of the corolla gamma0(m) (one aerial vertex, m ground
@@ -40,18 +41,19 @@ is contracted into gamma and quantized with the signed HKR map.  Every
 entry of Xi carries one dt, so Xi^(d+1) = 0.  theta is even, so
 Tr theta(Xi) needs only the traces Tr Xi^{2k} with 2k <= d, each a sum
 of entry products of Xi^k with itself: no power of Xi beyond the
-(d/2)-th is built.
+(d/2)-th is built.  Xi is sparse (at most two nonzero entries per row
+for omega_alpha = c t_a t_b d_alpha), so its powers are built as sparse
+rows, from products of nonzero entries only.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, product as _cartesian
+from itertools import combinations
 from math import factorial
 
 from .series import (DEFAULT_CAP, TruncatedSeries, SeriesMatrix,
                      UnivariateSeries, bernoulli_numbers, sparse_sum)
-from .polyvector import hkr_components
 from .polydiff import PolyDiffOp
 from .graphs import gamma0, wheel_survivors
 from .weights import theta_series
@@ -63,24 +65,6 @@ from .etalgebra import (EtaFormScalar, EtaOperator,
 # graph evaluation
 # ---------------------------------------------------------------------
 
-def _term_coefficient(choice, in_lists, axis, dim):
-    """Product of the chosen components after their in-edge partials.
-
-    None as soon as a factor or a partial product is zero; the unit
-    series when the graph has no aerial vertex.
-    """
-    coeff = None
-    for (_, comp), ins in zip(choice, in_lists):
-        for e in ins:
-            comp = comp.partial(axis[e])
-            if comp.is_zero():
-                return None
-        coeff = comp if coeff is None else coeff * comp
-        if coeff.is_zero():
-            return None
-    return TruncatedSeries.const(dim, 1) if coeff is None else coeff
-
-
 def graph_operator(graph, fields):
     """The polydifferential operator attached to (graph, aerial fields).
 
@@ -88,38 +72,80 @@ def graph_operator(graph, fields):
     one argument slot per ground vertex; the zero operator whenever
     some aerial out-degree differs from that vertex's factor count.
 
-    Walks the nonzero signed components of each vertex instead of all
-    dim^E edge-axis assignments: a component fixes the axes of its
-    vertex's out-edges, so the cost is the product over vertices of
-    (stored keys x permutations of a key).  The terms are one flat
-    sparse_sum, so their order does not matter, caps included.
+    Places the aerial vertices in order.  A vertex takes each stored
+    key of its field, differentiated at once along its in-edges from
+    vertices already placed, and hands the key's axes to its out-edges
+    one at a time, in target order; taking the free axis at position p
+    multiplies the sign by (-1)^p, so a full assignment carries the sign
+    of its permutation.  An out-edge into an earlier vertex
+    differentiates that vertex's coefficient at once, into a later one
+    waits for its placement, into a ground vertex adds to that slot.  A
+    branch ends at its first zero partial, as the term it would build
+    is zero.  A full assignment multiplies the coefficients in vertex
+    order and is kept unless the product is zero.  Partials commute, so
+    every term keeps its value and cap; the terms are one flat
+    sparse_sum, so their order does not matter either.
     """
     n, m = graph.n, graph.m
     if len(fields) != n:
         raise ValueError("need %d aerial fields, got %d" % (n, len(fields)))
     dim = fields[0].dim if fields else 1
-    for v in range(1, n + 1):
-        if graph.out_degree(v) != fields[v - 1].degree + 1:
-            return PolyDiffOp.zero(dim, m - 1)
-    out_lists = [graph.out_edges(v) for v in range(1, n + 1)]
-    in_lists = [graph.in_edges(v) for v in range(1, n + m + 1)]
+    targets = [[] for _ in range(n)]  # edges are sorted: in target order
+    for v, t in graph.edges:
+        targets[v - 1].append(t)
+    if any(len(out) != f.degree + 1 for out, f in zip(targets, fields)):
+        return PolyDiffOp.zero(dim, m - 1)
+    coeffs = [None] * n               # placed vertices, partials so far
+    waiting = [[] for _ in range(n)]  # axes of in-edges from earlier ones
+    slots = [[0] * dim for _ in range(m)]
+    terms = []
 
-    def terms():
-        for choice in _cartesian(*map(hkr_components, fields)):
-            axis = {}
-            for out, (axes, _) in zip(out_lists, choice):
-                axis.update(zip(out, axes))
-            coeff = _term_coefficient(choice, in_lists, axis, dim)
+    def place(v, sign):
+        if v > n:
+            coeff = None
+            for c in coeffs:
+                coeff = c if coeff is None else coeff * c
+                if coeff.is_zero():
+                    return
             if coeff is None:
-                continue
-            slots = []
-            for g in range(n + 1, n + m + 1):
-                multi = [0] * dim
-                for e in in_lists[g - 1]:
-                    multi[axis[e] - 1] += 1
-                slots.append(tuple(multi))
-            yield tuple(slots), coeff
-    return PolyDiffOp._make(dim, m - 1, sparse_sum(terms()))
+                coeff = TruncatedSeries.const(dim, 1)
+            terms.append((tuple(map(tuple, slots)),
+                          coeff if sign == 1 else -coeff))
+            return
+        for key, coeff in fields[v - 1].comps.items():
+            for a in waiting[v - 1]:
+                coeff = coeff.partial(a)
+                if coeff.is_zero():
+                    break
+            else:
+                coeffs[v - 1] = coeff
+                assign(v, 0, key, sign)
+
+    def assign(v, k, free, sign):
+        if k == len(targets[v - 1]):
+            place(v + 1, sign)
+            return
+        t = targets[v - 1][k]
+        for p, a in enumerate(free):
+            rest = free[:p] + free[p + 1:]
+            s = -sign if p % 2 else sign
+            if t > n:
+                slots[t - n - 1][a - 1] += 1
+                assign(v, k + 1, rest, s)
+                slots[t - n - 1][a - 1] -= 1
+            elif t > v:
+                waiting[t - 1].append(a)
+                assign(v, k + 1, rest, s)
+                waiting[t - 1].pop()
+            else:
+                old = coeffs[t - 1]
+                coeffs[t - 1] = old.partial(a)
+                if not coeffs[t - 1].is_zero():
+                    assign(v, k + 1, rest, s)
+                coeffs[t - 1] = old
+
+    place(1, 1)
+    return PolyDiffOp._make(dim, m - 1, sparse_sum(terms))
 
 
 def u_one(field):
@@ -157,36 +183,45 @@ class MaurerCartanData:
         self.fields = fields
         self.s = len(fields)
 
-    def component(self, alpha, i):
-        """Series coefficient of d/dt_i in omega_alpha (1-based both)."""
-        return self.fields[alpha - 1].comps.get((i,))
-
 
 def xi_matrix(mc):
     """Matrix with entries sum_alpha eta_alpha d(d_j omega^i_alpha).
 
-    Its container cap is the lowest cap among the twisting fields.
+    Its container cap is the lowest cap among the twisting fields.  Only
+    stored components are visited, and a first partial that vanishes
+    is not differentiated again.
     """
     dim = mc.dim
     caps = [s.cap for f in mc.fields for s in f.comps.values()]
     cap = min(caps) if caps else DEFAULT_CAP
-    entries = []
-    for i in range(1, dim + 1):
-        row = []
-        for j in range(1, dim + 1):
-            terms = {}
-            for alpha in range(1, mc.s + 1):
-                comp = mc.component(alpha, i)
-                if comp is None:
-                    continue
+    terms = [[{} for _ in range(dim)] for _ in range(dim)]
+    for alpha, field in enumerate(mc.fields, 1):
+        for (i,), comp in field.comps.items():
+            for j in range(1, dim + 1):
                 dcomp = comp.partial(j)
+                if dcomp.is_zero():
+                    continue
                 for k in range(1, dim + 1):
                     c = dcomp.partial(k)
                     if c:
-                        terms[(alpha,), (k,)] = c
-            row.append(EtaFormScalar._make(dim, cap, terms))
-        entries.append(row)
-    return SeriesMatrix(entries)
+                        terms[i - 1][j - 1][(alpha,), (k,)] = c
+    return SeriesMatrix([[EtaFormScalar._make(dim, cap, t) for t in row]
+                         for row in terms])
+
+
+def _row_times(row, rows):
+    """One sparse row times a matrix of sparse rows: a sparse row.
+
+    Each entry is a running + over the inner index in ascending order,
+    as in SeriesMatrix.__mul__, with the products of a zero entry left
+    out: rows hold only nonzero entries, keyed in ascending order.
+    """
+    out = {}
+    for k, a in row.items():
+        for j, b in rows[k].items():
+            p = a * b
+            out[j] = out[j] + p if j in out else p
+    return {j: e for j, e in sorted(out.items()) if e}
 
 
 def theta_and_det(xi):
@@ -196,34 +231,41 @@ def theta_and_det(xi):
     its x^l coefficient is (-1)^{l(l-1)/2} W_l / l, zero for odd l.  So
     Tr Theta = sum_k theta_{2k} Tr Xi^{2k}, and only that trace is built,
     from half the powers: Tr Xi^{2k} = sum_{i,j} (Xi^k)_{ij} (Xi^k)_{ji},
-    each piece at the lowest cap of the products it sums.  Every term of
-    every entry must carry a dt (ValueError otherwise), so Tr Xi^{2k} = 0
-    once 2k exceeds the number d of dt generators: only Xi^k with
-    k <= d/2 is built, and the loop stops early at the first zero power.
+    one flat sum over the products.  Every term of every entry must carry
+    a dt (ValueError otherwise), so Tr Xi^{2k} = 0 once 2k exceeds the
+    number d of dt generators: only Xi^k with k <= d/2 is built, and the
+    loop stops early at the first zero power.
+
+    Xi is read as sparse rows {column: entry} of its nonzero entries, and
+    the rows of Xi^k come from nonzero factors only.  Leaving out a
+    product with a zero factor changes nothing: every sum and product
+    here takes the lowest cap of its operands, and a nonzero Xi puts its
+    lowest entry cap on Tr Xi^2, so each piece is built at that cap.
     """
     if not xi.all_even_grade():
         raise ValueError("Xi entries must have even total grade")
     if any(not form for row in xi.entries for e in row for _, form in e.terms):
         raise ValueError("every term of every Xi entry must carry a dt")
-    zero = xi.entries[0][0].zero_like()  # fixes dim and cap
+    zero = xi.entries[0][0].zero_like()  # fixes dim, and cap if Xi = 0
+    cap = min(e.cap for row in xi.entries for e in row)
     half = zero.dim // 2
     theta = theta_series(2 * half)
-
-    def flat_sum(scalars):
-        return EtaFormScalar._make(
-            zero.dim, min(p.cap for p in scalars),
-            sparse_sum(pair for p in scalars for pair in p.terms.items()))
+    rows = [{j: e for j, e in enumerate(row) if e} for row in xi.entries]
     pieces = [zero]
-    power = xi
+    power = rows
     for k in range(1, half + 1):
         if k > 1:
-            power = power * xi
-        if power.is_zero():
+            power = [_row_times(row, rows) for row in power]
+        if not any(power):
             break
-        e = power.entries
-        pieces.append(flat_sum([e[i][j] * e[j][i] for i in range(xi.size)
-                                for j in range(xi.size)]).scale(theta[2 * k]))
-    return flat_sum(pieces).exp()
+        trace = sparse_sum(pair for i, row in enumerate(power)
+                           for j, e in row.items() if i in power[j]
+                           for pair in (e * power[j][i]).terms.items())
+        pieces.append(
+            EtaFormScalar._make(zero.dim, cap, trace).scale(theta[2 * k]))
+    return EtaFormScalar._make(
+        zero.dim, min(p.cap for p in pieces),
+        sparse_sum(pair for p in pieces for pair in p.terms.items())).exp()
 
 
 def closed_form_map(mc, field):

@@ -107,6 +107,18 @@ def test_formality_command(capsys):
     assert set(rep["graph_side"]) == set(rep["closed_side"])
 
 
+def test_formality_report_times_each_side(capsys):
+    code, out, _ = run_cli(capsys, "formality", "--d", "3", "--s", "2",
+                           "--gamma", "1,2,3")
+    assert code == 0
+    timings = json.loads(out)["timings"]
+    assert set(timings) == {"seconds", "stages"}
+    assert set(timings["stages"]) == {"graph_side", "closed_side"}
+    values = [timings["seconds"], *timings["stages"].values()]
+    assert all(isinstance(x, float) and x >= 0 for x in values)
+    assert sum(timings["stages"].values()) <= timings["seconds"] + 0.002
+
+
 def test_verify_single_suite(capsys):
     code, out, _ = run_cli(capsys, "verify", "weights-closed")
     assert code == 0

@@ -6,6 +6,7 @@ in the comments so they can be re-checked without any code.
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import factorial
 
 import pytest
@@ -20,7 +21,8 @@ from formaldisk import (AdmissibleGraph, DifferentialForm, EtaFormScalar,
                         exp_half_series, sinh_quotient_series,
                         UnivariateSeries)
 from formaldisk.cli import _standard_pair
-from formaldisk.suites import random_field
+from formaldisk.graphs import wheel_survivors
+from formaldisk.suites import random_field, random_series
 
 import helpers
 from helpers import wheel_graph_weight
@@ -124,6 +126,35 @@ def test_graph_operator_sum_is_independent_of_term_order():
         op = graph_operator(G, fields)
         assert op == helpers.graph_operator_bruteforce(G, fields)
         assert op.terms == {(): TruncatedSeries.const(dim, 1, CAP - 3)}
+
+
+def _mixed_cap_field(rng, dim, factors):
+    # up to two stored keys, each a polynomial of degree up to 4 at its
+    # own cap in 3..8, so that partials vanish and products truncate at
+    # several depths
+    keys = list(combinations(range(1, dim + 1), factors))
+    return PolyVectorField(dim, factors - 1, {
+        key: random_series(rng, dim, rng.randint(3, 8), 4, 4)
+        for key in rng.sample(keys, min(2, len(keys)))})
+
+
+def test_graph_operator_matches_bruteforce_on_wheel_survivors():
+    # the wheel families at d = 3: the center's spokes differentiate
+    # cycle vertices that are already placed, the branch the walk cuts
+    # at its first zero partial
+    rng = random.Random(18)
+    dim = 3
+    nonzero = 0
+    for j in (2, 3):
+        for m in (0, 1, 2):
+            for g, _ in wheel_survivors(j, m):
+                for _ in range(4):
+                    fields = [_mixed_cap_field(rng, dim, g.out_degree(v))
+                              for v in range(1, g.n + 1)]
+                    op = graph_operator(g, fields)
+                    assert op == helpers.graph_operator_bruteforce(g, fields)
+                    nonzero += not op.is_zero()
+    assert nonzero >= 8
 
 
 def test_wheel_graph_weight_values():
@@ -397,6 +428,37 @@ def test_det_matches_the_reference_on_paired_data(dim):
 @pytest.mark.parametrize("seed", range(24))
 def test_det_matches_the_reference_on_mixed_caps(seed):
     _assert_det_matches_reference(_mixed_cap_twisting(seed))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+def test_det_matches_the_reference_on_benchmark_data(dim):
+    # omega_alpha = c_alpha t_a t_b d_alpha: at most two nonzero entries
+    # per row of Xi, the sparsity theta_and_det's rows are built for.
+    # On this data det carries an eta-word at even d only; at odd d
+    # every trace cancels and det = 1
+    mc = _benchmark_style((dim, dim, dim), dim)[0]
+    assert all(sum(not e.is_zero() for e in row) <= 2
+               for row in xi_matrix(mc).entries)
+    det = _assert_det_matches_reference(mc)
+    assert any(eta for eta, _ in det.terms) == (dim % 2 == 0)
+
+
+def test_det_stops_at_a_zero_power_below_d_over_2():
+    # omega_1 = t2^2 d1, omega_2 = t3^2 d2 at d = 8: Xi^1_2 = 2 eta_1 dt2
+    # and Xi^2_3 = 2 eta_2 dt3, so Xi^2 has the one entry
+    # (1, 3) = 4 eta_1 dt2 eta_2 dt3, and Xi^3 = 0 ends the loop before
+    # k = d/2 = 4.  Xi is strictly upper triangular, so every trace is
+    # zero: the two nonzero powers give empty pieces, and det = 1
+    dim = 8
+    t2 = TruncatedSeries.variable(dim, 2, CAP)
+    t3 = TruncatedSeries.variable(dim, 3, CAP)
+    mc = MaurerCartanData([PolyVectorField(dim, 0, {(1,): t2 * t2}),
+                           PolyVectorField(dim, 0, {(2,): t3 * t3})])
+    xi = xi_matrix(mc)
+    square = xi * xi
+    assert not square.is_zero() and (square * xi).is_zero()
+    det = _assert_det_matches_reference(mc)
+    assert det == det.one_like()
 
 
 def _two_term_twisting(dim, seed, cap):
