@@ -19,8 +19,7 @@ from .polyvector import (PolyVectorField, DifferentialForm,
                          pairing, sort_with_sign)
 from .polydiff import (PolyDiffOp, bullet, cup, gerstenhaber_bracket,
                        hochschild_differential, hkr)
-from .etalgebra import (EtaFormScalar, EtaField, EtaOperator,
-                        contract_scalar_into_field, hkr_eta)
+from .etalgebra import EtaFormScalar, EtaField, EtaOperator
 from .graphs import (AdmissibleGraph, enumerate_graphs, vanishing_tag,
                      WheelFamily, classify_wheels, wheel_graph,
                      cycle_type_multiplicity, cycle_type_of_wheelish,
@@ -47,7 +46,6 @@ __all__ = [
     "PolyDiffOp", "bullet", "cup", "gerstenhaber_bracket",
     "hochschild_differential", "hkr",
     "EtaFormScalar", "EtaField", "EtaOperator",
-    "contract_scalar_into_field", "hkr_eta",
     "AdmissibleGraph", "enumerate_graphs", "vanishing_tag", "WheelFamily",
     "classify_wheels", "wheel_graph", "cycle_type_multiplicity",
     "cycle_type_of_wheelish", "graphs_with_profile", "gamma0",

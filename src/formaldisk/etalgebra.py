@@ -25,8 +25,7 @@ from math import factorial
 
 from .series import (DEFAULT_CAP, SparseSum, TruncatedSeries,
                      nilpotent_powers, sparse_sum)
-from .polyvector import DifferentialForm, contract, sort_with_sign
-from .polydiff import hkr
+from .polyvector import DifferentialForm, sort_with_sign
 
 
 class EtaFormScalar(SparseSum):
@@ -169,16 +168,3 @@ class EtaField(_EtaGraded):
 
 class EtaOperator(_EtaGraded):
     """eta-word -> PolyDiffOp."""
-
-
-def contract_scalar_into_field(scalar, field):
-    """(sum eta_S tensor u_S) acting on an eta-free field by contraction."""
-    return EtaField._make(field.dim, sparse_sum(
-        (eta, contract(form, field))
-        for eta, form in scalar.eta_parts().items()))
-
-
-def hkr_eta(efield):
-    """Apply the HKR map to every eta component."""
-    return EtaOperator._make(efield.dim, sparse_sum(
-        (eta, hkr(f)) for eta, f in efield.parts.items()))

@@ -49,16 +49,17 @@ rows, from products of nonzero entries only.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import factorial
 
 from .series import (DEFAULT_CAP, TruncatedSeries, SeriesMatrix,
-                     UnivariateSeries, bernoulli_numbers, sparse_sum)
-from .polydiff import PolyDiffOp
+                     UnivariateSeries, bernoulli_numbers, nilpotent_powers,
+                     sparse_sum)
+from .polyvector import contract
+from .polydiff import PolyDiffOp, hkr
 from .graphs import gamma0, wheel_survivors
 from .weights import theta_series
-from .etalgebra import (EtaFormScalar, EtaOperator,
-                        contract_scalar_into_field, hkr_eta)
+from .etalgebra import EtaFormScalar, EtaOperator
 
 
 # ---------------------------------------------------------------------
@@ -187,14 +188,15 @@ class MaurerCartanData:
 def xi_matrix(mc):
     """Matrix with entries sum_alpha eta_alpha d(d_j omega^i_alpha).
 
-    Its container cap is the lowest cap among the twisting fields.  Only
-    stored components are visited, and a first partial that vanishes
-    is not differentiated again.
+    Its rows hold the nonzero entries, each at the lowest cap among the
+    twisting fields, the container cap.  Only stored components are
+    visited, and a first partial that vanishes is not differentiated
+    again.
     """
     dim = mc.dim
     caps = [s.cap for f in mc.fields for s in f.comps.values()]
     cap = min(caps) if caps else DEFAULT_CAP
-    terms = [[{} for _ in range(dim)] for _ in range(dim)]
+    rows = [{} for _ in range(dim)]
     for alpha, field in enumerate(mc.fields, 1):
         for (i,), comp in field.comps.items():
             for j in range(1, dim + 1):
@@ -204,24 +206,10 @@ def xi_matrix(mc):
                 for k in range(1, dim + 1):
                     c = dcomp.partial(k)
                     if c:
-                        terms[i - 1][j - 1][(alpha,), (k,)] = c
-    return SeriesMatrix([[EtaFormScalar._make(dim, cap, t) for t in row]
-                         for row in terms])
-
-
-def _row_times(row, rows):
-    """One sparse row times a matrix of sparse rows: a sparse row.
-
-    Each entry is a running + over the inner index in ascending order,
-    as in SeriesMatrix.__mul__, with the products of a zero entry left
-    out: rows hold only nonzero entries, keyed in ascending order.
-    """
-    out = {}
-    for k, a in row.items():
-        for j, b in rows[k].items():
-            p = a * b
-            out[j] = out[j] + p if j in out else p
-    return {j: e for j, e in sorted(out.items()) if e}
+                        rows[i - 1].setdefault(j - 1, {})[(alpha,), (k,)] = c
+    return SeriesMatrix._make(
+        [{j: EtaFormScalar._make(dim, cap, t) for j, t in sorted(row.items())}
+         for row in rows], EtaFormScalar._make(dim, cap, {}))
 
 
 def theta_and_det(xi):
@@ -236,42 +224,37 @@ def theta_and_det(xi):
     number d of dt generators: only Xi^k with k <= d/2 is built, and the
     loop stops early at the first zero power.
 
-    Xi is read as sparse rows {column: entry} of its nonzero entries, and
-    the rows of Xi^k come from nonzero factors only.  Leaving out a
-    product with a zero factor changes nothing: every sum and product
-    here takes the lowest cap of its operands, and a nonzero Xi puts its
-    lowest entry cap on Tr Xi^2, so each piece is built at that cap.
+    The powers are SeriesMatrix products, which take no product of a zero
+    entry.  That changes nothing here: every sum and product takes the
+    lowest cap of its operands, and a nonzero Xi puts its lowest entry
+    cap on Tr Xi^2, so each piece is built at that cap.
     """
     if not xi.all_even_grade():
         raise ValueError("Xi entries must have even total grade")
-    if any(not form for row in xi.entries for e in row for _, form in e.terms):
+    entries = [xi.zero] + [e for row in xi.rows for e in row.values()]
+    if any(not form for e in entries for _, form in e.terms):
         raise ValueError("every term of every Xi entry must carry a dt")
-    zero = xi.entries[0][0].zero_like()  # fixes dim, and cap if Xi = 0
-    cap = min(e.cap for row in xi.entries for e in row)
-    half = zero.dim // 2
-    theta = theta_series(2 * half)
-    rows = [{j: e for j, e in enumerate(row) if e} for row in xi.entries]
-    pieces = [zero]
-    power = rows
-    for k in range(1, half + 1):
-        if k > 1:
-            power = [_row_times(row, rows) for row in power]
-        if not any(power):
-            break
-        trace = sparse_sum(pair for i, row in enumerate(power)
-                           for j, e in row.items() if i in power[j]
-                           for pair in (e * power[j][i]).terms.items())
-        pieces.append(
-            EtaFormScalar._make(zero.dim, cap, trace).scale(theta[2 * k]))
+    dim, cap = xi.zero.dim, min(e.cap for e in entries)
+    theta = theta_series(2 * (dim // 2))
+    pieces = [xi.zero]
+    for k, power in islice(nilpotent_powers(xi, dim), dim // 2):
+        rows = power.rows
+        trace = sparse_sum(pair for i, row in enumerate(rows)
+                           for j, e in row.items() if i in rows[j]
+                           for pair in (e * rows[j][i]).terms.items())
+        pieces.append(EtaFormScalar._make(dim, cap, trace).scale(theta[2 * k]))
     return EtaFormScalar._make(
-        zero.dim, min(p.cap for p in pieces),
+        dim, min(p.cap for p in pieces),
         sparse_sum(pair for p in pieces for pair in p.terms.items())).exp()
 
 
 def closed_form_map(mc, field):
-    """hkr(det(exp Theta) ^ field): the closed form of the twisted map."""
+    """hkr(det(exp Theta) ^ field): each eta-word's form of the
+    determinant is contracted into field and quantized."""
     det = theta_and_det(xi_matrix(mc))
-    return hkr_eta(contract_scalar_into_field(det, field))
+    return EtaOperator._make(field.dim, sparse_sum(
+        (eta, hkr(contract(form, field)))
+        for eta, form in det.eta_parts().items()))
 
 
 # ---------------------------------------------------------------------

@@ -224,13 +224,10 @@ def gerstenhaber_bracket(d1, d2):
     return b1 + b2 if (d1.degree * d2.degree) % 2 else b1 - b2
 
 
-def hochschild_differential(d, cap=None):
-    """d = [m, -] with m the multiplication operator."""
-    if cap is None:
-        caps = [c.cap for c in d.terms.values()]
-        cap = min(caps) if caps else DEFAULT_CAP
-    m = PolyDiffOp.multiplication(d.dim, cap)
-    return gerstenhaber_bracket(m, d)
+def hochschild_differential(d):
+    """d = [m, -], m the multiplication operator at d's lowest cap."""
+    cap = min((c.cap for c in d.terms.values()), default=DEFAULT_CAP)
+    return gerstenhaber_bracket(PolyDiffOp.multiplication(d.dim, cap), d)
 
 
 def hkr(field):

@@ -90,11 +90,6 @@ class _Alternating(GradedSum):
         comps = {key: coeff if sign == 1 else -coeff} if sign else {}
         return cls(dim, len(axes) - cls._shift, comps)
 
-    def cap(self):
-        if not self.comps:
-            return None
-        return min(s.cap for s in self.comps.values())
-
     def component(self, idx):
         """Signed component at an arbitrary (possibly unsorted) tuple."""
         sign, key = sort_with_sign(idx)
@@ -155,10 +150,6 @@ class DifferentialForm(_Alternating):
     @classmethod
     def zero(cls, dim, degree=0):
         return cls(dim, degree)
-
-    @classmethod
-    def from_basis(cls, dim, axes, coeff):
-        return cls.from_wedge(dim, axes, coeff)
 
 
 def exterior_derivative(series):

@@ -476,73 +476,73 @@ def useries_exp(f):
 # matrices with series entries
 # ---------------------------------------------------------------------
 
+def _sparse_row(pairs, start=()):
+    """One sparse_sum of (column, entry) pairs, columns ascending."""
+    return dict(sorted(sparse_sum(pairs, start).items()))
+
+
 class SeriesMatrix:
-    """Square matrix over an exact coefficient ring.
+    """Square matrix over an exact coefficient ring, as sparse rows.
 
     Entries are TruncatedSeries or any object with the same arithmetic
     protocol (add, mul, scale, zero_like, one_like, is_zero,
-    has_even_grade).
-    Trace powers require every entry to sit in even total grade, which
-    keeps the entry ring commutative.
+    has_even_grade).  rows[i] maps a column j to the nonzero entry
+    (i, j), columns ascending; zero is the entry ring's zero, for a
+    grid that of its first entry.  Trace powers require every entry to
+    sit in even total grade, which keeps the entry ring commutative.
     """
 
-    __slots__ = ("size", "entries")
+    __slots__ = ("size", "rows", "zero")
 
     def __init__(self, entries):
         size = len(entries)
         if size == 0 or any(len(row) != size for row in entries):
             raise ValueError("square nonempty entry grid required")
         self.size = size
-        self.entries = [list(row) for row in entries]
+        self.rows = [{j: e for j, e in enumerate(row) if e} for row in entries]
+        self.zero = entries[0][0].zero_like()
 
-    def _zero(self):
-        return self.entries[0][0].zero_like()
-
-    def _one(self):
-        return self.entries[0][0].one_like()
+    @classmethod
+    def _make(cls, rows, zero):
+        """Trusted constructor: rows already sparse, columns ascending."""
+        self = object.__new__(cls)
+        self.size, self.rows, self.zero = len(rows), rows, zero
+        return self
 
     @classmethod
     def identity_like(cls, mat):
-        z, o = mat._zero(), mat._one()
-        return cls([[o if i == j else z for j in range(mat.size)]
-                    for i in range(mat.size)])
+        one = mat.zero.one_like()
+        return cls._make([{i: one} for i in range(mat.size)], mat.zero)
 
     def is_zero(self):
-        return all(e.is_zero() for row in self.entries for e in row)
+        return not any(self.rows)
 
     def __add__(self, other):
         if self.size != other.size:
             raise ValueError("size mismatch")
-        return SeriesMatrix([[a + b for a, b in zip(r1, r2)]
-                             for r1, r2 in zip(self.entries, other.entries)])
+        return SeriesMatrix._make([_sparse_row(r2.items(), r1) for r1, r2
+                                   in zip(self.rows, other.rows)], self.zero)
 
     def __mul__(self, other):
+        """Each entry is a running + over the inner index in ascending
+        order, with no product taken for a zero entry.  That is exact
+        when every entry carries one cap, as Xi's do; otherwise an entry
+        takes the lowest cap among its nonzero products."""
         if self.size != other.size:
             raise ValueError("size mismatch")
-        n = self.size
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                # from the first product: the cap is this entry's own
-                acc = self.entries[i][0] * other.entries[0][j]
-                for k in range(1, n):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            out.append(row)
-        return SeriesMatrix(out)
+        return SeriesMatrix._make(
+            [_sparse_row((j, a * b) for k, a in row.items()
+                         for j, b in other.rows[k].items())
+             for row in self.rows], self.zero)
 
     def scale(self, c):
-        return SeriesMatrix([[e.scale(c) for e in row] for row in self.entries])
-
-    def trace(self):
-        acc = self._zero()
-        for i in range(self.size):
-            acc = acc + self.entries[i][i]
-        return acc
+        return SeriesMatrix._make(
+            [{j: v for j, e in row.items() if (v := e.scale(c))}
+             for row in self.rows], self.zero)
 
     def all_even_grade(self):
-        return all(e.has_even_grade() for row in self.entries for e in row)
+        return all(e.has_even_grade()
+                   for row in self.rows for e in row.values())
 
 
 def nilpotent_powers(x, kmax):

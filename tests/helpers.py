@@ -18,8 +18,10 @@ numerators over one denominator that TruncatedSeries stores.
 """
 
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 from math import comb, factorial
+from operator import add
 
 
 # -- Bernoulli numbers from the defining recurrence -------------------
@@ -520,13 +522,33 @@ def twisted_first_taylor_ordered(mc, field, j_max=None):
     return EtaOperator._make(dim, sparse_sum(terms()))
 
 
+# -- matrix product over every entry pair -----------------------------
+
+def dense_entries(mat):
+    """The full entry grid of a SeriesMatrix, its zero in every gap."""
+    return [[row.get(j, mat.zero) for j in range(mat.size)]
+            for row in mat.rows]
+
+
+def matrix_mul_reference(a, b):
+    """a * b from all n^3 entry products, zero entries included.
+
+    Each entry is a running + over the inner index in ascending order.
+    """
+    from formaldisk import SeriesMatrix
+    x, y, n = dense_entries(a), dense_entries(b), a.size
+    return SeriesMatrix([[reduce(add, (x[i][k] * y[k][j] for k in range(n)))
+                          for j in range(n)] for i in range(n)])
+
+
 # -- det exp Theta, one wheel weight per power ------------------------
 
 def theta_and_det_reference(xi, max_length=None):
     """det(exp Theta), Theta = sum_l (-1)^{l(l-1)/2} (W_l / l) Xi^l.
 
-    The powers start from the identity times Xi, and each power's
-    coefficient comes from wheel_weight_closed(l).
+    The powers start from the identity times Xi, each taken by
+    matrix_mul_reference; each power's trace is a running + down the
+    diagonal, and its coefficient comes from wheel_weight_closed(l).
     """
     from formaldisk import EtaFormScalar, SeriesMatrix, wheel_weight_closed
     from formaldisk.series import sparse_sum
@@ -534,17 +556,19 @@ def theta_and_det_reference(xi, max_length=None):
         raise ValueError("Xi entries must have even total grade")
     if max_length is None:
         max_length = 2 * xi.size + 2  # eta nilpotence cuts off earlier
-    pieces = [xi.entries[0][0].zero_like()]  # fixes dim and cap
+    pieces = [xi.zero]  # fixes dim and cap
     power = SeriesMatrix.identity_like(xi)
     for l in range(1, max_length + 1):
-        power = power * xi
+        power = matrix_mul_reference(power, xi)
         if power.is_zero():
             break
         w = wheel_weight_closed(l)
         if w == 0:
             continue
         sign = (-1) ** ((l * (l - 1) // 2) % 2)
-        pieces.append(power.trace().scale(Fraction(sign) * w / l))
+        grid = dense_entries(power)
+        trace = reduce(add, (grid[i][i] for i in range(power.size)), xi.zero)
+        pieces.append(trace.scale(Fraction(sign) * w / l))
     trace_theta = EtaFormScalar._make(
         pieces[0].dim, min(p.cap for p in pieces),
         sparse_sum(pair for p in pieces for pair in p.terms.items()))

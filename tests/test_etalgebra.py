@@ -3,9 +3,7 @@ from fractions import Fraction
 import pytest
 
 from formaldisk import (EtaField, EtaFormScalar, EtaOperator, PolyDiffOp,
-                        PolyVectorField, TruncatedSeries, contract,
-                        contract_scalar_into_field, hkr, hkr_eta,
-                        sort_with_sign)
+                        PolyVectorField, TruncatedSeries, sort_with_sign)
 from formaldisk.etalgebra import _form_from_parts
 
 
@@ -84,33 +82,6 @@ def test_eta_word_sign():
     assert sort_with_sign((1, 2, 3)) == (1, (1, 2, 3))
     sign, _ = sort_with_sign((1, 1))
     assert sign == 0
-
-
-def test_contract_scalar_into_field():
-    dim = 2
-    cap = 6
-    gamma = PolyVectorField.from_wedge(dim, (1, 2))
-    scalar = EtaFormScalar.one(dim, cap) + (gen(dim, 1) * gen(dim, 2)
-                                            * dt(dim, 1) * dt(dim, 2)).scale(5)
-    out = contract_scalar_into_field(scalar, gamma)
-    assert set(out.parts) == {(), (1, 2)}
-    assert out.parts[()].agrees_with(gamma, cap)
-    # dt1 dt2 contracted into d1^d2 is -1, scaled by 5
-    fn = out.parts[(1, 2)]
-    assert fn.degree == -1
-    assert fn.as_function().constant_term() == -5
-
-
-def test_hkr_eta_maps_componentwise():
-    dim = 2
-    t1 = TruncatedSeries.variable(dim, 1, 6)
-    f1 = PolyVectorField(dim, 0, {(1,): t1})
-    f2 = PolyVectorField.from_wedge(dim, (1, 2))
-    ef = EtaField(dim, {(1,): f1, (1, 2): f2})
-    out = hkr_eta(ef)
-    assert isinstance(out, EtaOperator)
-    assert out.parts[(1,)] == hkr(f1)
-    assert out.parts[(1, 2)] == hkr(f2)
 
 
 def test_eta_graded_validation():

@@ -47,9 +47,9 @@ def test_wedge_antisymmetry_and_square():
 
 def test_wedge_forms_assoc_instance():
     t = tvars(3)
-    a = DifferentialForm.from_basis(3, (1,), t[0])
-    b = DifferentialForm.from_basis(3, (2,), t[2])
-    c = DifferentialForm.from_basis(3, (3,), 1)
+    a = DifferentialForm.from_wedge(3, (1,), t[0])
+    b = DifferentialForm.from_wedge(3, (2,), t[2])
+    c = DifferentialForm.from_wedge(3, (3,), 1)
     left = wedge_forms(wedge_forms(a, b), c)
     right = wedge_forms(a, wedge_forms(b, c))
     assert left == right
@@ -178,7 +178,7 @@ def test_schouten_is_a_graded_derivation_of_the_wedge():
 def test_pairing_and_contract():
     dim = 3
     t = tvars(dim)
-    form = DifferentialForm.from_basis(dim, (1, 2), 1)
+    form = DifferentialForm.from_wedge(dim, (1, 2), 1)
     field = PolyVectorField.from_wedge(dim, (1, 2), t[2])
     full = pairing(form, field)
     assert not full.is_zero()
@@ -188,7 +188,7 @@ def test_pairing_and_contract():
     assert res.degree == -1
     assert res.as_function() == -full
     # partial contraction: 1-form into 2-field leaves a vector field
-    one = DifferentialForm.from_basis(dim, (1,), 1)
+    one = DifferentialForm.from_wedge(dim, (1,), 1)
     partial = contract(one, PolyVectorField.from_wedge(dim, (1, 3)))
     assert partial.degree == 0
     assert (3,) in partial.comps

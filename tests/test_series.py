@@ -10,6 +10,7 @@ from formaldisk import (DEFAULT_CAP, TruncatedSeries, UnivariateSeries,
 from formaldisk.series import bernoulli_numbers
 import formaldisk
 
+import helpers
 from helpers import (bernoulli, series_add_reference, series_agrees_reference,
                      series_mul_reference, series_partial_reference,
                      series_scale_reference, useries_log)
@@ -230,9 +231,8 @@ def test_matrix_exp_of_strictly_triangular():
     z = TruncatedSeries.zero(2, 5)
     n = SeriesMatrix([[z, t1], [z, z]])
     e = matrix_exp(n)
-    assert e.entries[0][0] == TruncatedSeries.const(2, 1, 5)
-    assert e.entries[0][1] == t1
-    assert e.entries[1][0].is_zero()
+    assert e.rows == [{0: TruncatedSeries.const(2, 1, 5), 1: t1},
+                      {1: TruncatedSeries.const(2, 1, 5)}]
 
 
 def test_series_at_matrix_geometric():
@@ -246,21 +246,62 @@ def test_series_at_matrix_geometric():
     for _ in range(5):
         power = power * m
         acc = acc + power
-    assert all(val.entries[i][j] == acc.entries[i][j]
-               for i in range(2) for j in range(2))
+    assert val.rows == acc.rows
 
 
 def test_matrix_product_entry_caps_are_their_own():
     # M = [[t (cap 2), t (cap 6)], [t (cap 6), t (cap 6)]]: entry (1,1) of
     # M*M is t*t + t*t from cap-6 factors only, so 2 t^2 at cap 6; entry
-    # (0,0) has a cap-2 product and stays at cap 2, and so does the trace
+    # (0,0) has a cap-2 product and stays at cap 2
     low = TruncatedSeries.variable(1, 1, 2)
     t = TruncatedSeries.variable(1, 1, 6)
     sq = SeriesMatrix([[low, t], [t, t]]) * SeriesMatrix([[low, t], [t, t]])
-    assert sq.entries[1][1] == (t * t).scale(2)
-    assert sq.entries[1][1].cap == 6
-    assert sq.entries[0][1].cap == sq.entries[1][0].cap == 2
-    assert sq.entries[0][0].cap == sq.trace().cap == 2
+    assert sq.rows[1][1] == (t * t).scale(2)
+    assert sq.rows[1][1].cap == 6
+    assert sq.rows[0][1].cap == sq.rows[1][0].cap == 2
+    assert sq.rows[0][0].cap == 2
+
+
+def _sparse_nilpotent(rng, size, dim=2, cap=4):
+    # entries at one cap without constant term, about half of them zero:
+    # M^(cap+1) = 0
+    def entry():
+        terms = {}
+        for _ in range(rng.choice((0, 0, 1, 2, 3))):
+            exp = [0] * dim
+            for _ in range(rng.randint(1, cap)):
+                exp[rng.randrange(dim)] += 1
+            terms[tuple(exp)] = Fraction(rng.choice((-3, -1, 1, 2)),
+                                         rng.choice((1, 2, 3)))
+        return TruncatedSeries(dim, cap, terms)
+    return SeriesMatrix([[entry() for _ in range(size)] for _ in range(size)])
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_sparse_product_matches_the_dense_reference(seed):
+    # the product takes no product of a zero entry; over one cap that
+    # gives the dense running + exactly, and so does f(M)
+    rng = random.Random(seed)
+    size = rng.randint(2, 4)
+    a, b = _sparse_nilpotent(rng, size), _sparse_nilpotent(rng, size)
+    assert any(len(row) < size for row in a.rows + b.rows)
+    for x, y in ((a, b), (b, a), (a, a)):
+        ref = helpers.matrix_mul_reference(x, y)
+        got = x * y
+        assert got.rows == ref.rows and got.zero == ref.zero
+    f = UnivariateSeries([Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                          for _ in range(6)])
+    one, zero = a.zero.one_like(), a.zero
+    ref = [[one.scale(f[0]) if i == j else zero for j in range(size)]
+           for i in range(size)]
+    power = a
+    for k in range(1, f.order + 1):
+        for i, row in enumerate(helpers.dense_entries(power)):
+            for j, e in enumerate(row):
+                ref[i][j] = ref[i][j] + e.scale(f[k])
+        power = helpers.matrix_mul_reference(power, a)
+    assert power.is_zero()
+    assert series_at_matrix(f, a).rows == SeriesMatrix(ref).rows
 
 
 def test_nilpotent_powers_stop_at_the_first_vanishing_power():
@@ -270,7 +311,7 @@ def test_nilpotent_powers_stop_at_the_first_vanishing_power():
     powers = list(nilpotent_powers(m, 2))
     assert [k for k, _ in powers] == [1, 2]
     assert powers[0][1] is m
-    assert powers[1][1].entries[0][2] == t1 * t1
+    assert powers[1][1].rows[0] == {2: t1 * t1}
     assert (powers[1][1] * m).is_zero()
     # M^3 = 0, so any kmax >= 2 gives the same powers; kmax = 1 raises
     assert [k for k, _ in nilpotent_powers(m, 64)] == [1, 2]
