@@ -16,8 +16,8 @@ from . import __version__
 from .series import DEFAULT_CAP, TruncatedSeries
 from .polyvector import PolyVectorField
 from .graphs import AdmissibleGraph, enumerate_graphs, gamma0, opposite_wheel
-from .weights import (mc_weight, mc_weight_cached, moduli_dimension,
-                      wheel_weight_closed)
+from .weights import (check_seed, mc_weight, mc_weight_cached,
+                      moduli_dimension, wheel_weight_closed)
 from .formality import (MaurerCartanData, closed_form_map,
                         tilde_todd_series, todd_series, exp_half_series,
                         twisted_first_taylor)
@@ -140,8 +140,8 @@ def _cmd_weights(args, config):
         moduli_dimension(graph)  # mc_weight's own checks, before any work
         samples = _setting(args.samples, config, "samples", 200_000)
         workers = _setting(args.workers, config, "workers", 1)
-        seed = (args.seed if args.seed is not None
-                else _config_int(config, "seed", 0))
+        seed = check_seed(args.seed if args.seed is not None
+                          else _config_int(config, "seed", 0))
     except (ValueError, OSError, KeyError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
@@ -241,6 +241,7 @@ def _cmd_verify(args, config):
         if args.trials is not None:
             _at_least_one("trials", args.trials)
         if "mc-weights" in names:
+            check_seed(seed)
             small = _setting(args.samples, config, "samples", 100_000)
             workers = _setting(args.workers, config, "workers", 1)
     except ValueError as exc:

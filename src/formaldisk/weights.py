@@ -56,7 +56,12 @@ evaluated in blocks of BLOCK samples, small enough for the CPU cache:
 kernel redraws, the in-disk test 0 < r < 1, and only on the in-disk
 samples the mixture density, the chart, the determinant and the
 collision filter.  A sample that leaves the disk costs its
-draws and is counted as discarded.
+draws and is counted as discarded.  No libm sin or cos runs per
+sample: the direction of an angle theta comes from one tangent
+t = tan(theta/2) as (1 - t^2, 2t) / (1 + t^2), and a ground point's t
+also gives its chart point -1/t and chart factor (1 + 1/t^2) / 2.  The
+points stay Cartesian from the base draw on; a redraw writes the new
+point and its radius sqrt(x^2 + y^2).
 
 The reported weight carries the orientation prefactor
 (-1)^{E(E-1)/2} on top of the raw integral.
@@ -88,7 +93,7 @@ BASE_WEIGHT = 0.5
 # Cache rows carry this fingerprint and hit only on an exact match.  Bump
 # the version whenever a change can move a chunk's sums, even in the last
 # bits.
-SAMPLER_VERSION = 3
+SAMPLER_VERSION = 4
 SAMPLER = ("v%d chunk=%d rmin=%r rmax=%r base=%r margin=%r"
            % (SAMPLER_VERSION, CHUNK, KERNEL_RMIN, KERNEL_RMAX, BASE_WEIGHT,
               COLLISION_MARGIN))
@@ -211,7 +216,7 @@ def _det_plan(graph):
     structurally singular Jacobian, and its integrand is 0.
 
     With A, B, C an edge's Im(u - v), Re(u - v), Re(u + v) (see
-    _in_disk_values), its Cartesian partials are -(A, C) at its source,
+    _block_values), its Cartesian partials are -(A, C) at its source,
     (A, B) at an aerial target and A at a ground target.  The sources'
     minus signs are folded into the terms' signs.
 
@@ -267,85 +272,83 @@ def _det_plan(graph):
             np.triu_indices(n + m, 1))
 
 
-def _redraw(comps, r, ang, alpha, coin, rho_u, turn):
-    """Move the kernel-drawn samples of a block in place (r, ang views).
+def _direction(t):
+    """(cos theta, sin theta) from t = tan(theta/2), with no libm sin/cos."""
+    tt = t * t
+    return (1.0 - tt) / (1.0 + tt), 2.0 * t / (1.0 + tt)
 
-    The coin picks at most one component per sample, so a pair's centre
-    is always the partner's base draw.
+
+def _block_values(plan, comps, r, ang, alpha, coin=None, rho_u=None,
+                  turn=None):
+    """Integrand of one block of draws, and the number of samples dropped.
+
+    r and ang hold the sampled vertices' radii and angles, alpha the
+    ground points' angles, one sample per row; coin, rho_u and turn are
+    the kernel draws.  Every angle is in turns.  The work runs on one
+    row per coordinate, so that gathering a vertex's or an edge's values
+    is a contiguous copy.  The points are Cartesian rows of one centre
+    table: the sampled points, the ground points' boundary images
+    e^{i alpha}, then w = 1.  The coin picks at most one component per
+    sample, which moves its vertex to the centre plus the offset; so a
+    pair's centre is always the partner's base draw.  The integrand is
+    returned for the in-disk samples only, 0 where the collision filter
+    drops one.
+
+    On them the determinant is taken in Cartesian coordinates
+    z = x + iy of the points, times the chart's Jacobian determinant:
+    4 r / |1 - w|^4 per sampled vertex and dq/dalpha per ground point,
+    both positive.  Edge p -> q with u = 1/(z_q - z_p), v = 1/(z_q -
+    conj z_p) has the partials of _det_plan, each over 2 pi.
     """
-    p_comp = (1.0 - BASE_WEIGHT) / len(comps)
-    for ci, (kind, a, b) in enumerate(comps):
-        lo = BASE_WEIGHT + ci * p_comp
-        rows = np.flatnonzero((coin >= lo) & (coin < lo + p_comp))
-        if not rows.size:
-            continue
-        rho = KERNEL_RMIN * np.exp(rho_u[rows] * KERNEL_LOG)
-        w_new = rho * np.exp(1j * turn[rows] * TWO_PI)
-        if kind == "pair":
-            w_new += r[rows, a - 2] * np.exp(1j * ang[rows, a - 2])
-            v = b
-        elif kind == "ground":
-            w_new += np.exp(1j * alpha[rows, b - 1])
-            v = a
-        else:
-            w_new += 1.0
-            v = a
-        r[rows, v - 2] = np.abs(w_new)
-        ang[rows, v - 2] = np.mod(np.angle(w_new), TWO_PI)
-
-
-def _mixture_density(comps, r, wx, wy, alpha):
-    """Density of the sampling mixture at in-disk samples w = wx + i wy.
-
-    Arrays hold one row per coordinate and one column per sample.  Each
-    component's centre is a row of the sampled points, of the ground
-    points' boundary images e^{i alpha}, or w = 1 after them.
-    """
-    if not comps:
-        return np.ones(r.shape[1])
-    sampled, m = len(r), len(alpha)
-    v = np.array([b if kind == "pair" else a for kind, a, b in comps]) - 2
-    c = [a - 2 if kind == "pair" else sampled + b - 1 if kind == "ground"
-         else sampled + m for kind, a, b in comps]
-    cx = np.concatenate((wx, np.cos(alpha), np.ones((1, r.shape[1]))))
-    cy = np.concatenate((wy, np.sin(alpha), np.zeros((1, r.shape[1]))))
-    d2 = (wx[v] - cx[c]) ** 2 + (wy[v] - cy[c]) ** 2
-    k = np.where((d2 >= KERNEL_RMIN ** 2) & (d2 <= KERNEL_RMAX ** 2),
-                 r[v] / np.maximum(d2, KERNEL_RMIN ** 2), 0.0)
-    p_comp = (1.0 - BASE_WEIGHT) / len(comps)
-    return BASE_WEIGHT + p_comp / KERNEL_LOG * k.sum(axis=0)
-
-
-def _in_disk_values(graph, plan, comps, r, ang, alpha):
-    """Integrand and drop mask of in-disk samples (r, ang, alpha rows).
-
-    The determinant is taken in Cartesian coordinates z = x + iy of the
-    points, times the chart's Jacobian determinant: 4 r / |1 - w|^4 per
-    sampled vertex and dq/dalpha per ground point, both positive.  Edge
-    p -> q with u = 1/(z_q - z_p), v = 1/(z_q - conj z_p) has the partials
-    of _det_plan, each over 2 pi.  The work runs on one row per
-    coordinate, so that gathering a vertex's or an edge's values is a
-    contiguous copy.
-    """
-    n = graph.n
     src, tgt, (e1, e2, k1, k2), grounds, terms, signs, (i, j) = plan
+    size, sampled, m = len(r), r.shape[1], alpha.shape[1]
     r, ang, alpha = (a.T.copy() for a in (r, ang, alpha))
-    cos, sin = np.cos(ang), np.sin(ang)
-    denom = _mixture_density(comps, r, r * cos, r * sin, alpha)
+    t = np.tan(np.pi * alpha)
+    cos, sin = _direction(np.tan(np.pi * ang))
+    px, py = np.empty((2, sampled + m + 1 if comps else sampled, size))
+    px[:sampled], py[:sampled] = r * cos, r * sin
+    if comps:
+        px[sampled:-1], py[sampled:-1] = _direction(t)
+        px[-1], py[-1] = 1.0, 0.0
+        p_comp = (1.0 - BASE_WEIGHT) / len(comps)
+        v = np.array([b if kind == "pair" else a for kind, a, b in comps]) - 2
+        c = np.array([a - 2 if kind == "pair" else sampled + b - 1
+                      if kind == "ground" else sampled + m
+                      for kind, a, b in comps])
+        pick = np.searchsorted(BASE_WEIGHT + p_comp * np.arange(len(comps)),
+                               coin, "right") - 1
+        rows = np.flatnonzero(pick >= 0)
+        # flat indices of each moved sample's centre and vertex
+        at, to = (c[pick[rows]] * size + rows, v[pick[rows]] * size + rows)
+        ox, oy = _direction(np.tan(np.pi * turn[rows]))
+        rho = KERNEL_RMIN * np.exp(rho_u[rows] * KERNEL_LOG)
+        wx, wy = px.take(at) + rho * ox, py.take(at) + rho * oy
+        px.reshape(-1)[to], py.reshape(-1)[to] = wx, wy
+        r.reshape(-1)[to] = np.sqrt(wx * wx + wy * wy)
+    keep = np.flatnonzero(np.all((r > 0.0) & (r < 1.0), axis=0))
+    if len(keep) < size:
+        r, px, py, t = (a.take(keep, axis=1) for a in (r, px, py, t))
+    denom = 1.0
+    if comps:
+        # the mixture density: each component's kernel around its centre
+        d2 = (px[v] - px[c]) ** 2 + (py[v] - py[c]) ** 2
+        k = np.where((d2 >= KERNEL_RMIN ** 2) & (d2 <= KERNEL_RMAX ** 2),
+                     r[v] / np.maximum(d2, KERNEL_RMIN ** 2), 0.0)
+        denom = BASE_WEIGHT + p_comp / KERNEL_LOG * k.sum(axis=0)
 
     # the disk chart z = i(1+w)/(1-w), with |1-w|^2 from 1 - w = a - ib
     rc = np.clip(r, 1e-12, 1.0 - 1e-12)
-    a, b = 1.0 - rc * cos, rc * sin
+    scale = rc / r
+    a, b = 1.0 - px[:sampled] * scale, py[:sampled] * scale
     d = a * a + b * b
-    x = np.zeros((n + len(alpha), len(denom)))
+    x = np.zeros((sampled + 1 + m, t.shape[1]))
     y = np.zeros_like(x)
     y[0] = 1.0
-    x[1:n] = -2.0 * b / d
-    y[1:n] = (1.0 - rc) * (1.0 + rc) / d
-    x[n:] = -1.0 / np.tan(alpha / 2.0)
+    x[1:sampled + 1] = -2.0 * b / d
+    y[1:sampled + 1] = (1.0 - rc) * (1.0 + rc) / d
+    x[sampled + 1:] = -1.0 / t
     chart = (np.prod(4.0 * rc / (d * d), axis=0)
-             * np.prod(0.5 / np.sin(alpha / 2.0) ** 2, axis=0)
-             / TWO_PI ** len(src))
+             * np.prod(0.5 + 0.5 / (t * t), axis=0) / TWO_PI ** len(src))
 
     dx = x[tgt] - x[src]
     dy, sy = y[tgt] - y[src], y[tgt] + y[src]
@@ -362,7 +365,8 @@ def _in_disk_values(graph, plan, comps, r, ang, alpha):
     drop = (~np.isfinite(dets)
             | np.any((x[i] - x[j]) ** 2 + (y[i] - y[j]) ** 2
                      < COLLISION_MARGIN ** 2, axis=0))
-    return np.where(drop, 0.0, dets / denom), drop
+    return (np.where(drop, 0.0, dets / denom),
+            size - len(dets) + int(drop.sum()))
 
 
 def _chunk_sums(args):
@@ -370,10 +374,7 @@ def _chunk_sums(args):
 
     The chunk's whole random stream is drawn first, in a fixed order, so
     the result depends on (graph, chunk index, chunk size, seed) alone.
-    The samples are then evaluated BLOCK at a time: kernel redraws, the
-    in-disk test, and on in-disk samples only the mixture density, chart,
-    determinant and collision filter.  A discarded sample costs
-    its draws and nothing more.
+    The samples are then evaluated BLOCK at a time by _block_values.
     """
     graph_json, chunk_index, chunk_size, seed = args
     from .graphs import AdmissibleGraph
@@ -381,32 +382,24 @@ def _chunk_sums(args):
     n, m = graph.n, graph.m
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
                                                        spawn_key=(chunk_index,)))
-    r, ang, alpha = (np.empty((chunk_size, 0)) for _ in range(3))
-    if n > 1:
-        r = rng.random((chunk_size, n - 1))
-        ang = rng.random((chunk_size, n - 1)) * TWO_PI
-    if m > 0:
-        alpha = np.sort(rng.random((chunk_size, m)) * TWO_PI, axis=1)
+    # radii, angles and sorted ground angles (in turns), then coin,
+    # kernel radius and kernel angle
+    draws = [rng.random((chunk_size, n - 1)), rng.random((chunk_size, n - 1)),
+             np.sort(rng.random((chunk_size, m)), axis=1)]
     comps = _kernel_components(graph)
     if comps:
-        coin = rng.random(chunk_size)
-        rho_u = rng.random(chunk_size)
-        turn = rng.random(chunk_size)
+        draws += [rng.random(chunk_size) for _ in range(3)]
 
     plan = _det_plan(graph)
-    g = np.zeros(chunk_size)
+    s1 = s2 = 0.0
     discarded = 0
     for lo in range(0, chunk_size, BLOCK):
-        blk = slice(lo, lo + BLOCK)
-        rb, ab, alb = r[blk], ang[blk], alpha[blk]
-        if comps:
-            _redraw(comps, rb, ab, alb, coin[blk], rho_u[blk], turn[blk])
-        keep = np.flatnonzero(np.all((rb > 0.0) & (rb < 1.0), axis=1))
-        vals, drop = _in_disk_values(graph, plan, comps,
-                                     rb[keep], ab[keep], alb[keep])
-        g[lo + keep] = vals
-        discarded += len(rb) - len(keep) + int(drop.sum())
-    return float(g.sum()), float((g * g).sum()), chunk_size, discarded
+        g, dropped = _block_values(plan, comps,
+                                   *(a[lo:lo + BLOCK] for a in draws))
+        s1 += float(g.sum())
+        s2 += float((g * g).sum())
+        discarded += dropped
+    return s1, s2, chunk_size, discarded
 
 
 def _pool_size(workers, tasks):
@@ -429,6 +422,13 @@ def moduli_dimension(graph):
     return dim
 
 
+def check_seed(seed):
+    """The seed, unless numpy's seed sequences refuse it: ValueError."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError("seed must be a non-negative integer")
+    return seed
+
+
 def mc_weight(graph, samples, seed=0, workers=1, chunk_size=CHUNK):
     """Monte Carlo estimate of the weight of an admissible graph.
 
@@ -441,6 +441,7 @@ def mc_weight(graph, samples, seed=0, workers=1, chunk_size=CHUNK):
     dim = moduli_dimension(graph)
     if samples < 1:
         raise ValueError("need a positive sample count")
+    check_seed(seed)
     if chunk_size < 1:
         raise ValueError("need a positive chunk size")
     volume = (TWO_PI ** (n - 1 + m)) / math.factorial(m)

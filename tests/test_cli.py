@@ -233,6 +233,14 @@ def test_bad_numbers_exit_2_before_any_work(argv, monkeypatch, capsys):
      "seed must be an integer"),
     ({"seed": False}, ["verify", "hkr"], "seed must be an integer"),
     ({"seed": None}, ["verify", "hkr"], "seed must be an integer"),
+    ({"seed": -1}, ["weights", "mc", "--gamma0", "1"],
+     "seed must be a non-negative integer"),
+    ({"seed": -1}, ["verify", "mc-weights"],
+     "seed must be a non-negative integer"),
+    ({}, ["weights", "mc", "--wheel", "2", "--seed", "-1"],
+     "seed must be a non-negative integer"),
+    ({}, ["verify", "mc-weights", "--seed", "-1"],
+     "seed must be a non-negative integer"),
 ])
 def test_bad_config_values_exit_2(config, argv, message, tmp_path,
                                   monkeypatch, capsys):
@@ -245,6 +253,14 @@ def test_bad_config_values_exit_2(config, argv, message, tmp_path,
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and message in err
+
+
+def test_negative_seed_still_seeds_the_exact_trials(capsys):
+    # only numpy's Monte-Carlo streams refuse a negative seed
+    code, out, _ = run_cli(capsys, "verify", "gerstenhaber", "--seed", "-1",
+                           "--trials", "1")
+    assert code == 0
+    assert json.loads(out)["config"]["seed"] == -1
 
 
 @pytest.mark.parametrize("value", [2, 2.0, "2"])

@@ -12,8 +12,9 @@ from formaldisk import (angle, gamma0, graphs_with_profile,
                         mc_weight_cached, modified_bernoulli, opposite_wheel,
                         theta_series, wheel_weight_closed)
 from formaldisk.graphs import AdmissibleGraph
-from formaldisk.weights import (BLOCK, SAMPLER, TWO_PI, _chunk_sums,
-                                _det_plan, _in_disk_values, _pool_size,
+from formaldisk.weights import (BLOCK, SAMPLER, TWO_PI, _block_values,
+                                _chunk_sums, _det_plan, _direction,
+                                _kernel_components, _pool_size,
                                 cache_lookup, cache_store, WeightEstimate)
 from formaldisk.series import sinh_quotient_series
 
@@ -154,6 +155,17 @@ def test_seed_changes_the_estimate():
     assert a.integral != b.integral
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, "0"])
+def test_bad_seed_rejected_before_any_chunk_or_pool(seed, monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("work started on a bad seed")
+    monkeypatch.setattr("formaldisk.weights.ProcessPoolExecutor", must_not_run)
+    monkeypatch.setattr("formaldisk.weights._chunk_sums", must_not_run)
+    with pytest.raises(ValueError, match="must be a non-negative integer"):
+        mc_weight(opposite_wheel(2), 1000, seed=seed, workers=2,
+                  chunk_size=500)
+
+
 def test_moduli_mismatch_rejected():
     bad = gamma0(2)
     with pytest.raises(ValueError):
@@ -179,7 +191,32 @@ ORACLE_GRAPHS = {
     "wheel-4": opposite_wheel(4),
     # a sampled aerial vertex with an edge to the ground: "ground" kernels
     "aerial-ground": AdmissibleGraph(2, 1, ((1, 2), (1, 3), (2, 3))),
+    # "pair", "ground" and "inf" kernels in one centre table
+    "mixed": AdmissibleGraph(3, 1, ((1, 2), (2, 3), (2, 4), (3, 1), (3, 4))),
 }
+
+
+def test_mixed_oracle_graph_has_every_kernel_kind():
+    comps = _kernel_components(ORACLE_GRAPHS["mixed"])
+    assert {kind for kind, _, _ in comps} == {"pair", "ground", "inf"}
+
+
+def test_half_angle_direction_matches_cos_and_sin():
+    rng = np.random.default_rng(5)
+    turns = np.concatenate((rng.random(100_000),
+                            [0.0, 0.25, 0.5, 0.75, np.nextafter(1.0, 0.0)]))
+    theta = turns * TWO_PI
+    t = np.tan(theta / 2.0)
+    c, s = _direction(t)
+    assert np.max(np.abs(c - np.cos(theta))) <= 4e-16
+    assert np.max(np.abs(s - np.sin(theta))) <= 4e-16
+    # c*c + s*s - 1 in doubles rounds by up to two ulps of 1 on its own
+    assert np.max(np.abs(c * c + s * s - 1.0)) <= 3 * np.finfo(float).eps
+    # a ground point's chart factor dq/dalpha = 1 / (2 sin^2(alpha/2)),
+    # infinite on both sides at alpha = 0
+    with np.errstate(divide="ignore"):
+        factor = 0.5 / np.sin(theta / 2.0) ** 2
+        assert np.allclose(0.5 + 0.5 / (t * t), factor, rtol=1e-14, atol=0)
 
 
 @pytest.mark.parametrize("seed", [0, 7])
@@ -229,12 +266,11 @@ def test_determinant_plan_matches_the_dense_determinant():
     vanishing = Counter()
     for graph in PLAN_GRAPHS:
         r = rng.random((300, graph.n - 1))
-        ang = rng.random((300, graph.n - 1)) * TWO_PI
-        alpha = np.sort(rng.random((300, graph.m)) * TWO_PI, axis=1)
-        vals, drop = _in_disk_values(graph, _det_plan(graph), (),
-                                     r, ang, alpha)
-        assert not drop.any()
-        jac = dense_jacobian(graph, r, ang, alpha)[0]
+        ang = rng.random((300, graph.n - 1))               # in turns
+        alpha = np.sort(rng.random((300, graph.m)), axis=1)
+        vals, discarded = _block_values(_det_plan(graph), (), r, ang, alpha)
+        assert discarded == 0
+        jac = dense_jacobian(graph, r, ang * TWO_PI, alpha * TWO_PI)[0]
         dets = np.linalg.det(jac)
         hadamard = np.prod(np.linalg.norm(jac, axis=2), axis=1)
         scale = np.sum(np.abs(dets))
@@ -362,10 +398,12 @@ def test_cache_row_of_another_sampler_misses(tmp_path):
     assert cache_lookup(str(path), est.digest, 1000, 0) == est
     # a row without the field (written before rows carried one) misses,
     # and so does a row from a sampler with another fingerprint: v2 is the
-    # dense-Jacobian kernel, whose sums differ in the last bits
-    v2 = "v2 chunk=250000 rmin=0.0001 rmax=2.0 base=0.5 margin=1e-09"
-    assert SAMPLER == "v3" + v2[2:]
+    # dense-Jacobian kernel and v3 the kernel that took its directions
+    # from libm sin and cos; both give sums that differ in the last bits
+    v3 = "v3 chunk=250000 rmin=0.0001 rmax=2.0 base=0.5 margin=1e-09"
+    assert SAMPLER == "v4" + v3[2:]
     for row in (est.to_json(), dict(est.to_json(), sampler="v1"),
-                dict(est.to_json(), sampler=v2)):
+                dict(est.to_json(), sampler="v2" + v3[2:]),
+                dict(est.to_json(), sampler=v3)):
         path.write_text(json.dumps(row) + "\n")
         assert cache_lookup(str(path), est.digest, 1000, 0) is None
