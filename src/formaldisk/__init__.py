@@ -21,7 +21,7 @@ from .polydiff import (PolyDiffOp, bullet, cup, gerstenhaber_bracket,
                        hochschild_differential, hkr)
 from .etalgebra import EtaFormScalar, EtaField, EtaOperator
 from .graphs import (AdmissibleGraph, enumerate_graphs, vanishing_tag,
-                     WheelFamily, classify_wheels, wheel_graph,
+                     classify_wheels, wheel_graph,
                      cycle_type_multiplicity, cycle_type_of_wheelish,
                      graphs_with_profile, gamma0, opposite_wheel,
                      wheel_survivors)
@@ -46,7 +46,7 @@ __all__ = [
     "PolyDiffOp", "bullet", "cup", "gerstenhaber_bracket",
     "hochschild_differential", "hkr",
     "EtaFormScalar", "EtaField", "EtaOperator",
-    "AdmissibleGraph", "enumerate_graphs", "vanishing_tag", "WheelFamily",
+    "AdmissibleGraph", "enumerate_graphs", "vanishing_tag",
     "classify_wheels", "wheel_graph", "cycle_type_multiplicity",
     "cycle_type_of_wheelish", "graphs_with_profile", "gamma0",
     "opposite_wheel", "wheel_survivors",

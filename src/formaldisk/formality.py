@@ -50,13 +50,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, islice
-from math import factorial
+from math import factorial, prod
 
 from .series import (DEFAULT_CAP, TruncatedSeries, SeriesMatrix,
                      UnivariateSeries, bernoulli_numbers, nilpotent_powers,
                      sparse_sum)
 from .polyvector import contract
-from .polydiff import PolyDiffOp, hkr
+from .polydiff import PolyDiffOp, hkr, hkr_weight
 from .graphs import gamma0, wheel_survivors
 from .weights import theta_series
 from .etalgebra import EtaFormScalar, EtaOperator
@@ -159,8 +159,7 @@ def u_one(field):
     m = field.degree + 1
     if m < 0:
         return PolyDiffOp.zero(field.dim, field.degree)
-    return graph_operator(gamma0(m), [field]).scale(
-        _subset_coefficient((), m, None))
+    return graph_operator(gamma0(m), [field]).scale(hkr_weight(m))
 
 
 # ---------------------------------------------------------------------
@@ -263,10 +262,7 @@ def closed_form_map(mc, field):
 
 def _subset_coefficient(partition, m, theta):
     """(-1)^{m(m-1)/2} (1/m!) prod_i l_i theta_{l_i} for cycle type partition."""
-    w = Fraction((-1) ** ((m * (m - 1) // 2) % 2), factorial(m))
-    for l in partition:
-        w *= l * theta[l]
-    return w
+    return hkr_weight(m) * prod(l * theta[l] for l in partition)
 
 
 def twisted_first_taylor(mc, field, j_max=None):
@@ -289,7 +285,9 @@ def twisted_first_taylor(mc, field, j_max=None):
     theta = theta_series(top + 2) if top >= 2 else None  # j < 2: no cycle
 
     def terms():
-        for j in range(0, top + 1):
+        # theta is even, and a derangement of an odd number of vertices
+        # has a cycle of odd length: no odd j has a survivor of weight != 0
+        for j in range(0, top + 1, 2):
             m = factors - j
             for g, ctype in wheel_survivors(j, m):
                 w = _subset_coefficient(ctype, m, theta)

@@ -173,20 +173,6 @@ def vanishing_tag(graph):
 # wheel families
 # ---------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WheelFamily:
-    """Cycle-type class of surviving graphs for j cycle vertices.
-
-    partition: multiset of cycle lengths (each >= 2) summing to j;
-    multiplicity: number of labeled graphs with this cycle type.
-    """
-    partition: tuple
-    multiplicity: int
-    j: int
-    center_degree: int
-    m: int
-
-
 def _partitions_min2(j):
     """Partitions of j into parts >= 2, weakly decreasing tuples."""
     if j == 0:
@@ -222,17 +208,16 @@ def cycle_type_multiplicity(partition):
 def classify_wheels(j, center_degree):
     """Wheel families for j cycle vertices around a center of degree p.
 
-    Requires m = p - j + 1 >= 0 ground vertices.  Parts of size one are
-    excluded (they would need a loop).  j = 0 gives the trivial family.
+    Returns {cycle type: number of labeled graphs with it}, the cycle
+    types (multisets of cycle lengths summing to j, as weakly decreasing
+    tuples) in sorted order.  Requires m = p - j + 1 >= 0 ground
+    vertices.  Parts of size one are excluded (they would need a loop).
+    j = 0 gives the trivial family.
     """
-    m = center_degree - j + 1
-    if m < 0:
+    if center_degree - j + 1 < 0:
         raise ValueError("no ground vertices left: j > p + 1")
-    fams = []
-    for part in sorted(_partitions_min2(j)):
-        fams.append(WheelFamily(part, cycle_type_multiplicity(part),
-                                j, center_degree, m))
-    return fams
+    return {part: cycle_type_multiplicity(part)
+            for part in sorted(_partitions_min2(j))}
 
 
 def wheel_graph(partition, center_degree, reverse_cycles=False):

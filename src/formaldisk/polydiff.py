@@ -27,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as _cartesian
-from math import factorial
+from math import comb, factorial, prod
 
 from .series import DEFAULT_CAP, GradedSum, TruncatedSeries, sparse_sum
 from .polyvector import hkr_components
@@ -47,41 +47,26 @@ def _add_multi(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
-def _axis_compositions(total, parts):
-    """All ways to split `total` into `parts` ordered non-negative parts.
-
-    There is one way into 0 parts when `total` is 0, none into fewer.
-    """
-    if parts <= 0:
-        if parts == total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _axis_compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-@lru_cache(maxsize=512)  # the tier-1 suite asks for 177 distinct keys
+# with the keys of the recursion, tier-1 asks for 257 distinct keys (201
+# without the test of this function), one algebra-trials pass for 135
+@lru_cache(maxsize=512)
 def _multi_splits(multi, parts):
     """Split a multi-index into `parts` ordered multi-indices.
 
     Returns (split_tuple, multinomial_coefficient) pairs; the coefficient
-    is the product over axes of the multinomials, i.e. the number of
-    ways to distribute the individual derivatives.  A nonzero multi-index
-    has no split into 0 parts, and no multi-index one into fewer.
+    is the number of ways to distribute the individual derivatives.  The
+    first part takes each nu <= multi, in prod_i C(multi_i, nu_i) ways,
+    and the rest splits into one part fewer.  A nonzero multi-index has
+    no split into 0 parts, and no multi-index one into fewer.
     """
-    per_axis = [list(_axis_compositions(total, parts)) for total in multi]
+    if parts <= 0:
+        return (((), 1),) if parts == 0 and not any(multi) else ()
     out = []
-    for combo in _cartesian(*per_axis):
-        split = tuple(tuple(combo[ax][p] for ax in range(len(multi)))
-                      for p in range(parts))
-        coeff = 1
-        for ax, total in enumerate(multi):
-            c = factorial(total)
-            for p in range(parts):
-                c //= factorial(combo[ax][p])
-            coeff *= c
-        out.append((split, coeff))
+    for nu in _cartesian(*(range(k + 1) for k in multi)):
+        binom = prod(map(comb, multi, nu))
+        rest = tuple(k - x for k, x in zip(multi, nu))
+        out.extend(((nu,) + split, binom * mult)
+                   for split, mult in _multi_splits(rest, parts - 1))
     return tuple(out)
 
 
@@ -230,16 +215,20 @@ def hochschild_differential(d):
     return gerstenhaber_bracket(PolyDiffOp.multiplication(d.dim, cap), d)
 
 
+def hkr_weight(m):
+    """(-1)^{m(m-1)/2}/m!, the HKR weight of m wedge factors (0! if m < 0)."""
+    return Fraction((-1) ** ((m * (m - 1) // 2) % 2), factorial(max(m, 0)))
+
+
 def hkr(field):
     """Signed antisymmetrized HKR quantization of a poly-vector field.
 
-    The field is scaled by the prefactor once per key; hkr_components
-    then gives every ordering of every key, with its sign.  A field of
-    degree below -1 is zero and maps to the zero of its degree.
+    The field is scaled by hkr_weight once per key; hkr_components then
+    gives every ordering of every key, with its sign.  A field of degree
+    below -1 is zero and maps to the zero of its degree.
     """
     dim = field.dim
-    k = field.degree + 1
-    pref = Fraction((-1) ** ((k * (k - 1) // 2) % 2), factorial(max(k, 0)))
+    scaled = field.scale(hkr_weight(field.degree + 1))
     return PolyDiffOp._make(dim, field.degree, sparse_sum(
         (tuple(_unit_multi(dim, i) for i in idx), s)
-        for idx, s in hkr_components(field.scale(pref))))
+        for idx, s in hkr_components(scaled)))

@@ -204,39 +204,29 @@ def pairing(form, field):
     return out
 
 
-def _contract_one(axis, field):
-    """dt_axis ^ field, the alternating-sum interior product."""
-    comps = {}
-    for idx, s in field.comps.items():
-        if axis in idx:
-            pos = idx.index(axis)
-            comps[idx[:pos] + idx[pos + 1:]] = s if pos % 2 == 0 else -s
-    return PolyVectorField._make(field.dim, field.degree - 1, comps)
-
-
 def contract(form, field):
     """Iterated interior product: (s_1 ^ ... ^ s_q) acts as s_1(s_2(...)).
 
-    Vanishes when the form degree exceeds the number of wedge factors.
+    In closed form, a form term s dt_I and a field term t e_K with I in K
+    give s t e_{K - I}.  The axes of I leave K last one first, so each
+    is removed at its position p in K itself, with the sign (-1)^p.  A
+    zero product is skipped.  Vanishes when the form degree exceeds the
+    number of wedge factors.
     """
     if form.dim != field.dim:
         raise ValueError("dimension mismatch")
     degree = field.degree - form.degree
     if form.degree > field.degree + 1:
         return PolyVectorField.zero(field.dim, degree)
-    parts = []
-    for idx, s in form.comps.items():
-        part = field
-        for axis in reversed(idx):
-            part = _contract_one(axis, part)
-        parts.append(part.scale(s))
-    return _field_sum(field.dim, degree, parts)
 
-
-def _field_sum(dim, degree, fields):
-    """Sum of fields of one degree: one sparse_sum over all components."""
-    return PolyVectorField._make(dim, degree, sparse_sum(
-        pair for f in fields for pair in f.comps.items()))
+    def products():
+        for idx, s in form.comps.items():
+            for key, t in field.comps.items():
+                removed = [p for p, axis in enumerate(key) if axis in idx]
+                if len(removed) == len(idx) and (c := t.scale(s)):
+                    yield (tuple(a for a in key if a not in idx),
+                           -c if sum(removed) % 2 else c)
+    return PolyVectorField._make(field.dim, degree, sparse_sum(products()))
 
 
 # ---------------------------------------------------------------------

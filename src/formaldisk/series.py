@@ -51,7 +51,9 @@ def sparse_sum(pairs, start=()):
     zero Fraction, a container without terms).  Zero sums are dropped
     only at the end, never part-way: a key's coefficient is the sum of
     all its contributions, at the lowest cap among them, whatever the
-    order of the pairs.  Every container result is one such sum.
+    order of the pairs.  Every container product is one such sum, but
+    gerstenhaber_bracket adds or subtracts two: a key that cancels in
+    one of them is dropped with its cap before the other is added.
     """
     out = dict(start)
     for key, c in pairs:

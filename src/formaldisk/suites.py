@@ -139,8 +139,7 @@ def suite_wheels(j_max=3, p_max=3):
             m = p - j + 1
             if m < 0:
                 continue
-            families = {f.partition: f.multiplicity
-                        for f in classify_wheels(j, p)}
+            families = classify_wheels(j, p)
             profile = [1] * j + [p + 1]
             found = {}
             extras = 0

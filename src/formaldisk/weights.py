@@ -439,11 +439,12 @@ def mc_weight(graph, samples, seed=0, workers=1, chunk_size=CHUNK):
     n, m = graph.n, graph.m
     e_count = len(graph.edges)
     dim = moduli_dimension(graph)
-    if samples < 1:
-        raise ValueError("need a positive sample count")
+    if not isinstance(samples, (int, np.integer)) or samples < 1:
+        raise ValueError("need a positive integer sample count")
     check_seed(seed)
-    if chunk_size < 1:
-        raise ValueError("need a positive chunk size")
+    if not isinstance(chunk_size, (int, np.integer)) or chunk_size < 1:
+        raise ValueError("need a positive integer chunk size")
+    samples, chunk_size = int(samples), int(chunk_size)  # True counts 1
     volume = (TWO_PI ** (n - 1 + m)) / math.factorial(m)
     prefactor = (-1) ** ((e_count * (e_count - 1) // 2) % 2)
     if dim == 0:

@@ -10,11 +10,13 @@ insertion oracle, bullet_reference, keeps the first term-by-term
 product, which compares exactly, caps included, where evaluation only
 agrees through cap - 3.  hkr_reference likewise keeps the HKR sum over
 position permutations, one scaling per permutation, for exact
-comparison, and schouten_reference the Schouten bracket's recursion
+comparison, schouten_reference the Schouten bracket's recursion
 from its axioms, which agrees with the closed formula exactly where all
-caps are equal.  The series_*_reference functions keep truncated-series
-arithmetic on one Fraction per coefficient, the oracle of the integer
-numerators over one denominator that TruncatedSeries stores.
+caps are equal, and contract_reference the interior product one axis
+at a time through intermediate fields.  The series_*_reference
+functions keep truncated-series arithmetic on one Fraction per
+coefficient, the oracle of the integer numerators over one denominator
+that TruncatedSeries stores.
 """
 
 from fractions import Fraction
@@ -206,8 +208,9 @@ def bullet_eval(d1, d2, args):
 def _reference_splits(multi, parts):
     """(split, multinomial) for every ordered split into `parts` parts."""
     def compositions(total, k):
-        if k == 1:
-            yield (total,)
+        if k == 0:
+            if total == 0:
+                yield ()
             return
         for first in range(total + 1):
             for rest in compositions(total - first, k - 1):
@@ -358,10 +361,17 @@ def _bracket_monomial_reference(c1, idx1, b):
     return term1.scale(sign) + term2
 
 
+def _field_sum(dim, degree, fields):
+    """Sum of fields of one degree: one sparse_sum over all components."""
+    from formaldisk import PolyVectorField
+    from formaldisk.series import sparse_sum
+    return PolyVectorField._make(dim, degree, sparse_sum(
+        pair for f in fields for pair in f.comps.items()))
+
+
 def _bracket_with_function_reference(b, f):
     """[b, f] for a function f, by peeling wedge factors of b."""
     from formaldisk import PolyVectorField
-    from formaldisk.polyvector import _field_sum
     f = PolyVectorField.function(f)
     # functions commute: the degree -1 part of b brackets to zero
     return _field_sum(b.dim, b.degree - 1,
@@ -371,11 +381,43 @@ def _bracket_with_function_reference(b, f):
 
 def schouten_reference(a, b):
     """[a, b] term by term of a through the axiom recursion above."""
-    from formaldisk.polyvector import _field_sum
     assert a.dim == b.dim
     return _field_sum(a.dim, a.degree + b.degree,
                       (_bracket_monomial_reference(s, idx, b)
                        for idx, s in a.comps.items()))
+
+
+# -- interior product one axis at a time ------------------------------
+#
+# The first contraction: each form term dt_I acts as dt_{i_1}(...
+# dt_{i_q}(field)), every step an intermediate field, and the parts are
+# scaled by the form's coefficients and summed.
+
+def _contract_one_reference(axis, field):
+    """dt_axis ^ field, the alternating-sum interior product."""
+    from formaldisk import PolyVectorField
+    comps = {}
+    for idx, s in field.comps.items():
+        if axis in idx:
+            pos = idx.index(axis)
+            comps[idx[:pos] + idx[pos + 1:]] = s if pos % 2 == 0 else -s
+    return PolyVectorField._make(field.dim, field.degree - 1, comps)
+
+
+def contract_reference(form, field):
+    """Iterated interior product through intermediate fields."""
+    from formaldisk import PolyVectorField
+    assert form.dim == field.dim
+    degree = field.degree - form.degree
+    if form.degree > field.degree + 1:
+        return PolyVectorField.zero(field.dim, degree)
+    parts = []
+    for idx, s in form.comps.items():
+        part = field
+        for axis in reversed(idx):
+            part = _contract_one_reference(axis, part)
+        parts.append(part.scale(s))
+    return _field_sum(field.dim, degree, parts)
 
 
 # -- bivector action on a pair of functions ---------------------------

@@ -5,8 +5,9 @@ DifferentialForm), PolyDiffOp, EtaFormScalar and the eta-graded
 containers (EtaField, EtaOperator) all store a key -> coefficient map
 without zero coefficients.  Their public constructors validate; the
 results of their arithmetic are stored without being checked again.
-Every container result is one flat sum over its contributions, so it
-does not depend on the order in which the inputs store their terms.
+Every container product is one flat sum over its contributions (the
+Gerstenhaber bracket adds or subtracts two), so it does not depend on
+the order in which the inputs store their terms.
 """
 
 import random
@@ -18,6 +19,8 @@ import pytest
 from formaldisk import (DifferentialForm, EtaField, EtaFormScalar, EtaOperator,
                         PolyDiffOp, PolyVectorField, TruncatedSeries, bullet,
                         contract, gerstenhaber_bracket, schouten_bracket)
+
+from helpers import contract_reference
 
 CAP = 4
 T1 = TruncatedSeries.variable(2, 1, CAP)
@@ -230,6 +233,14 @@ def test_products_are_independent_of_input_term_order(product, inputs):
     for seed in range(300):
         a, b = inputs(random.Random(seed))
         assert product(a, b) == product(_reversed(a), _reversed(b)), seed
+
+
+def test_contract_matches_the_one_axis_reference():
+    # exact ==, caps included: the closed sign of each removed axis must
+    # give what iterated one-axis contractions give
+    for seed in range(300):
+        form, field = _form_field_pair(random.Random(seed))
+        assert contract(form, field) == contract_reference(form, field), seed
 
 
 def test_bracket_folds_its_sign_into_one_sum():

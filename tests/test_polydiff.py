@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -7,6 +8,7 @@ import pytest
 from formaldisk import (PolyDiffOp, PolyVectorField, TruncatedSeries, bullet,
                         cup, gerstenhaber_bracket, hkr,
                         hochschild_differential, schouten_bracket, u_one)
+from formaldisk.polydiff import _multi_splits
 from formaldisk.suites import random_operator, random_series
 
 import helpers
@@ -126,6 +128,18 @@ def test_bullet_matches_the_split_by_split_reference():
         if all(set(c.terms) <= {(0,) * c.dim} for c in d2.terms.values()):
             seen.add("constant d2")
     assert len(seen) == 3 * 4 + 3
+
+
+def test_multi_splits_match_the_composition_reference():
+    # as multisets: the recursion on the first part lists the splits in
+    # another order; zero parts and the zero multi-index included
+    for multi in product(range(3), repeat=3):
+        for parts in range(5):
+            assert (Counter(_multi_splits(multi, parts))
+                    == Counter(helpers._reference_splits(multi, parts))), \
+                (multi, parts)
+    assert _multi_splits((0, 0, 0), 0) == (((), 1),)
+    assert _multi_splits((1, 0, 0), 0) == ()
 
 
 def test_insert_of_degree_below_minus_one_is_zero():

@@ -166,6 +166,35 @@ def test_bad_seed_rejected_before_any_chunk_or_pool(seed, monkeypatch):
                   chunk_size=500)
 
 
+@pytest.mark.parametrize("samples, chunk_size, match", [
+    (1000.0, 500, "sample count"),
+    (1000.5, 500, "sample count"),
+    ("1000", 500, "sample count"),
+    (1000, 250.0, "chunk size"),
+    (1000, "500", "chunk size"),
+])
+def test_non_integer_counts_rejected_before_any_chunk_or_pool(
+        samples, chunk_size, match, monkeypatch):
+    # a float count used to reach numpy's TypeError in a chunk at one
+    # worker, and to start a pool and return an estimate at two
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("work started on a non-integer count")
+    monkeypatch.setattr("formaldisk.weights.ProcessPoolExecutor", must_not_run)
+    monkeypatch.setattr("formaldisk.weights._chunk_sums", must_not_run)
+    for workers in (1, 2):
+        with pytest.raises(ValueError, match=match):
+            mc_weight(opposite_wheel(2), samples, workers=workers,
+                      chunk_size=chunk_size)
+
+
+def test_bool_and_numpy_counts_act_as_the_ints_they_are():
+    # a bool is an int: True used to reach numpy's TypeError in a chunk
+    wheel = opposite_wheel(2)
+    assert mc_weight(wheel, True).samples == 1
+    assert (mc_weight(wheel, np.int64(600), chunk_size=np.int32(250))
+            == mc_weight(wheel, 600, chunk_size=250))
+
+
 def test_moduli_mismatch_rejected():
     bad = gamma0(2)
     with pytest.raises(ValueError):
