@@ -11,8 +11,8 @@ Todd-type determinant.
 __version__ = "0.1.0"
 
 from .series import (DEFAULT_CAP, TruncatedSeries, UnivariateSeries,
-                     SeriesMatrix, nilpotent_powers, series_at_matrix,
-                     matrix_exp, sinh_quotient_series, useries_exp)
+                     SeriesMatrix, nilpotent_powers, series_at, exp_series,
+                     sinh_quotient_series)
 from .polyvector import (PolyVectorField, DifferentialForm,
                          schouten_bracket, wedge_fields, wedge_forms,
                          contract, exterior_derivative, hkr_components,
@@ -31,15 +31,14 @@ from .weights import (modified_bernoulli, wheel_weight_closed, theta_series,
 from .formality import (graph_operator, u_one,
                         MaurerCartanData, xi_matrix, theta_and_det,
                         closed_form_map, twisted_first_taylor, todd_series,
-                        tilde_todd_series, exp_half_series)
+                        tilde_todd_series)
 from .linfty import (SmallDGLie, LInftyMorphism, quadratic_example,
                      eta_schouten, eta_mc_residual, eta_twisted_differential)
 from .suites import SUITES, run_suite
 
 __all__ = [
     "DEFAULT_CAP", "TruncatedSeries", "UnivariateSeries", "SeriesMatrix",
-    "nilpotent_powers", "series_at_matrix", "matrix_exp",
-    "sinh_quotient_series", "useries_exp",
+    "nilpotent_powers", "series_at", "exp_series", "sinh_quotient_series",
     "PolyVectorField", "DifferentialForm", "schouten_bracket",
     "wedge_fields", "wedge_forms", "contract", "exterior_derivative",
     "hkr_components", "pairing", "sort_with_sign",
@@ -56,7 +55,6 @@ __all__ = [
     "graph_operator", "u_one", "MaurerCartanData",
     "xi_matrix", "theta_and_det", "closed_form_map",
     "twisted_first_taylor", "todd_series", "tilde_todd_series",
-    "exp_half_series",
     "SmallDGLie", "LInftyMorphism", "quadratic_example", "eta_schouten",
     "eta_mc_residual", "eta_twisted_differential",
     "SUITES", "run_suite",

@@ -11,15 +11,16 @@ import argparse
 import json
 import sys
 import time
+from fractions import Fraction
 
 from . import __version__
-from .series import DEFAULT_CAP, TruncatedSeries
+from .series import DEFAULT_CAP, TruncatedSeries, exp_series
 from .polyvector import PolyVectorField
 from .graphs import AdmissibleGraph, enumerate_graphs, gamma0, opposite_wheel
 from .weights import (check_seed, mc_weight, mc_weight_cached,
                       moduli_dimension, wheel_weight_closed)
 from .formality import (MaurerCartanData, closed_form_map,
-                        tilde_todd_series, todd_series, exp_half_series,
+                        tilde_todd_series, todd_series,
                         twisted_first_taylor)
 from . import suites as suites_mod
 
@@ -217,7 +218,7 @@ def _cmd_todd(args, config):
         return 2
     q = todd_series(order)
     qt = tilde_todd_series(order)
-    prod = q * exp_half_series(order, sign=-1)
+    prod = q * exp_series(order, Fraction(-1, 2))
     report = _base_report("todd", {"order": order})
     report["todd"] = [str(c) for c in q.coeffs]
     report["modified_todd"] = [str(c) for c in qt.coeffs]

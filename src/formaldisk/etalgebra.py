@@ -21,10 +21,9 @@ repeated generator kills the term.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 
-from .series import (DEFAULT_CAP, SparseSum, TruncatedSeries,
-                     nilpotent_powers, sparse_sum)
+from .series import (DEFAULT_CAP, SparseSum, TruncatedSeries, exp_series,
+                     series_at, sparse_sum)
 from .polyvector import DifferentialForm, sort_with_sign
 
 
@@ -64,7 +63,9 @@ class EtaFormScalar(SparseSum):
         return EtaFormScalar._make(self.dim, self.cap, {})
 
     def one_like(self):
-        return EtaFormScalar.one(self.dim, self.cap)
+        one = TruncatedSeries._make(self.dim, self.cap, 1, {(0,) * self.dim: 1})
+        return EtaFormScalar._make(self.dim, self.cap,
+                                   {((), ()): one} if self.cap >= 0 else {})
 
     def has_even_grade(self):
         return all((len(eta) + len(form)) % 2 == 0 for eta, form in self.terms)
@@ -106,14 +107,9 @@ class EtaFormScalar(SparseSum):
         if any(not k[0] and not k[1] for k in self.terms
                if self.terms[k].constant_term() != 0):
             raise ValueError("exp needs a vanishing constant term")
-        one = self.one_like()
         # one * self truncates every coefficient to the container cap
-        pieces = [one] + [
-            power.scale(Fraction(1, factorial(k)))
-            for k, power in nilpotent_powers(
-                one * self, 2 * self.dim + 2 * self.cap + 4)]
-        return EtaFormScalar._make(self.dim, self.cap, sparse_sum(
-            pair for p in pieces for pair in p.terms.items()))
+        return series_at(exp_series(2 * self.dim + 2 * self.cap + 4, 1),
+                         self.one_like() * self)
 
     def eta_parts(self):
         """Group terms by eta-word: eta-word -> DifferentialForm."""

@@ -318,14 +318,3 @@ def tilde_todd_series(order):
     """
     return UnivariateSeries([(Fraction(2) ** (1 - n) - 1) * b / factorial(n)
                              for n, b in enumerate(bernoulli_numbers(order))])
-
-
-def exp_half_series(order, sign=1):
-    """e^{sign x/2}."""
-    coeffs = []
-    fact = 1
-    for k in range(order + 1):
-        if k:
-            fact *= k
-        coeffs.append(Fraction(sign, 2) ** k / fact)
-    return UnivariateSeries(coeffs)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product as _cartesian
+from itertools import chain, product as _cartesian
 from math import comb, factorial, prod
 
 from .series import DEFAULT_CAP, GradedSum, TruncatedSeries, sparse_sum
@@ -164,49 +164,49 @@ def cup(d1, d2):
                             sparse_sum(products))
 
 
-def _insert_term(c1, slots1, i, d2, sign):
-    """Insert operator d2 into slot i of the term (c1, slots1).
+def _insertions(d1, d2, sign=1):
+    """sign * bullet(d1, d2) as (slots, coefficient) pairs: d2 goes into
+    slot i of each term (c1, slots1) of d1 with the sign (-1)^{i |d2|}.
 
     The receiving multi-index alpha is distributed by the Leibniz rule:
     nu of it onto d2's coefficient, the rest over d2's slots (for a
     degree -1 insert, a function, all of it lands on the function and
     the slot disappears).  The multinomial factors through nu, so the
-    product c1 * d^nu c2 is built once per term of d2 and nu.  An insert
-    of degree below -1 has no terms and no splits.  Yields (slots,
-    coefficient) pairs, each times the insertion sign.
+    product c1 * d^nu c2 is built once per term of d2 and nu, and kept
+    when zero, so that its cap counts.  An insert of degree below -1 has
+    no terms and no splits.
     """
-    for (nu, rest), binom in _multi_splits(slots1[i], 2):
-        splits = _multi_splits(rest, d2.degree + 1)
-        if not splits:
-            continue
-        for s2, c2 in d2.terms.items():
-            c = c2.partial_multi(nu)
-            if c:  # a vanishing partial needs no product
-                c = c1 * c
-            if not c:
-                continue
-            for betas, mult in splits:
-                k = sign * binom * mult
-                block = tuple(_add_multi(b, m) for b, m in zip(betas, s2))
-                yield slots1[:i] + block + slots1[i + 1:], c.scale(k)
+    for slots1, c1 in d1.terms.items():
+        for i, alpha in enumerate(slots1):
+            slot_sign = -sign if (i * d2.degree) % 2 else sign
+            for (nu, rest), binom in _multi_splits(alpha, 2):
+                splits = _multi_splits(rest, d2.degree + 1)
+                if not splits:
+                    continue
+                for s2, c2 in d2.terms.items():
+                    c = c1 * c2.partial_multi(nu)
+                    for betas, mult in splits:
+                        block = tuple(_add_multi(b, m)
+                                      for b, m in zip(betas, s2))
+                        yield (slots1[:i] + block + slots1[i + 1:],
+                               c.scale(slot_sign * binom * mult))
 
 
 def bullet(d1, d2):
     """Insertion product sum_i (-1)^{i |d2|} (d1 with d2 in slot i)."""
     if d1.dim != d2.dim:
         raise ValueError("dimension mismatch")
-    insertions = (pair for slots1, c1 in d1.terms.items()
-                  for i in range(d1.degree + 1)
-                  for pair in _insert_term(c1, slots1, i, d2,
-                                           (-1) ** ((i * d2.degree) % 2)))
     return PolyDiffOp._make(d1.dim, d1.degree + d2.degree,
-                            sparse_sum(insertions))
+                            sparse_sum(_insertions(d1, d2)))
 
 
 def gerstenhaber_bracket(d1, d2):
-    """bullet(d1, d2) - (-1)^{|d1||d2|} bullet(d2, d1)."""
-    b1, b2 = bullet(d1, d2), bullet(d2, d1)
-    return b1 + b2 if (d1.degree * d2.degree) % 2 else b1 - b2
+    """bullet(d1, d2) - (-1)^{|d1||d2|} bullet(d2, d1) in one sparse_sum."""
+    if d1.dim != d2.dim:
+        raise ValueError("dimension mismatch")
+    flip = 1 if (d1.degree * d2.degree) % 2 else -1
+    return PolyDiffOp._make(d1.dim, d1.degree + d2.degree, sparse_sum(
+        chain(_insertions(d1, d2), _insertions(d2, d1, flip))))
 
 
 def hochschild_differential(d):

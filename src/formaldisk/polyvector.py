@@ -210,8 +210,8 @@ def contract(form, field):
     In closed form, a form term s dt_I and a field term t e_K with I in K
     give s t e_{K - I}.  The axes of I leave K last one first, so each
     is removed at its position p in K itself, with the sign (-1)^p.  A
-    zero product is skipped.  Vanishes when the form degree exceeds the
-    number of wedge factors.
+    zero product is kept, so that its cap counts.  Vanishes when the
+    form degree exceeds the number of wedge factors.
     """
     if form.dim != field.dim:
         raise ValueError("dimension mismatch")
@@ -223,7 +223,8 @@ def contract(form, field):
         for idx, s in form.comps.items():
             for key, t in field.comps.items():
                 removed = [p for p, axis in enumerate(key) if axis in idx]
-                if len(removed) == len(idx) and (c := t.scale(s)):
+                if len(removed) == len(idx):
+                    c = t.scale(s)
                     yield (tuple(a for a in key if a not in idx),
                            -c if sum(removed) % 2 else c)
     return PolyVectorField._make(field.dim, degree, sparse_sum(products()))

@@ -8,7 +8,8 @@ coefficients of total degree <= N are meaningful, higher ones are
 silently dropped.  Products take the minimum of the caps of the
 factors, differentiation lowers the cap by one.  Univariate series
 (the Bernoulli-type generating functions and Todd series, all from one
-table of Bernoulli numbers) are dense lists of Fraction coefficients.
+table of Bernoulli numbers, and e^{cx}) are dense lists of Fraction
+coefficients; series_at evaluates one at a nilpotent argument.
 
 The sparse-sum core at the top (sparse_sum, SparseSum) is the key ->
 coefficient algebra that every coefficient container of the package is
@@ -51,9 +52,7 @@ def sparse_sum(pairs, start=()):
     zero Fraction, a container without terms).  Zero sums are dropped
     only at the end, never part-way: a key's coefficient is the sum of
     all its contributions, at the lowest cap among them, whatever the
-    order of the pairs.  Every container product is one such sum, but
-    gerstenhaber_bracket adds or subtracts two: a key that cancels in
-    one of them is dropped with its cap before the other is added.
+    order of the pairs.  Every container product is one such sum.
     """
     out = dict(start)
     for key, c in pairs:
@@ -414,6 +413,19 @@ class UnivariateSeries:
         if not self.coeffs:
             self.coeffs = [Q0]
 
+    @classmethod
+    def _make(cls, coeffs):
+        """Trusted constructor: a nonempty list of Fractions."""
+        self = object.__new__(cls)
+        self.coeffs = coeffs
+        return self
+
+    def one_like(self):
+        return UnivariateSeries._make([Q1] + [Q0] * self.order)
+
+    def is_zero(self):
+        return not any(self.coeffs)
+
     @property
     def order(self):
         return len(self.coeffs) - 1
@@ -453,25 +465,20 @@ class UnivariateSeries:
                     out[i + j] += a * b
         return UnivariateSeries(out)
 
-    __rmul__ = __mul__
+    __rmul__ = scale = __mul__
 
     def __repr__(self):
         return "UnivariateSeries(%s)" % (self.coeffs,)
 
 
-def useries_exp(f):
-    """exp(f) for f with zero constant term, via g' = f' g."""
-    if f[0] != 0:
-        raise ValueError("exp requires zero constant term")
-    n = f.order
-    out = [Q0] * (n + 1)
-    out[0] = Q1
-    for k in range(1, n + 1):
-        acc = Q0
-        for j in range(1, k + 1):
-            acc += j * f[j] * out[k - j]
-        out[k] = acc / k
-    return UnivariateSeries(out)
+@functools.cache
+def _exp_coeffs(order, c):
+    return tuple(c ** k / factorial(k) for k in range(order + 1))
+
+
+def exp_series(order, c):
+    """e^{cx} through x^order for a rational c, from a cached table."""
+    return UnivariateSeries._make(list(_exp_coeffs(order, _as_fraction(c))))
 
 
 # ---------------------------------------------------------------------
@@ -511,10 +518,9 @@ class SeriesMatrix:
         self.size, self.rows, self.zero = len(rows), rows, zero
         return self
 
-    @classmethod
-    def identity_like(cls, mat):
-        one = mat.zero.one_like()
-        return cls._make([{i: one} for i in range(mat.size)], mat.zero)
+    def one_like(self):
+        one = self.zero.one_like()
+        return self._make([{i: one} for i in range(self.size)], self.zero)
 
     def is_zero(self):
         return not any(self.rows)
@@ -551,7 +557,8 @@ def nilpotent_powers(x, kmax):
     """(k, x^k) for k = 1, 2, .. while the power x^k is nonzero.
 
     x is anything with * and is_zero(): a SeriesMatrix, an
-    EtaFormScalar.  Raises ValueError unless x^(kmax+1) vanishes.
+    EtaFormScalar, a UnivariateSeries.  Raises ValueError unless
+    x^(kmax+1) vanishes.
     """
     power = x
     for k in range(1, kmax + 2):
@@ -563,24 +570,17 @@ def nilpotent_powers(x, kmax):
         power = power * x
 
 
-def series_at_matrix(f, mat):
-    """Evaluate a univariate series on a nilpotent matrix argument.
+def series_at(f, x):
+    """sum_k f_k x^k, a running + over the nonzero powers of a nilpotent x.
 
-    Sums f_k M^k over the nonzero powers of M (entries with positive
-    valuation die under the cap); M^(order+1) must vanish.
+    x is anything with one_like, *, +, scale and is_zero: a SeriesMatrix,
+    an EtaFormScalar, a UnivariateSeries without constant term.  Raises
+    ValueError unless x^(f.order+1) vanishes.
     """
-    out = SeriesMatrix.identity_like(mat).scale(f[0])
-    for k, power in nilpotent_powers(mat, f.order):
-        if f[k] != 0:
+    out = x.one_like().scale(f[0])
+    for k, power in nilpotent_powers(x, f.order):
+        if f[k]:
             out = out + power.scale(f[k])
-    return out
-
-
-def matrix_exp(mat):
-    """exp of a nilpotent matrix, Sum M^k / k!; M^65 must vanish."""
-    out = SeriesMatrix.identity_like(mat)
-    for k, power in nilpotent_powers(mat, 64):
-        out = out + power.scale(Fraction(1, factorial(k)))
     return out
 
 
@@ -589,14 +589,11 @@ def matrix_exp(mat):
 # ---------------------------------------------------------------------
 
 def sinh_quotient_series(order):
-    """(e^{x/2} - e^{-x/2})/x = sum_k x^{2k} / (4^k (2k+1)!)."""
-    coeffs = [Q0] * (order + 1)
-    for k in range(0, order // 2 + 1):
-        fact = Q1
-        for i in range(2, 2 * k + 2):
-            fact *= i
-        coeffs[2 * k] = Q1 / (Fraction(4) ** k * fact)
-    return UnivariateSeries(coeffs)
+    """(e^{x/2} - e^{-x/2})/x: its x^k coefficient is 2 (1/2)^{k+1}/(k+1)!,
+    twice that of x^{k+1} in e^{x/2}, at even k, and zero at odd k."""
+    half = exp_series(order + 1, Fraction(1, 2))
+    return UnivariateSeries._make([2 * half[k + 1] if k % 2 == 0 else Q0
+                                   for k in range(order + 1)])
 
 
 @functools.cache

@@ -80,7 +80,8 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .series import Q0, UnivariateSeries, bernoulli_numbers, useries_exp
+from .series import (Q0, UnivariateSeries, bernoulli_numbers, exp_series,
+                     series_at)
 
 TWO_PI = 2.0 * math.pi
 COLLISION_MARGIN = 1e-9
@@ -133,7 +134,7 @@ def wheel_weight_closed(l):
 
 def inverse_sqrt_sinh_quotient(order):
     """sqrt(x / (e^{x/2} - e^{-x/2})) = exp(theta) as a series."""
-    return useries_exp(theta_series(order))
+    return series_at(exp_series(order, 1), theta_series(order))
 
 
 # ---------------------------------------------------------------------
@@ -444,7 +445,10 @@ def mc_weight(graph, samples, seed=0, workers=1, chunk_size=CHUNK):
     check_seed(seed)
     if not isinstance(chunk_size, (int, np.integer)) or chunk_size < 1:
         raise ValueError("need a positive integer chunk size")
-    samples, chunk_size = int(samples), int(chunk_size)  # True counts 1
+    if not isinstance(workers, (int, np.integer)) or workers < 1:
+        raise ValueError("need a positive integer worker count")
+    # True counts 1
+    samples, chunk_size, workers = int(samples), int(chunk_size), int(workers)
     volume = (TWO_PI ** (n - 1 + m)) / math.factorial(m)
     prefactor = (-1) ** ((e_count * (e_count - 1) // 2) % 2)
     if dim == 0:

@@ -234,18 +234,23 @@ def _reference_insert(c1, slots1, i, d2, sign):
         c2 = d2.terms.get(())
         if c2 is not None:
             c = c1 * c2.partial_multi(alpha)
-            if c:
-                yield slots1[:i] + slots1[i + 1:], c if sign == 1 else -c
+            yield slots1[:i] + slots1[i + 1:], c if sign == 1 else -c
         return
     for s2, c2 in d2.terms.items():
         for split, mult in _reference_splits(alpha, d2.degree + 2):
             nu, betas = split[0], split[1:]
             c = c1 * c2.partial_multi(nu)
-            if not c:
-                continue
             block = tuple(tuple(x + y for x, y in zip(b, m))
                           for b, m in zip(betas, s2))
             yield slots1[:i] + block + slots1[i + 1:], c.scale(sign * mult)
+
+
+def _reference_insertions(d1, d2):
+    """Every (slots, coefficient) product of bullet(d1, d2), zero ones too."""
+    return (pair for slots1, c1 in d1.terms.items()
+            for i in range(d1.degree + 1)
+            for pair in _reference_insert(c1, slots1, i, d2,
+                                          (-1) ** ((i * d2.degree) % 2)))
 
 
 def bullet_reference(d1, d2):
@@ -253,18 +258,20 @@ def bullet_reference(d1, d2):
     from formaldisk import PolyDiffOp
     from formaldisk.series import sparse_sum
     assert d1.dim == d2.dim
-    insertions = (pair for slots1, c1 in d1.terms.items()
-                  for i in range(d1.degree + 1)
-                  for pair in _reference_insert(c1, slots1, i, d2,
-                                                (-1) ** ((i * d2.degree) % 2)))
     return PolyDiffOp._make(d1.dim, d1.degree + d2.degree,
-                            sparse_sum(insertions))
+                            sparse_sum(_reference_insertions(d1, d2)))
 
 
 def gerstenhaber_reference(d1, d2):
-    """bullet(d1, d2) - (-1)^{|d1||d2|} bullet(d2, d1), sign by scaling."""
-    sign = (-1) ** ((d1.degree * d2.degree) % 2)
-    return bullet_reference(d1, d2) - bullet_reference(d2, d1).scale(sign)
+    """bullet(d1, d2) - (-1)^{|d1||d2|} bullet(d2, d1) as one flat sum of
+    both reference insertion streams, the second scaled by the sign."""
+    from formaldisk import PolyDiffOp
+    from formaldisk.series import sparse_sum
+    assert d1.dim == d2.dim
+    sign = -(-1) ** ((d1.degree * d2.degree) % 2)
+    pairs = list(_reference_insertions(d1, d2)) + [
+        (slots, c.scale(sign)) for slots, c in _reference_insertions(d2, d1)]
+    return PolyDiffOp._make(d1.dim, d1.degree + d2.degree, sparse_sum(pairs))
 
 
 def hochschild_reference(d, cap=None):
@@ -416,7 +423,9 @@ def contract_reference(form, field):
         part = field
         for axis in reversed(idx):
             part = _contract_one_reference(axis, part)
-        parts.append(part.scale(s))
+        # every scaled key is kept, a zero one too, so that its cap counts
+        parts.append(part._with({k: c.scale(s)
+                                 for k, c in part.comps.items()}))
     return _field_sum(field.dim, degree, parts)
 
 
@@ -592,14 +601,14 @@ def theta_and_det_reference(xi, max_length=None):
     matrix_mul_reference; each power's trace is a running + down the
     diagonal, and its coefficient comes from wheel_weight_closed(l).
     """
-    from formaldisk import EtaFormScalar, SeriesMatrix, wheel_weight_closed
+    from formaldisk import EtaFormScalar, wheel_weight_closed
     from formaldisk.series import sparse_sum
     if not xi.all_even_grade():
         raise ValueError("Xi entries must have even total grade")
     if max_length is None:
         max_length = 2 * xi.size + 2  # eta nilpotence cuts off earlier
     pieces = [xi.zero]  # fixes dim and cap
-    power = SeriesMatrix.identity_like(xi)
+    power = xi.one_like()
     for l in range(1, max_length + 1):
         power = matrix_mul_reference(power, xi)
         if power.is_zero():

@@ -5,9 +5,8 @@ DifferentialForm), PolyDiffOp, EtaFormScalar and the eta-graded
 containers (EtaField, EtaOperator) all store a key -> coefficient map
 without zero coefficients.  Their public constructors validate; the
 results of their arithmetic are stored without being checked again.
-Every container product is one flat sum over its contributions (the
-Gerstenhaber bracket adds or subtracts two), so it does not depend on
-the order in which the inputs store their terms.
+Every container product is one flat sum over its contributions, so it
+does not depend on the order in which the inputs store their terms.
 """
 
 import random
@@ -19,6 +18,7 @@ import pytest
 from formaldisk import (DifferentialForm, EtaField, EtaFormScalar, EtaOperator,
                         PolyDiffOp, PolyVectorField, TruncatedSeries, bullet,
                         contract, gerstenhaber_bracket, schouten_bracket)
+from formaldisk.suites import random_series
 
 from helpers import contract_reference
 
@@ -244,26 +244,90 @@ def test_contract_matches_the_one_axis_reference():
 
 
 def test_bracket_folds_its_sign_into_one_sum():
-    # The bracket adds or subtracts the second product instead of scaling
-    # it by (-1)^{|d1||d2|}; that must not move a coefficient or a cap.
+    # The bracket is one flat sum over the insertions of both products,
+    # the second signed by -(-1)^{|d1||d2|}.  Against the difference of
+    # the two products it moves no coefficient within a key's cap, and
+    # no cap rises: a key that cancels in one product keeps that cap.
     for seed in range(300):
         d1, d2 = _operator_pair(random.Random(seed))
         sign = (-1) ** ((d1.degree * d2.degree) % 2)
-        assert (gerstenhaber_bracket(d1, d2)
-                == bullet(d1, d2) - bullet(d2, d1).scale(sign)), seed
+        got = gerstenhaber_bracket(d1, d2)
+        two = bullet(d1, d2) - bullet(d2, d1).scale(sign)
+        for key, c in got.terms.items():
+            want = two.terms.get(key)
+            if want is not None:
+                assert c.cap <= want.cap, (seed, key)
+            else:
+                want = c.zero_like()
+            assert c.agrees_with(want, c.cap), (seed, key)
 
 
 def test_bracket_keeps_the_cap_of_a_key_that_cancels_on_one_side():
-    # Pins today's behaviour, hole included (ROADMAP, one cap per
-    # container): the contributions to the key in bullet(d2, d1) sum to
-    # zero at cap 3, so the key is dropped with that cap and the bracket
-    # reports it at bullet(d1, d2)'s cap 4.
+    # the contributions to the key in bullet(d2, d1) sum to zero at cap
+    # 3: bullet(d2, d1) drops the key, and the bracket, one sum over the
+    # contributions of both products, reports it at that cap 3, not at
+    # bullet(d1, d2)'s cap 4
     d1, d2 = _operator_pair(random.Random(60))
     key = ((0, 1), (0, 1), (0, 1))
     assert key in bullet(d1, d2).terms
     assert key not in bullet(d2, d1).terms
     assert bullet(d1, d2).terms[key].cap == 4
-    assert gerstenhaber_bracket(d1, d2).terms[key].cap == 4
+    assert gerstenhaber_bracket(d1, d2).terms[key].cap == 3
+
+
+def _lifted(x):
+    """x with every coefficient re-capped at 20, above any product here."""
+    return x._with({k: TruncatedSeries(c.dim, 20, c.terms)
+                    for k, c in x._data.items()})
+
+
+def _poly(rng, dim, cap):
+    """1-3 monomials of total degree <= 4; cap None draws one in 2..8."""
+    return random_series(rng, dim, rng.randint(2, 8) if cap is None else cap,
+                         max_total=4, terms=rng.randint(1, 3))
+
+
+def _capped_operators(rng, cap):
+    dim = rng.randint(1, 3)
+
+    def op(nslots):
+        return PolyDiffOp(dim, nslots - 1, {
+            tuple(tuple(rng.randint(0, 2) for _ in range(dim))
+                  for _ in range(nslots)): _poly(rng, dim, cap)
+            for _ in range(rng.randint(1, 3))})
+    return op(rng.randint(1, 3)), op(rng.randint(0, 3))
+
+
+def _capped_form_field(rng, cap):
+    dim = rng.randint(2, 4)
+    q, p = rng.randint(1, dim), rng.randint(0, dim - 1)
+
+    def tensor(cls, degree, arity):
+        pool = list(combinations(range(1, dim + 1), arity))
+        return cls(dim, degree, {rng.choice(pool): _poly(rng, dim, cap)
+                                 for _ in range(rng.randint(1, 4))})
+    return (tensor(DifferentialForm, q, q),
+            tensor(PolyVectorField, p, p + 1))
+
+
+@pytest.mark.parametrize("cap", [6, None], ids=["cap6", "mixed"])
+@pytest.mark.parametrize("product, inputs", [
+    (bullet, _capped_operators),
+    (gerstenhaber_bracket, _capped_operators),
+    (contract, _capped_form_field),
+], ids=["bullet", "gerstenhaber", "contract"])
+def test_every_key_is_right_within_its_own_cap(product, inputs, cap):
+    # A product that truncates to zero still lowers the cap of the key it
+    # lands on: each key agrees, through its own cap, with the product of
+    # the same polynomials at cap 20, where nothing truncates.
+    rng = random.Random(0)
+    for n in range(200):
+        a, b = inputs(rng, cap)
+        got = product(a, b)
+        want = product(_lifted(a), _lifted(b))
+        for key, c in got._data.items():
+            exact = want._data.get(key, c.zero_like())
+            assert c.agrees_with(exact, c.cap), (n, key)
 
 
 # ---------------------------------------------------------------------

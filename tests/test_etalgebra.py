@@ -56,6 +56,14 @@ def test_exp_of_nilpotent():
     assert ey == want
 
 
+def test_one_like_is_the_unit_built_without_validation():
+    # a cap of -1 leaves no trustworthy coefficient: the unit is then zero
+    for dim, cap in ((1, -1), (2, 0), (3, 6)):
+        one = EtaFormScalar.zero(dim, cap).one_like()
+        assert one == EtaFormScalar.one(dim, cap) and one.cap == cap
+        assert one.is_zero() == (cap < 0)
+
+
 def test_exp_rejects_constant_term():
     with pytest.raises(ValueError):
         EtaFormScalar.one(2).exp()

@@ -18,7 +18,7 @@ from formaldisk import (AdmissibleGraph, DifferentialForm, EtaFormScalar,
                         graph_operator, hkr, theta_and_det,
                         twisted_first_taylor, u_one,
                         xi_matrix, todd_series, tilde_todd_series,
-                        exp_half_series, sinh_quotient_series,
+                        exp_series, sinh_quotient_series,
                         UnivariateSeries)
 from formaldisk.cli import _standard_pair
 from formaldisk.graphs import wheel_survivors
@@ -538,7 +538,7 @@ def test_todd_series_coefficients():
     qt = tilde_todd_series(6)
     assert qt.coeffs[:5] == [Fraction(1), Fraction(0), Fraction(-1, 24),
                              Fraction(0), Fraction(7, 5760)]
-    assert q * exp_half_series(6, sign=-1) == qt
+    assert q * exp_series(6, Fraction(-1, 2)) == qt
 
 
 def test_todd_series_are_the_reciprocals_of_their_closed_forms():

@@ -1,12 +1,12 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd
 
 import pytest
 
 from formaldisk import (DEFAULT_CAP, TruncatedSeries, UnivariateSeries,
-                        SeriesMatrix, matrix_exp, nilpotent_powers,
-                        series_at_matrix, sinh_quotient_series, useries_exp)
+                        SeriesMatrix, exp_series, nilpotent_powers, series_at,
+                        sinh_quotient_series)
 from formaldisk.series import bernoulli_numbers
 import formaldisk
 
@@ -183,10 +183,26 @@ def test_terms_are_fractions_and_read_only():
 # ---------------------------------------------------------------------
 
 def test_exp_log_inverse():
+    # exp at a univariate argument is e^x evaluated at it
+    def exp(f):
+        return series_at(exp_series(f.order, 1), f)
     x = UnivariateSeries([Fraction(0), Fraction(1)] + [Fraction(0)] * 8)
-    assert useries_log(useries_exp(x)) == x
+    assert useries_log(exp(x)) == x
     one_plus = UnivariateSeries([Fraction(1), Fraction(1)] + [Fraction(0)] * 8)
-    assert useries_exp(useries_log(one_plus)) == one_plus
+    assert exp(useries_log(one_plus)) == one_plus
+
+
+def test_exp_series_is_a_homomorphism_with_factorial_coefficients():
+    a, b = Fraction(-1, 2), Fraction(3)
+    e = exp_series(8, a)
+    assert e.coeffs == [a ** k / factorial(k) for k in range(9)]
+    assert e * exp_series(8, b) == exp_series(8, a + b)
+    assert exp_series(8, 0) == UnivariateSeries([1])
+    # every call returns its own coefficients, never the cached table
+    e.coeffs[0] = Fraction(5)
+    assert exp_series(8, a)[0] == 1
+    with pytest.raises(TypeError):
+        exp_series(8, 0.5)
 
 
 def test_univariate_hash_ignores_trailing_zeros():
@@ -230,7 +246,7 @@ def test_matrix_exp_of_strictly_triangular():
     t1, t2 = _nilpotent_pair()
     z = TruncatedSeries.zero(2, 5)
     n = SeriesMatrix([[z, t1], [z, z]])
-    e = matrix_exp(n)
+    e = series_at(exp_series(64, 1), n)
     assert e.rows == [{0: TruncatedSeries.const(2, 1, 5), 1: t1},
                       {1: TruncatedSeries.const(2, 1, 5)}]
 
@@ -240,9 +256,9 @@ def test_series_at_matrix_geometric():
     t1, t2 = _nilpotent_pair()
     one = UnivariateSeries([Fraction(1)] * 7)
     m = SeriesMatrix([[t1 * t1, t2], [TruncatedSeries.zero(2, 5), t1 * t2]])
-    val = series_at_matrix(one, m)
-    acc = SeriesMatrix.identity_like(m)
-    power = SeriesMatrix.identity_like(m)
+    val = series_at(one, m)
+    acc = m.one_like()
+    power = m.one_like()
     for _ in range(5):
         power = power * m
         acc = acc + power
@@ -301,7 +317,7 @@ def test_sparse_product_matches_the_dense_reference(seed):
                 ref[i][j] = ref[i][j] + e.scale(f[k])
         power = helpers.matrix_mul_reference(power, a)
     assert power.is_zero()
-    assert series_at_matrix(f, a).rows == SeriesMatrix(ref).rows
+    assert series_at(f, a).rows == SeriesMatrix(ref).rows
 
 
 def test_nilpotent_powers_stop_at_the_first_vanishing_power():
@@ -325,9 +341,11 @@ def test_matrix_functions_reject_a_non_nilpotent_argument():
     z = TruncatedSeries.zero(2, 5)
     identity = SeriesMatrix([[one, z], [z, one]])
     with pytest.raises(ValueError):
-        matrix_exp(identity)
+        series_at(exp_series(64, 1), identity)
     with pytest.raises(ValueError):
-        series_at_matrix(UnivariateSeries([Fraction(1)] * 7), identity)
+        series_at(UnivariateSeries([Fraction(1)] * 7), identity)
+    with pytest.raises(ValueError):
+        series_at(exp_series(6, 1), UnivariateSeries([1, 1]))
 
 
 def test_default_cap_is_eight():

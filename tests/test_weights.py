@@ -166,6 +166,26 @@ def test_bad_seed_rejected_before_any_chunk_or_pool(seed, monkeypatch):
                   chunk_size=500)
 
 
+@pytest.mark.parametrize("workers", [0, -3, False, 1.5, 2.0, "2"])
+def test_bad_workers_rejected_before_any_chunk_or_pool(workers, monkeypatch):
+    # 1.5 and 2.0 used to end in the pool's TypeError, while 0 and -3 ran
+    # and were recorded as given
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("work started on a bad worker count")
+    monkeypatch.setattr("formaldisk.weights.ProcessPoolExecutor", must_not_run)
+    monkeypatch.setattr("formaldisk.weights._chunk_sums", must_not_run)
+    # the single-vertex graph has a zero-dimensional fiber and no chunk
+    for graph in (opposite_wheel(2), AdmissibleGraph(1, 0, ())):
+        with pytest.raises(ValueError, match="worker count"):
+            mc_weight(graph, 1000, workers=workers, chunk_size=500)
+
+
+def test_bool_and_numpy_workers_read_as_their_int():
+    assert mc_weight(gamma0(2), 1000, seed=0, workers=True).workers == 1
+    est = mc_weight(gamma0(2), 1000, seed=0, workers=np.int64(3))
+    assert type(est.workers) is int and est.workers == 3
+
+
 @pytest.mark.parametrize("samples, chunk_size, match", [
     (1000.0, 500, "sample count"),
     (1000.5, 500, "sample count"),
