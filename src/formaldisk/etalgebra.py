@@ -107,6 +107,8 @@ class EtaFormScalar(SparseSum):
         if any(not k[0] and not k[1] for k in self.terms
                if self.terms[k].constant_term() != 0):
             raise ValueError("exp needs a vanishing constant term")
+        if self.is_zero():
+            return self.one_like()
         # one * self truncates every coefficient to the container cap
         return series_at(exp_series(2 * self.dim + 2 * self.cap + 4, 1),
                          self.one_like() * self)

@@ -63,6 +63,18 @@ also gives its chart point -1/t and chart factor (1 + 1/t^2) / 2.  The
 points stay Cartesian from the base draw on; a redraw writes the new
 point and its radius sqrt(x^2 + y^2).
 
+Each quantity is computed once.  What depends on the graph alone is
+built once per chunk: the determinant plan with the collision pairs
+that no edge joins and the partials' (2 pi)^E (_det_plan), and the
+components' moved vertices, centres and coin intervals (_mixture_plan).
+Within a block, an edge's squared distance |z_q - z_p|^2, the
+denominator of its partials, is also the collision filter's test for
+that pair, and the filter measures only the pairs no edge joins.  The
+ground angles are sorted by a min/max network over their rows, not by
+a sort of each sample.  None of this changes a floating-point operation
+of a sample, so the chunk sums are those of the kernel that computed
+every quantity where it was used (tests/helpers.py keeps it).
+
 The reported weight carries the orientation prefactor
 (-1)^{E(E-1)/2} on top of the raw integral.
 """
@@ -77,6 +89,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict
+from itertools import combinations
 
 import numpy as np
 
@@ -221,15 +234,16 @@ def _det_plan(graph):
     (A, B) at an aerial target and A at a ground target.  The sources'
     minus signs are folded into the terms' signs.
 
-    Returns (src, tgt, minors, grounds, terms, signs, pairs): src and tgt
-    index every edge's endpoints (0-based, aerial vertices first, then
-    ground); minors = (e1, e2, k1, k2) arrays, one entry per 2x2 minor
-    A[e1] Y[k2] - A[e2] Y[k1], where Y stacks every edge's C and then
-    every edge's B (k = e at the edge's source, E + e at its target);
-    grounds holds the edge of each 1x1 minor A[e]; terms indexes each
-    term's factors, the 2x2 minors first and then the 1x1 ones, and signs
-    holds each term's sign; pairs lists every pair of points for the
-    collision filter.
+    Returns (src, tgt, minors, grounds, terms, signs, pairs, norm): src
+    and tgt index every edge's endpoints (0-based, aerial vertices first,
+    then ground); minors = (e1, e2, k1, k2) arrays, one entry per 2x2
+    minor A[e1] Y[k2] - A[e2] Y[k1], where Y stacks every edge's C and
+    then every edge's B (k = e at the edge's source, E + e at its
+    target); grounds holds the edge of each 1x1 minor A[e]; terms indexes
+    each term's factors, the 2x2 minors first and then the 1x1 ones, and
+    signs holds each term's sign; pairs lists the pairs of points that no
+    edge joins, the only ones the collision filter measures on its own;
+    norm = (2 pi)^E, the partials' common denominator.
     """
     n, m = graph.n, graph.m
     edges = graph.edges
@@ -261,6 +275,9 @@ def _det_plan(graph):
     def slot(e, v):
         return e if edges[e][0] == v else e_count + e
 
+    joined = {frozenset(edge) for edge in edges}
+    apart = [(a - 1, b - 1) for a, b in combinations(range(1, n + m + 1), 2)
+             if frozenset((a, b)) not in joined]
     ends = np.array(edges, dtype=np.intp).reshape(-1, 2) - 1
     return (ends[:, 0], ends[:, 1],
             np.array([(e1, e2, slot(e1, v), slot(e2, v))
@@ -270,57 +287,101 @@ def _det_plan(graph):
             np.array([[index[key] for key in t] for _, t in found],
                      dtype=np.intp).reshape(len(found), n - 1 + m),
             np.array([sign for sign, _ in found]),
-            np.triu_indices(n + m, 1))
+            np.array(apart, dtype=np.intp).reshape(-1, 2).T,
+            TWO_PI ** e_count)
+
+
+def _mixture_plan(graph):
+    """The chunk's constants of the kernel redraw and mixture density.
+
+    None for a graph with no kernel component.  Otherwise (starts, v, c,
+    weight): the start of each component's interval of the coin, the
+    row of the vertex it moves and the row of its centre in the table of
+    centres, and p_comp / KERNEL_LOG, the weight of the kernels' sum in
+    the density.
+    """
+    comps = _kernel_components(graph)
+    if not comps:
+        return None
+    sampled = graph.n - 1
+    p_comp = (1.0 - BASE_WEIGHT) / len(comps)
+    v = np.array([b if kind == "pair" else a for kind, a, b in comps]) - 2
+    c = np.array([a - 2 if kind == "pair" else sampled + b - 1
+                  if kind == "ground" else sampled + graph.m
+                  for kind, a, b in comps])
+    return (BASE_WEIGHT + p_comp * np.arange(len(comps)), v, c,
+            p_comp / KERNEL_LOG)
 
 
 def _direction(t):
     """(cos theta, sin theta) from t = tan(theta/2), with no libm sin/cos."""
     tt = t * t
-    return (1.0 - tt) / (1.0 + tt), 2.0 * t / (1.0 + tt)
+    q = 1.0 + tt
+    return (1.0 - tt) / q, 2.0 * t / q
 
 
-def _block_values(plan, comps, r, ang, alpha, coin=None, rho_u=None,
+def _sort_rows(a):
+    """Sort a down its first axis in place, as np.sort(a, axis=0) would.
+
+    An odd-even transposition network of np.minimum and np.maximum:
+    len(a) rounds of compare-exchanges of neighbouring rows, each a
+    whole-row operation, where np.sort would sort every column apart.
+    For values that are not NaN the result equals np.sort's.
+    """
+    for start in range(len(a)):
+        for k in range(start % 2, len(a) - 1, 2):
+            low = np.minimum(a[k], a[k + 1])
+            np.maximum(a[k], a[k + 1], out=a[k + 1])
+            a[k] = low
+    return a
+
+
+def _block_values(plan, mix, r, ang, alpha, coin=None, rho_u=None,
                   turn=None):
     """Integrand of one block of draws, and the number of samples dropped.
 
-    r and ang hold the sampled vertices' radii and angles, alpha the
-    ground points' angles, one sample per row; coin, rho_u and turn are
-    the kernel draws.  Every angle is in turns.  The work runs on one
-    row per coordinate, so that gathering a vertex's or an edge's values
-    is a contiguous copy.  The points are Cartesian rows of one centre
-    table: the sampled points, the ground points' boundary images
-    e^{i alpha}, then w = 1.  The coin picks at most one component per
-    sample, which moves its vertex to the centre plus the offset; so a
-    pair's centre is always the partner's base draw.  The integrand is
-    returned for the in-disk samples only, 0 where the collision filter
-    drops one.
+    plan is _det_plan's and mix _mixture_plan's.  r and ang hold the
+    sampled vertices' radii and angles, alpha the ground points' angles
+    in any order, one sample per row; coin, rho_u and turn are the kernel
+    draws.  Every angle is in turns.  The work runs on one row per
+    coordinate, so that gathering a vertex's or an edge's values is a
+    contiguous copy.  The points are Cartesian rows of one centre table:
+    the sampled points, the ground points' boundary images e^{i alpha},
+    then w = 1.  The coin picks at most one component per sample, which
+    moves its vertex to the centre plus the offset; so a pair's centre
+    is always the partner's base draw.  The integrand is returned for the
+    in-disk samples only, 0 where the collision filter drops one.
 
     On them the determinant is taken in Cartesian coordinates
     z = x + iy of the points, times the chart's Jacobian determinant:
     4 r / |1 - w|^4 per sampled vertex and dq/dalpha per ground point,
     both positive.  Edge p -> q with u = 1/(z_q - z_p), v = 1/(z_q -
-    conj z_p) has the partials of _det_plan, each over 2 pi.
+    conj z_p) has the partials of _det_plan, each over 2 pi.  The
+    squared distance |z_q - z_p|^2 behind u is also the one the
+    collision filter tests for the pair (p, q).
     """
-    src, tgt, (e1, e2, k1, k2), grounds, terms, signs, (i, j) = plan
+    src, tgt, (e1, e2, k1, k2), grounds, terms, signs, (i, j), norm = plan
     size, sampled, m = len(r), r.shape[1], alpha.shape[1]
     r, ang, alpha = (a.T.copy() for a in (r, ang, alpha))
-    t = np.tan(np.pi * alpha)
-    cos, sin = _direction(np.tan(np.pi * ang))
-    px, py = np.empty((2, sampled + m + 1 if comps else sampled, size))
-    px[:sampled], py[:sampled] = r * cos, r * sin
-    if comps:
+    ang *= np.pi
+    _sort_rows(alpha)
+    alpha *= np.pi
+    cos, sin = _direction(np.tan(ang, out=ang))
+    t = np.tan(alpha, out=alpha)
+    px, py = np.empty((2, sampled + m + 1 if mix else sampled, size))
+    np.multiply(r, cos, out=px[:sampled])
+    np.multiply(r, sin, out=py[:sampled])
+    if mix:
+        starts, v, c, weight = mix
         px[sampled:-1], py[sampled:-1] = _direction(t)
         px[-1], py[-1] = 1.0, 0.0
-        p_comp = (1.0 - BASE_WEIGHT) / len(comps)
-        v = np.array([b if kind == "pair" else a for kind, a, b in comps]) - 2
-        c = np.array([a - 2 if kind == "pair" else sampled + b - 1
-                      if kind == "ground" else sampled + m
-                      for kind, a, b in comps])
-        pick = np.searchsorted(BASE_WEIGHT + p_comp * np.arange(len(comps)),
-                               coin, "right") - 1
+        # the component whose interval holds the coin: as searchsorted's
+        # right side, the count of interval starts at or below the coin
+        pick = (starts[:, None] <= coin).sum(axis=0) - 1
         rows = np.flatnonzero(pick >= 0)
+        pick = pick[rows]
         # flat indices of each moved sample's centre and vertex
-        at, to = (c[pick[rows]] * size + rows, v[pick[rows]] * size + rows)
+        at, to = c[pick] * size + rows, v[pick] * size + rows
         ox, oy = _direction(np.tan(np.pi * turn[rows]))
         rho = KERNEL_RMIN * np.exp(rho_u[rows] * KERNEL_LOG)
         wx, wy = px.take(at) + rho * ox, py.take(at) + rho * oy
@@ -329,45 +390,86 @@ def _block_values(plan, comps, r, ang, alpha, coin=None, rho_u=None,
     keep = np.flatnonzero(np.all((r > 0.0) & (r < 1.0), axis=0))
     if len(keep) < size:
         r, px, py, t = (a.take(keep, axis=1) for a in (r, px, py, t))
+    kept = r.shape[1]
     denom = 1.0
-    if comps:
+    if mix:
         # the mixture density: each component's kernel around its centre
-        d2 = (px[v] - px[c]) ** 2 + (py[v] - py[c]) ** 2
-        k = np.where((d2 >= KERNEL_RMIN ** 2) & (d2 <= KERNEL_RMAX ** 2),
-                     r[v] / np.maximum(d2, KERNEL_RMIN ** 2), 0.0)
-        denom = BASE_WEIGHT + p_comp / KERNEL_LOG * k.sum(axis=0)
+        d2 = np.square(px[v] - px[c])
+        d2 += np.square(py[v] - py[c])
+        k = np.divide(r[v], np.maximum(d2, KERNEL_RMIN ** 2))
+        k[~((d2 >= KERNEL_RMIN ** 2) & (d2 <= KERNEL_RMAX ** 2))] = 0.0
+        denom = k.sum(axis=0)
+        denom *= weight
+        denom += BASE_WEIGHT
 
-    # the disk chart z = i(1+w)/(1-w), with |1-w|^2 from 1 - w = a - ib
+    # the disk chart z = i(1+w)/(1-w), with |1-w|^2 from 1 - w = a - ib:
+    # x holds the gauge point, the sampled points and the ground points
     rc = np.clip(r, 1e-12, 1.0 - 1e-12)
     scale = rc / r
     a, b = 1.0 - px[:sampled] * scale, py[:sampled] * scale
     d = a * a + b * b
-    x = np.zeros((sampled + 1 + m, t.shape[1]))
-    y = np.zeros_like(x)
-    y[0] = 1.0
-    x[1:sampled + 1] = -2.0 * b / d
-    y[1:sampled + 1] = (1.0 - rc) * (1.0 + rc) / d
-    x[sampled + 1:] = -1.0 / t
-    chart = (np.prod(4.0 * rc / (d * d), axis=0)
-             * np.prod(0.5 + 0.5 / (t * t), axis=0) / TWO_PI ** len(src))
+    x, y = np.empty((2, sampled + 1 + m, kept))
+    x[0], y[0], y[sampled + 1:] = 0.0, 1.0, 0.0
+    np.divide(-2.0 * b, d, out=x[1:sampled + 1])
+    np.divide((1.0 - rc) * (1.0 + rc), d, out=y[1:sampled + 1])
+    np.divide(-1.0, t, out=x[sampled + 1:])
+    rc *= 4.0
+    rc /= d * d
+    t *= t
+    np.divide(0.5, t, out=t)
+    t += 0.5
+    chart = np.prod(rc, axis=0)                       # 4 r / |1 - w|^4
+    chart *= np.prod(t, axis=0)                       # dq / dalpha
+    chart /= norm
 
-    dx = x[tgt] - x[src]
-    dy, sy = y[tgt] - y[src], y[tgt] + y[src]
-    inv_n = 1.0 / (dx * dx + dy * dy)
-    inv_d = 1.0 / (dx * dx + sy * sy)
-    im_diff = sy * inv_d - dy * inv_n                 # Im(u - v)
-    re = np.concatenate((dx * (inv_n + inv_d),        # Re(u + v)
-                         dx * (inv_n - inv_d)))       # Re(u - v)
-    factors = np.concatenate((im_diff[e1] * re[k2] - im_diff[e2] * re[k1],
-                              im_diff[grounds]))
-    dets = signs @ factors[terms].prod(axis=1) * chart
+    ys, yt = y.take(src, axis=0), y.take(tgt, axis=0)
+    dx = x.take(tgt, axis=0)
+    dx -= x.take(src, axis=0)
+    dy = yt - ys
+    sy = yt
+    sy += ys
+    dx2 = dx * dx
+    dist2 = dy * dy
+    dist2 += dx2
+    # collision margin: drop samples with near-coincident points, here
+    # those of an edge, whose |z_q - z_p|^2 is also u's denominator
+    drop = np.any(dist2 < COLLISION_MARGIN ** 2, axis=0)
+    inv_n = np.divide(1.0, dist2, out=dist2)
+    inv_d = sy * sy
+    inv_d += dx2
+    np.divide(1.0, inv_d, out=inv_d)
+    im_diff = sy                                      # Im(u - v)
+    im_diff *= inv_d
+    dy *= inv_n
+    im_diff -= dy
+    e_count = len(src)
+    re = np.empty((2 * e_count, kept))
+    np.add(inv_n, inv_d, out=re[:e_count])            # Re(u + v)
+    np.subtract(inv_n, inv_d, out=re[e_count:])       # Re(u - v)
+    re[:e_count] *= dx
+    re[e_count:] *= dx
+    factors = np.empty((len(e1) + len(grounds), kept))
+    minors = im_diff.take(e1, axis=0, out=factors[:len(e1)])
+    minors *= re.take(k2, axis=0)
+    other = im_diff.take(e2, axis=0)
+    other *= re.take(k1, axis=0)
+    minors -= other
+    im_diff.take(grounds, axis=0, out=factors[len(e1):])
+    # each term's factors multiplied left to right
+    prods = factors.take(terms[:, 0], axis=0)
+    for col in range(1, terms.shape[1]):
+        prods *= factors.take(terms[:, col], axis=0)
+    dets = signs @ prods
+    dets *= chart
 
-    # collision margin: drop samples with near-coincident points
-    drop = (~np.isfinite(dets)
-            | np.any((x[i] - x[j]) ** 2 + (y[i] - y[j]) ** 2
-                     < COLLISION_MARGIN ** 2, axis=0))
-    return (np.where(drop, 0.0, dets / denom),
-            size - len(dets) + int(drop.sum()))
+    if len(i):                                        # pairs no edge joins
+        dist2 = np.square(x[i] - x[j])
+        dist2 += np.square(y[i] - y[j])
+        drop |= np.any(dist2 < COLLISION_MARGIN ** 2, axis=0)
+    drop |= ~np.isfinite(dets)
+    dets /= denom
+    dets[drop] = 0.0
+    return dets, size - kept + int(np.count_nonzero(drop))
 
 
 def _chunk_sums(args):
@@ -375,7 +477,8 @@ def _chunk_sums(args):
 
     The chunk's whole random stream is drawn first, in a fixed order, so
     the result depends on (graph, chunk index, chunk size, seed) alone.
-    The samples are then evaluated BLOCK at a time by _block_values.
+    The samples are then evaluated BLOCK at a time by _block_values, with
+    the plans built once per chunk.
     """
     graph_json, chunk_index, chunk_size, seed = args
     from .graphs import AdmissibleGraph
@@ -383,19 +486,19 @@ def _chunk_sums(args):
     n, m = graph.n, graph.m
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
                                                        spawn_key=(chunk_index,)))
-    # radii, angles and sorted ground angles (in turns), then coin,
-    # kernel radius and kernel angle
+    # radii, angles and ground angles (in turns; _block_values sorts the
+    # ground angles), then coin, kernel radius and kernel angle
     draws = [rng.random((chunk_size, n - 1)), rng.random((chunk_size, n - 1)),
-             np.sort(rng.random((chunk_size, m)), axis=1)]
-    comps = _kernel_components(graph)
-    if comps:
+             rng.random((chunk_size, m))]
+    mix = _mixture_plan(graph)
+    if mix:
         draws += [rng.random(chunk_size) for _ in range(3)]
 
     plan = _det_plan(graph)
     s1 = s2 = 0.0
     discarded = 0
     for lo in range(0, chunk_size, BLOCK):
-        g, dropped = _block_values(plan, comps,
+        g, dropped = _block_values(plan, mix,
                                    *(a[lo:lo + BLOCK] for a in draws))
         s1 += float(g.sum())
         s2 += float((g * g).sum())
@@ -404,8 +507,13 @@ def _chunk_sums(args):
 
 
 def _pool_size(workers, tasks):
-    """Processes worth starting: no more than asked, chunks or cores."""
-    return min(workers, tasks, os.cpu_count() or 1)
+    """Processes worth starting: no more than asked, chunks or the cores
+    this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    return min(workers, tasks, cores)
 
 
 def moduli_dimension(graph):
@@ -430,6 +538,22 @@ def check_seed(seed):
     return seed
 
 
+def _count(value, what):
+    """value as an int (True counts 1); ValueError unless it is a
+    positive integer."""
+    if not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError("need a positive integer " + what)
+    return int(value)
+
+
+def _check_run(samples, seed, workers):
+    """(samples, workers) as ints, once they and the seed pass the checks
+    made before any work: ValueError otherwise."""
+    samples = _count(samples, "sample count")
+    check_seed(seed)
+    return samples, _count(workers, "worker count")
+
+
 def mc_weight(graph, samples, seed=0, workers=1, chunk_size=CHUNK):
     """Monte Carlo estimate of the weight of an admissible graph.
 
@@ -440,15 +564,8 @@ def mc_weight(graph, samples, seed=0, workers=1, chunk_size=CHUNK):
     n, m = graph.n, graph.m
     e_count = len(graph.edges)
     dim = moduli_dimension(graph)
-    if not isinstance(samples, (int, np.integer)) or samples < 1:
-        raise ValueError("need a positive integer sample count")
-    check_seed(seed)
-    if not isinstance(chunk_size, (int, np.integer)) or chunk_size < 1:
-        raise ValueError("need a positive integer chunk size")
-    if not isinstance(workers, (int, np.integer)) or workers < 1:
-        raise ValueError("need a positive integer worker count")
-    # True counts 1
-    samples, chunk_size, workers = int(samples), int(chunk_size), int(workers)
+    samples, workers = _check_run(samples, seed, workers)
+    chunk_size = _count(chunk_size, "chunk size")
     volume = (TWO_PI ** (n - 1 + m)) / math.factorial(m)
     prefactor = (-1) ** ((e_count * (e_count - 1) // 2) % 2)
     if dim == 0:
@@ -541,6 +658,7 @@ def cache_store(path, estimate):
 
 
 def mc_weight_cached(graph, samples, seed=0, workers=1, cache_path="weights.jsonl"):
+    _check_run(samples, seed, workers)
     digest = graph.canonical_hash()
     hit = cache_lookup(cache_path, digest, samples, seed)
     if hit is not None:

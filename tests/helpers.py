@@ -16,7 +16,9 @@ caps are equal, and contract_reference the interior product one axis
 at a time through intermediate fields.  The series_*_reference
 functions keep truncated-series arithmetic on one Fraction per
 coefficient, the oracle of the integer numerators over one denominator
-that TruncatedSeries stores.
+that TruncatedSeries stores.  chunk_sums_blocked_reference keeps the
+Monte Carlo chunk kernel that computed every quantity where it was used;
+its sums are the ones weights._chunk_sums must reproduce exactly.
 """
 
 from fractions import Fraction
@@ -626,6 +628,13 @@ def theta_and_det_reference(xi, max_length=None):
     return trace_theta.exp()
 
 
+def eta_exp_reference(x):
+    """EtaFormScalar.exp by the series route alone, a zero argument too:
+    the exponential series at one * x, each coefficient cut to x's cap."""
+    from formaldisk.series import exp_series, series_at
+    return series_at(exp_series(2 * x.dim + 2 * x.cap + 4, 1),
+                     x.one_like() * x)
+
 # -- Monte Carlo chunk on full-chunk arrays ----------------------------
 
 def chunk_sums_reference(args):
@@ -772,3 +781,118 @@ def dense_jacobian(graph, r, ang, alpha):
             col = 2 * (n - 1) + (t - n - 1)
             jac[:, row, col] += (dq[:, t - n - 1] * (inv_n - inv_d)).imag / TWO_PI
     return jac, [pos(v) for v in range(1, n + m + 1)]
+
+
+# -- Monte Carlo chunk, block by block, each phase on its own ----------
+
+def _direction_reference(t):
+    tt = t * t
+    return (1.0 - tt) / (1.0 + tt), 2.0 * t / (1.0 + tt)
+
+
+def _block_values_reference(plan, comps, r, ang, alpha, coin=None,
+                            rho_u=None, turn=None):
+    """One block of weights._chunk_sums' kernel as it was before the
+    kernel shared its intermediates: every quantity built where it is
+    used, the mixture constants rebuilt per block, and the collision
+    filter over every pair of points.  Returns the in-disk integrand and
+    the number of samples dropped.
+    """
+    import numpy as np
+    from formaldisk.weights import (BASE_WEIGHT, COLLISION_MARGIN,
+                                    KERNEL_LOG, KERNEL_RMAX, KERNEL_RMIN,
+                                    TWO_PI)
+    src, tgt, (e1, e2, k1, k2), grounds, terms, signs = plan[:6]
+    size, sampled, m = len(r), r.shape[1], alpha.shape[1]
+    i, j = np.triu_indices(sampled + 1 + m, 1)
+    r, ang, alpha = (a.T.copy() for a in (r, ang, alpha))
+    t = np.tan(np.pi * alpha)
+    cos, sin = _direction_reference(np.tan(np.pi * ang))
+    px, py = np.empty((2, sampled + m + 1 if comps else sampled, size))
+    px[:sampled], py[:sampled] = r * cos, r * sin
+    if comps:
+        px[sampled:-1], py[sampled:-1] = _direction_reference(t)
+        px[-1], py[-1] = 1.0, 0.0
+        p_comp = (1.0 - BASE_WEIGHT) / len(comps)
+        v = np.array([b if kind == "pair" else a for kind, a, b in comps]) - 2
+        c = np.array([a - 2 if kind == "pair" else sampled + b - 1
+                      if kind == "ground" else sampled + m
+                      for kind, a, b in comps])
+        pick = np.searchsorted(BASE_WEIGHT + p_comp * np.arange(len(comps)),
+                               coin, "right") - 1
+        rows = np.flatnonzero(pick >= 0)
+        at, to = (c[pick[rows]] * size + rows, v[pick[rows]] * size + rows)
+        ox, oy = _direction_reference(np.tan(np.pi * turn[rows]))
+        rho = KERNEL_RMIN * np.exp(rho_u[rows] * KERNEL_LOG)
+        wx, wy = px.take(at) + rho * ox, py.take(at) + rho * oy
+        px.reshape(-1)[to], py.reshape(-1)[to] = wx, wy
+        r.reshape(-1)[to] = np.sqrt(wx * wx + wy * wy)
+    keep = np.flatnonzero(np.all((r > 0.0) & (r < 1.0), axis=0))
+    if len(keep) < size:
+        r, px, py, t = (a.take(keep, axis=1) for a in (r, px, py, t))
+    denom = 1.0
+    if comps:
+        d2 = (px[v] - px[c]) ** 2 + (py[v] - py[c]) ** 2
+        k = np.where((d2 >= KERNEL_RMIN ** 2) & (d2 <= KERNEL_RMAX ** 2),
+                     r[v] / np.maximum(d2, KERNEL_RMIN ** 2), 0.0)
+        denom = BASE_WEIGHT + p_comp / KERNEL_LOG * k.sum(axis=0)
+
+    rc = np.clip(r, 1e-12, 1.0 - 1e-12)
+    scale = rc / r
+    a, b = 1.0 - px[:sampled] * scale, py[:sampled] * scale
+    d = a * a + b * b
+    x = np.zeros((sampled + 1 + m, t.shape[1]))
+    y = np.zeros_like(x)
+    y[0] = 1.0
+    x[1:sampled + 1] = -2.0 * b / d
+    y[1:sampled + 1] = (1.0 - rc) * (1.0 + rc) / d
+    x[sampled + 1:] = -1.0 / t
+    chart = (np.prod(4.0 * rc / (d * d), axis=0)
+             * np.prod(0.5 + 0.5 / (t * t), axis=0) / TWO_PI ** len(src))
+
+    dx = x[tgt] - x[src]
+    dy, sy = y[tgt] - y[src], y[tgt] + y[src]
+    inv_n = 1.0 / (dx * dx + dy * dy)
+    inv_d = 1.0 / (dx * dx + sy * sy)
+    im_diff = sy * inv_d - dy * inv_n
+    re = np.concatenate((dx * (inv_n + inv_d), dx * (inv_n - inv_d)))
+    factors = np.concatenate((im_diff[e1] * re[k2] - im_diff[e2] * re[k1],
+                              im_diff[grounds]))
+    dets = signs @ factors[terms].prod(axis=1) * chart
+
+    drop = (~np.isfinite(dets)
+            | np.any((x[i] - x[j]) ** 2 + (y[i] - y[j]) ** 2
+                     < COLLISION_MARGIN ** 2, axis=0))
+    return (np.where(drop, 0.0, dets / denom),
+            size - len(dets) + int(drop.sum()))
+
+
+def chunk_sums_blocked_reference(args):
+    """weights._chunk_sums as it was before the kernel shared its
+    intermediates: the same draws, the ground angles sorted by np.sort,
+    and each block of BLOCK samples evaluated by _block_values_reference.
+    Returns (sum, sumsq, kept, discarded), to be compared with ==.
+    """
+    import numpy as np
+    from formaldisk.graphs import AdmissibleGraph
+    from formaldisk.weights import BLOCK, _det_plan, _kernel_components
+    graph_json, chunk_index, chunk_size, seed = args
+    graph = AdmissibleGraph.from_json(graph_json)
+    n, m = graph.n, graph.m
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
+                                                       spawn_key=(chunk_index,)))
+    draws = [rng.random((chunk_size, n - 1)), rng.random((chunk_size, n - 1)),
+             np.sort(rng.random((chunk_size, m)), axis=1)]
+    comps = _kernel_components(graph)
+    if comps:
+        draws += [rng.random(chunk_size) for _ in range(3)]
+    plan = _det_plan(graph)
+    s1 = s2 = 0.0
+    discarded = 0
+    for lo in range(0, chunk_size, BLOCK):
+        g, dropped = _block_values_reference(
+            plan, comps, *(a[lo:lo + BLOCK] for a in draws))
+        s1 += float(g.sum())
+        s2 += float((g * g).sum())
+        discarded += dropped
+    return s1, s2, chunk_size, discarded

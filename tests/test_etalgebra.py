@@ -6,6 +6,8 @@ from formaldisk import (EtaField, EtaFormScalar, EtaOperator, PolyDiffOp,
                         PolyVectorField, TruncatedSeries, sort_with_sign)
 from formaldisk.etalgebra import _form_from_parts
 
+from helpers import eta_exp_reference
+
 
 def gen(dim, alpha, cap=6):
     return EtaFormScalar.generator(dim, alpha, cap)
@@ -62,6 +64,15 @@ def test_one_like_is_the_unit_built_without_validation():
         one = EtaFormScalar.zero(dim, cap).one_like()
         assert one == EtaFormScalar.one(dim, cap) and one.cap == cap
         assert one.is_zero() == (cap < 0)
+
+
+@pytest.mark.parametrize("cap", [-1, 0, 8])
+def test_exp_of_zero_is_the_unit_of_the_series_route(cap):
+    for dim in (1, 2, 4):
+        zero = EtaFormScalar.zero(dim, cap)
+        got, want = zero.exp(), eta_exp_reference(zero)
+        assert got == want and got.cap == want.cap
+        assert got == zero.one_like() and got.cap == cap
 
 
 def test_exp_rejects_constant_term():

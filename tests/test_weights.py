@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import sys
@@ -14,12 +15,15 @@ from formaldisk import (angle, gamma0, graphs_with_profile,
 from formaldisk.graphs import AdmissibleGraph
 from formaldisk.weights import (BLOCK, SAMPLER, TWO_PI, _block_values,
                                 _chunk_sums, _det_plan, _direction,
-                                _kernel_components, _pool_size,
+                                _kernel_components, _mixture_plan,
+                                _pool_size, _sort_rows,
                                 cache_lookup, cache_store, WeightEstimate)
 from formaldisk.series import sinh_quotient_series
 
-from helpers import (bernoulli, chunk_sums_reference, dense_jacobian,
-                     theta_by_log, wheel_weight_from_bernoulli)
+import helpers
+from helpers import (bernoulli, chunk_sums_blocked_reference,
+                     chunk_sums_reference, dense_jacobian, theta_by_log,
+                     wheel_weight_from_bernoulli)
 
 
 def test_wheel_weights_match_bernoulli_recurrence():
@@ -271,6 +275,31 @@ def test_half_angle_direction_matches_cos_and_sin():
 @pytest.mark.parametrize("seed", [0, 7])
 @pytest.mark.parametrize("size", [1, 1000, BLOCK + 1, 2 * BLOCK + 17])
 @pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
+def test_chunk_sums_equal_the_blocked_reference(name, size, seed):
+    # the shared intermediates change no floating-point operation of a
+    # sample, so the sums are equal, not merely close
+    args = (ORACLE_GRAPHS[name].to_json(), 3, size, seed)
+    assert _chunk_sums(args) == chunk_sums_blocked_reference(args)
+
+
+def _rows_with_ties_and_zeros(m, rng):
+    rows = rng.random((200, m))
+    ties = rng.choice(rng.random(2), (200, m))         # two values a row
+    zeros = np.where(rng.random((200, m)) < 0.4, 0.0, rows)
+    return np.concatenate((rows, ties, zeros, np.zeros((1, m))))
+
+
+@pytest.mark.parametrize("m", range(7))
+def test_ground_angle_network_equals_np_sort(m):
+    rows = _rows_with_ties_and_zeros(m, np.random.default_rng(m))
+    net = _sort_rows(rows.T.copy()).T
+    assert net.shape == rows.shape
+    assert np.array_equal(net, np.sort(rows, axis=1))
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("size", [1, 1000, BLOCK + 1, 2 * BLOCK + 17])
+@pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
 def test_blocked_chunk_matches_the_whole_chunk_oracle(name, size, seed):
     # same draws, same discards; the sums may differ only by rounding
     args = (ORACLE_GRAPHS[name].to_json(), 3, size, seed)
@@ -317,7 +346,7 @@ def test_determinant_plan_matches_the_dense_determinant():
         r = rng.random((300, graph.n - 1))
         ang = rng.random((300, graph.n - 1))               # in turns
         alpha = np.sort(rng.random((300, graph.m)), axis=1)
-        vals, discarded = _block_values(_det_plan(graph), (), r, ang, alpha)
+        vals, discarded = _block_values(_det_plan(graph), None, r, ang, alpha)
         assert discarded == 0
         jac = dense_jacobian(graph, r, ang * TWO_PI, alpha * TWO_PI)[0]
         dets = np.linalg.det(jac)
@@ -333,6 +362,50 @@ def test_determinant_plan_matches_the_dense_determinant():
         assert np.all(np.abs(vals) <= 1e-12 * hadamard), graph
         assert _terms(graph) or not vals.any(), graph
     assert vanishing == {0: 65, 2: 2, 3: 4}
+
+
+@pytest.mark.parametrize("name, a, b", [
+    ("wheel-2", 0, 1),          # vertices 2 and 3, joined by an edge
+    ("wheel-4", 0, 1),          # vertices 2 and 3, joined by an edge
+    ("wheel-4", 0, 2),          # vertices 2 and 4, which no edge joins
+    ("gamma0(2)", None, None),  # two ground points, which no edge joins
+])
+def test_near_collisions_are_dropped_as_the_reference_drops_them(name, a, b):
+    # the filter reads a joined pair's distance from the edge partials and
+    # measures the other pairs itself; every third sample puts the two
+    # points within the margin, so each of the two routes is exercised
+    graph = ORACLE_GRAPHS[name]
+    rng = np.random.default_rng(3)
+    r = rng.random((300, graph.n - 1))
+    ang = rng.random((300, graph.n - 1))
+    alpha = rng.random((300, graph.m))
+    if a is None:
+        alpha[::3, 1] = alpha[::3, 0]
+    else:
+        r[::3, b] = r[::3, a]
+        ang[::3, b] = ang[::3, a] + 1e-13
+    plan = _det_plan(graph)
+    vals, dropped = _block_values(plan, None, r, ang, alpha)
+    ref, ref_dropped = helpers._block_values_reference(plan, (), r, ang,
+                                                       alpha)
+    assert dropped == ref_dropped >= 100
+    assert np.array_equal(vals, ref)
+
+
+@pytest.mark.parametrize("name", ["wheel-3", "mixed"])
+def test_a_coin_on_an_interval_start_picks_as_searchsorted_does(name):
+    graph = ORACLE_GRAPHS[name]
+    mix = _mixture_plan(graph)
+    rng = np.random.default_rng(4)
+    r, ang = rng.random((2, 400, graph.n - 1))
+    alpha = rng.random((400, graph.m))
+    coin, rho_u, turn = rng.random((3, 400))
+    coin[::2] = np.resize(mix[0], 200)          # exactly on a start
+    plan = _det_plan(graph)
+    got = _block_values(plan, mix, r, ang, alpha, coin, rho_u, turn)
+    want = helpers._block_values_reference(
+        plan, _kernel_components(graph), r, ang, alpha, coin, rho_u, turn)
+    assert got[1] == want[1] and np.array_equal(got[0], want[0])
 
 
 class _LineBudget:
@@ -361,11 +434,19 @@ def test_chunk_size_below_one_is_rejected(chunk_size):
 
 
 def test_pool_size_never_exceeds_chunks_or_cores(monkeypatch):
-    monkeypatch.setattr("formaldisk.weights.os.cpu_count", lambda: 4)
+    # the cores this process may run on, not the host's count
+    monkeypatch.setattr("formaldisk.weights.os.sched_getaffinity",
+                        lambda pid: {0, 1, 2, 3}, raising=False)
+    monkeypatch.setattr("formaldisk.weights.os.cpu_count", lambda: 64)
     assert _pool_size(1, 8) == 1
     assert _pool_size(3, 8) == 3
     assert _pool_size(64, 8) == 4
     assert _pool_size(64, 2) == 2
+    # no affinity call on this platform: the host's count, or 1
+    monkeypatch.delattr("formaldisk.weights.os.sched_getaffinity",
+                        raising=False)
+    monkeypatch.setattr("formaldisk.weights.os.cpu_count", lambda: 4)
+    assert _pool_size(64, 8) == 4
     monkeypatch.setattr("formaldisk.weights.os.cpu_count", lambda: None)
     assert _pool_size(64, 8) == 1
 
@@ -399,6 +480,26 @@ def test_cache_roundtrip(tmp_path):
     assert not hit3
     _, hit4 = mc_weight_cached(g, 5000, seed=4, cache_path=str(path))
     assert not hit4
+
+
+@pytest.mark.parametrize("samples, seed, workers, match", [
+    (1000, 0, 0, "worker count"),
+    (1000, 0, 1.5, "worker count"),
+    (1000.0, 0, 1, "sample count"),
+    (1000, -1, 1, "non-negative integer"),
+])
+def test_cached_call_checks_its_arguments_before_the_cache(
+        tmp_path, samples, seed, workers, match):
+    # a stored row used to be served whatever the worker count
+    path = str(tmp_path / "w.jsonl")
+    g = gamma0(2)
+    est = mc_weight(g, 1000, seed=0)
+    cache_store(path, est)
+    cache_store(path, dataclasses.replace(est, seed=-1))
+    assert cache_lookup(path, g.canonical_hash(), samples, seed) is not None
+    with pytest.raises(ValueError, match=match):
+        mc_weight_cached(g, samples, seed=seed, workers=workers,
+                         cache_path=path)
 
 
 def test_cache_survives_corrupt_lines(tmp_path):
