@@ -16,7 +16,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, permutations
 from math import factorial
 
@@ -198,11 +197,10 @@ def cycle_type_multiplicity(partition):
     counts = {}
     for part in partition:
         counts[part] = counts.get(part, 0) + 1
-    mult = Fraction(factorial(j))
+    denom = 1
     for size, cnt in counts.items():
-        mult /= factorial(cnt) * size ** cnt
-    assert mult.denominator == 1
-    return int(mult)
+        denom *= factorial(cnt) * size ** cnt
+    return factorial(j) // denom
 
 
 def classify_wheels(j, center_degree):

@@ -9,6 +9,13 @@ Everything here works with two incarnations of the same structure:
   coefficients and zero differential, bracketed through the Schouten
   bracket with Koszul signs for the parameters.
 
+The structure-constant side rests on two primitives, each one
+sparse_sum: combine((c1, x1), (c2, x2), ...) = c1 x1 + c2 x2 + ..., and
+extend, a map on basis names (or pairs of names) extended linearly (or
+bilinearly): d, the bracket, psi1 and psi2.  Every identity, push and
+twist is a combine of signed terms.  Structure constants are checked
+once, when an algebra is built (names, degrees, antisymmetry).
+
 Dictionary between the Lie writing and the coalgebra writing used for
 morphisms: q1(a) = -d a and q2(a, b) = (-1)^{|a|} [a, b].  On shifted
 degree zero (that is, ordinary degree one) inputs q2 is plainly
@@ -27,128 +34,133 @@ dg Lie algebra.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 from .etalgebra import EtaField
 from .polyvector import schouten_bracket, sort_with_sign
-from .series import _as_fraction, sparse_sum
+from .series import Q1, _as_fraction, sparse_sum
 
 
 # ---------------------------------------------------------------------
 # structure-constant dg Lie algebras
 # ---------------------------------------------------------------------
 
-def _clean(elem):
-    return sparse_sum(elem.items())
+def combine(*terms):
+    """Sum of c x over the (c, x) terms, as one sparse_sum; c = 1 is not
+    multiplied out, as Fraction products dominate the exhaustive checks."""
+    return sparse_sum((k, v if c == 1 else c * v)
+                      for c, x in terms for k, v in x.items())
+
+
+def extend(table, x, y=None):
+    """table on basis names extended linearly to x, or on pairs of names
+    bilinearly to (x, y); coefficients meet only where table has an entry."""
+    if y is None:
+        return combine(*((c, table[a]) for a, c in x.items() if a in table))
+    return combine(*((ca * cb, table[a, b]) for a, ca in x.items()
+                     for b, cb in y.items() if (a, b) in table))
 
 
 def elem_add(x, y):
-    return sparse_sum(y.items(), x)
+    return combine((1, x), (1, y))
 
 
 def elem_scale(x, c):
-    c = _as_fraction(c)
-    return _clean({k: v * c for k, v in x.items()})
+    return combine((_as_fraction(c), x))
 
 
 def elem_is_zero(x):
-    return not _clean(x)
+    return not combine((1, x))
+
+
+def _store(table, key, value):
+    """table[key] = value, unless key already holds another value."""
+    if table.setdefault(key, value) != value:
+        raise ValueError("conflicting entries for %r" % (key,))
+
+
+def _on_basis(f, names):
+    """The nonzero values of the linear map f on the given basis names."""
+    return {n: img for n in names if (img := f({n: Q1}))}
 
 
 class SmallDGLie:
     """dg Lie algebra on a finite graded basis with rational constants.
 
     degrees: name -> integer degree.
-    diff: name -> element (as name -> Fraction), extended linearly.
-    brackets: (name, name) -> element; pairs not stored are filled in
-        by graded antisymmetry [y, x] = -(-1)^{|x||y|} [x, y], missing
-        pairs are zero.
+    diff: name -> element (as name -> Fraction) of one degree higher,
+        extended linearly.
+    brackets: (a, b) -> element of degree |a| + |b|; the table is
+        filled in by graded antisymmetry [b, a] = -(-1)^{|a||b|} [a, b],
+        pairs missing from both sides are zero.  ValueError for an
+        unknown name, an image of the wrong degree, or a stored pair
+        that contradicts antisymmetry.
     """
 
     def __init__(self, degrees, diff=None, brackets=None):
         self.degrees = dict(degrees)
-        self.diff = {k: _clean(v) for k, v in (diff or {}).items()}
+        self.diff = {name: self._image((name,), img, 1)
+                     for name, img in (diff or {}).items()}
         self.table = {}
         for (a, b), v in (brackets or {}).items():
-            if a not in self.degrees or b not in self.degrees:
-                raise ValueError("bracket on unknown basis element")
-            self.table[(a, b)] = _clean(v)
-        for (a, b), v in self.table.items():
-            if a == b and self.degrees[a] % 2 == 0 and v:
-                raise ValueError("[x, x] must vanish in even degree")
-        for name, img in self.diff.items():
-            for t in img:
-                if self.degrees[t] != self.degrees[name] + 1:
-                    raise ValueError("differential is not of degree +1")
+            v = self._image((a, b), v, 0)
+            _store(self.table, (a, b), v)
+            sign = (-1) ** (1 + self.degrees[a] * self.degrees[b] % 2)
+            _store(self.table, (b, a), combine((sign, v)))
+
+    def _image(self, names, elem, shift):
+        """elem without zeros, checked to lie in degree |names| + shift."""
+        elem = combine((1, elem))
+        if not self.degrees.keys() >= {*names, *elem}:
+            raise ValueError("unknown name in %r -> %r" % (names, elem))
+        want = sum(self.degrees[k] for k in names) + shift
+        if any(self.degrees[k] != want for k in elem):
+            raise ValueError("image of %r is not of degree %d" % (names, want))
+        return elem
 
     def degree_of(self, elem):
-        degs = {self.degrees[k] for k in _clean(elem)}
+        degs = {self.degrees[k] for k in combine((1, elem))}
         if len(degs) > 1:
             raise ValueError("inhomogeneous element")
         return degs.pop() if degs else None
 
     def d(self, elem):
-        return sparse_sum((t, c * v) for k, c in elem.items()
-                          for t, v in self.diff.get(k, {}).items())
-
-    def _bracket_basis(self, a, b):
-        if (a, b) in self.table:
-            return self.table[(a, b)]
-        if (b, a) in self.table:
-            sign = -((-1) ** ((self.degrees[a] * self.degrees[b]) % 2))
-            return elem_scale(self.table[(b, a)], sign)
-        return {}
+        return extend(self.diff, elem)
 
     def bracket(self, x, y):
-        return sparse_sum((t, ca * cb * v) for a, ca in x.items()
-                          for b, cb in y.items()
-                          for t, v in self._bracket_basis(a, b).items())
+        return extend(self.table, x, y)
 
     def q1(self, x):
-        return elem_scale(self.d(x), -1)
+        return combine((-1, self.d(x)))
 
     def q2(self, x, y):
         return self.bracket({a: (-1) ** (self.degrees[a] % 2) * c
                              for a, c in x.items()}, y)
 
     def check_axioms(self):
-        """Exhaustive d^2, Leibniz and Jacobi checks; returns violations."""
+        """Exhaustive d^2, Leibniz and Jacobi checks; returns violations.
+
+        Antisymmetry holds by construction.
+        """
         bad = []
         basis = sorted(self.degrees)
+        unit = {a: {a: Q1} for a in basis}
+        p = {a: self.degrees[a] % 2 for a in basis}
+        d, br = self.d, self.bracket
         for a in basis:
-            if not elem_is_zero(self.d(self.d({a: Fraction(1)}))):
+            if d(d(unit[a])):
                 bad.append(("d2", a))
-        for a in basis:
-            for b in basis:
-                ea, eb = {a: Fraction(1)}, {b: Fraction(1)}
-                lhs = self.d(self.bracket(ea, eb))
-                rhs = elem_add(self.bracket(self.d(ea), eb),
-                               elem_scale(self.bracket(ea, self.d(eb)),
-                                          (-1) ** (self.degrees[a] % 2)))
-                if not elem_is_zero(elem_add(lhs, elem_scale(rhs, -1))):
-                    bad.append(("leibniz", a, b))
-                sym = elem_add(
-                    self.bracket(ea, eb),
-                    elem_scale(self.bracket(eb, ea),
-                               (-1) ** ((self.degrees[a] * self.degrees[b]) % 2)))
-                if not elem_is_zero(sym):
-                    bad.append(("antisymmetry", a, b))
-        for a in basis:
-            for b in basis:
-                for c in basis:
-                    ea, eb, ec = ({a: Fraction(1)}, {b: Fraction(1)},
-                                  {c: Fraction(1)})
-                    pa, pb, pc = (self.degrees[a] % 2, self.degrees[b] % 2,
-                                  self.degrees[c] % 2)
-                    total = elem_add(
-                        elem_scale(self.bracket(ea, self.bracket(eb, ec)),
-                                   (-1) ** (pa * pc)),
-                        elem_add(
-                            elem_scale(self.bracket(eb, self.bracket(ec, ea)),
-                                       (-1) ** (pb * pa)),
-                            elem_scale(self.bracket(ec, self.bracket(ea, eb)),
-                                       (-1) ** (pc * pb))))
-                    if not elem_is_zero(total):
-                        bad.append(("jacobi", a, b, c))
+        for a, b in product(basis, repeat=2):
+            ea, eb = unit[a], unit[b]
+            if combine((1, d(br(ea, eb))), (-1, br(d(ea), eb)),
+                       ((-1) ** (p[a] + 1), br(ea, d(eb)))):
+                bad.append(("leibniz", a, b))
+        for a, b, c in product(basis, repeat=3):
+            ea, eb, ec = unit[a], unit[b], unit[c]
+            if combine(((-1) ** (p[a] * p[c]), br(ea, br(eb, ec))),
+                       ((-1) ** (p[b] * p[a]), br(eb, br(ec, ea))),
+                       ((-1) ** (p[c] * p[b]), br(ec, br(ea, eb)))):
+                bad.append(("jacobi", a, b, c))
         return bad
 
     def mc_residual(self, omega):
@@ -156,21 +168,17 @@ class SmallDGLie:
         deg = self.degree_of(omega)
         if deg not in (None, 1):
             raise ValueError("Maurer-Cartan elements live in degree 1")
-        return elem_add(self.q1(omega),
-                        elem_scale(self.q2(omega, omega), Fraction(1, 2)))
+        return combine((1, self.q1(omega)),
+                       (Fraction(1, 2), self.q2(omega, omega)))
 
     def twist(self, omega):
         """The algebra with d_w = d + [w, -] and the same bracket."""
-        if not elem_is_zero(self.mc_residual(omega)):
+        if self.mc_residual(omega):
             raise ValueError("cannot twist by a non-Maurer-Cartan element")
-        diff = {}
-        for name in self.degrees:
-            img = elem_add(self.d({name: Fraction(1)}),
-                           self.bracket(omega, {name: Fraction(1)}))
-            if img:
-                diff[name] = img
-        table = {pair: dict(v) for pair, v in self.table.items()}
-        return SmallDGLie(self.degrees, diff, table)
+        diff = _on_basis(lambda e: combine((1, self.d(e)),
+                                           (1, self.bracket(omega, e))),
+                         self.degrees)
+        return SmallDGLie(self.degrees, diff, self.table)
 
 
 # ---------------------------------------------------------------------
@@ -181,31 +189,27 @@ class LInftyMorphism:
     """A morphism g -> h with components psi1 (linear) and psi2.
 
     psi1: name -> element of h, degree 0.
-    psi2: unordered pair -> element of h, one degree lower than the
-        input pair; stored symmetrically and looked up symmetrically
-        (on ordinary degree-one inputs the shifted symmetry is plain).
+    psi2: pair -> element of h, one degree lower than the input pair;
+        stored under both orders (on ordinary degree-one inputs the
+        shifted symmetry is plain), and ValueError if the two orders
+        are given different values.
     """
 
     def __init__(self, source, target, psi1, psi2=None):
         self.source = source
         self.target = target
-        self.p1 = {k: _clean(v) for k, v in psi1.items()}
+        self.p1 = {k: combine((1, v)) for k, v in psi1.items()}
         self.p2 = {}
         for (a, b), v in (psi2 or {}).items():
-            key = (a, b) if a <= b else (b, a)
-            if key in self.p2 and self.p2[key] != _clean(v):
-                raise ValueError("conflicting psi2 entries for %r" % (key,))
-            self.p2[key] = _clean(v)
+            v = combine((1, v))
+            _store(self.p2, (a, b), v)
+            _store(self.p2, (b, a), v)
 
     def psi1(self, x):
-        return sparse_sum((t, c * v) for a, c in x.items()
-                          for t, v in self.p1.get(a, {}).items())
+        return extend(self.p1, x)
 
     def psi2(self, x, y):
-        return sparse_sum((t, ca * cb * v) for a, ca in x.items()
-                          for b, cb in y.items()
-                          for t, v in self.p2.get(tuple(sorted((a, b))),
-                                                  {}).items())
+        return extend(self.p2, x, y)
 
     def check_identities(self):
         """Coherences through arity three; returns a list of violations.
@@ -225,49 +229,35 @@ class LInftyMorphism:
         diagonal of the degree-one sector.
         """
         g, h = self.source, self.target
+        p1, p2 = self.psi1, self.psi2
         bad = []
+        unit = {a: {a: Q1} for a in g.degrees}
         for a in sorted(g.degrees):
-            ea = {a: Fraction(1)}
-            lhs = self.psi1(g.q1(ea))
-            rhs = h.q1(self.psi1(ea))
-            if not elem_is_zero(elem_add(lhs, elem_scale(rhs, -1))):
+            if combine((1, p1(g.q1(unit[a]))), (-1, h.q1(p1(unit[a])))):
                 bad.append(("arity1", a))
         ones = sorted(k for k, v in g.degrees.items() if v == 1)
+        for a, b in product(ones, repeat=2):
+            ea, eb = unit[a], unit[b]
+            if combine((1, p1(g.q2(ea, eb))), (-1, h.q2(p1(ea), p1(eb))),
+                       (-1, h.q1(p2(ea, eb))), (-1, p2(g.q1(ea), eb)),
+                       (-1, p2(ea, g.q1(eb)))):
+                bad.append(("arity2", a, b))
+        for a, b, c in product(ones, repeat=3):
+            ea, eb, ec = unit[a], unit[b], unit[c]
+            splits = ((ea, eb, ec), (ea, ec, eb), (eb, ec, ea))
+            if combine(*((1, p2(g.q2(x, y), z)) for x, y, z in splits),
+                       *((1, h.q2(p1(z), p2(x, y))) for x, y, z in splits)):
+                bad.append(("arity3", a, b, c))
         for a in ones:
-            for b in ones:
-                ea, eb = {a: Fraction(1)}, {b: Fraction(1)}
-                lhs = elem_add(
-                    self.psi1(g.q2(ea, eb)),
-                    elem_scale(h.q2(self.psi1(ea), self.psi1(eb)), -1))
-                rhs = elem_add(
-                    h.q1(self.psi2(ea, eb)),
-                    elem_add(self.psi2(g.q1(ea), eb),
-                             self.psi2(ea, g.q1(eb))))
-                if not elem_is_zero(elem_add(lhs, elem_scale(rhs, -1))):
-                    bad.append(("arity2", a, b))
-        for a in ones:
-            for b in ones:
-                for c in ones:
-                    ea, eb, ec = ({a: Fraction(1)}, {b: Fraction(1)},
-                                  {c: Fraction(1)})
-                    total = {}
-                    for x, y, z in ((ea, eb, ec), (ea, ec, eb), (eb, ec, ea)):
-                        total = elem_add(total, self.psi2(g.q2(x, y), z))
-                        total = elem_add(total,
-                                         h.q2(self.psi1(z), self.psi2(x, y)))
-                    if not elem_is_zero(total):
-                        bad.append(("arity3", a, b, c))
-        for a in ones:
-            ea = {a: Fraction(1)}
-            obstruction = h.q2(self.psi2(ea, ea), self.psi2(ea, ea))
-            if not elem_is_zero(obstruction):
+            ea = unit[a]
+            if h.q2(p2(ea, ea), p2(ea, ea)):
                 bad.append(("arity4-obstruction", a))
         return bad
 
     def push_mc(self, omega):
         """psi1(w) + (1/2) psi2(w, w)."""
-        return elem_add(self.psi1(omega),
-                        elem_scale(self.psi2(omega, omega), Fraction(1, 2)))
+        return combine((1, self.psi1(omega)),
+                       (Fraction(1, 2), self.psi2(omega, omega)))
 
     def twist(self, omega):
         """Twisted linear component psi_{w,1} = psi1 + psi2(w, -).
@@ -279,15 +269,12 @@ class LInftyMorphism:
         vanishes on w.
         """
         omega_prime = self.push_mc(omega)
-        psi1 = {}
-        for name in self.source.degrees:
-            img = elem_add(self.psi1({name: Fraction(1)}),
-                           self.psi2(omega, {name: Fraction(1)}))
-            if img:
-                psi1[name] = img
+        psi1 = _on_basis(lambda e: combine((1, self.psi1(e)),
+                                           (1, self.psi2(omega, e))),
+                         self.source.degrees)
         twisted = LInftyMorphism(self.source.twist(omega),
                                  self.target.twist(omega_prime),
-                                 psi1, dict(self.p2))
+                                 psi1, self.p2)
         return omega_prime, twisted
 
 

@@ -159,6 +159,15 @@ def suite_wheels(j_max=3, p_max=3):
     return _report("wheels", checks)
 
 
+def _graded_jacobi(bracket, a, b, c):
+    """The graded Jacobi sum, cyclic in (a, b, c), of
+    (-1)^{|a||c|} [a, [b, c]], by the containers' own + and scale."""
+    pa, pb, pc = a.degree % 2, b.degree % 2, c.degree % 2
+    return (bracket(a, bracket(b, c)).scale((-1) ** (pa * pc))
+            + bracket(b, bracket(c, a)).scale((-1) ** (pb * pa))
+            + bracket(c, bracket(a, b)).scale((-1) ** (pc * pb)))
+
+
 def suite_gerstenhaber(trials=200, seed=DEFAULT_SEED, d_max=3, cap=6):
     """Randomized exact identities for both graded algebras."""
     rng = random.Random(seed)
@@ -178,24 +187,12 @@ def suite_gerstenhaber(trials=200, seed=DEFAULT_SEED, d_max=3, cap=6):
         # graded Jacobi, operator side
         ops = [random_operator(rng, dim, cap, rng.randint(1, 2), terms=1)
                for _ in range(3)]
-        pa, pb, pc = [o.degree % 2 for o in ops]
-        ja = gerstenhaber_bracket(ops[0], gerstenhaber_bracket(ops[1], ops[2]))
-        jb = gerstenhaber_bracket(ops[1], gerstenhaber_bracket(ops[2], ops[0]))
-        jc = gerstenhaber_bracket(ops[2], gerstenhaber_bracket(ops[0], ops[1]))
-        total = (ja.scale((-1) ** (pa * pc)) + jb.scale((-1) ** (pb * pa))
-                 + jc.scale((-1) ** (pc * pb)))
-        if not total.is_zero():
+        if not _graded_jacobi(gerstenhaber_bracket, *ops).is_zero():
             bad["jacobi-g"] += 1
         # graded Jacobi, field side
         flds = [random_field(rng, dim, cap, rng.randint(-1, min(2, dim - 1)),
                              terms=1) for _ in range(3)]
-        qa, qb, qc = [f.degree % 2 for f in flds]
-        sa = schouten_bracket(flds[0], schouten_bracket(flds[1], flds[2]))
-        sb = schouten_bracket(flds[1], schouten_bracket(flds[2], flds[0]))
-        sc = schouten_bracket(flds[2], schouten_bracket(flds[0], flds[1]))
-        stot = (sa.scale((-1) ** (qa * qc)) + sb.scale((-1) ** (qb * qa))
-                + sc.scale((-1) ** (qc * qb)))
-        if not stot.is_zero():
+        if not _graded_jacobi(schouten_bracket, *flds).is_zero():
             bad["jacobi-s"] += 1
         # quantized fields are cocycles
         fld = random_field(rng, dim, cap, rng.randint(0, dim - 1))
@@ -397,25 +394,18 @@ def suite_mc_weights(samples_small=100_000, samples_mid=1_000_000,
             return est
         return mc_weight(graph, n_samples, seed=seed, workers=workers)
 
-    est = run(gamma0(1), samples_small)
-    tol = max(3 * est.stderr, 0.01)
-    checks.append(_check("one-ground corolla integrates to 1",
-                         abs(abs(est.integral) - 1.0) <= tol,
-                         estimate=est.integral, stderr=est.stderr,
-                         samples=est.samples, tolerance=tol))
-    est = run(gamma0(2), samples_mid)
-    tol = max(3 * est.stderr, 0.01)
-    checks.append(_check("two-ground corolla integrates to 1/2",
-                         abs(abs(est.integral) - 0.5) <= tol,
-                         estimate=est.integral, stderr=est.stderr,
-                         samples=est.samples, tolerance=tol))
-    est = run(opposite_wheel(2), samples_big)
-    target = 1.0 / 24.0
-    tol = max(3 * est.stderr, 0.02 * target)
-    checks.append(_check("two-wheel integrates to 1/24",
-                         abs(abs(est.integral) - target) <= tol,
-                         estimate=est.integral, stderr=est.stderr,
-                         samples=est.samples, tolerance=tol))
+    for name, graph, n_samples, exact, floor in (
+            ("one-ground corolla integrates to 1", gamma0(1), samples_small,
+             1.0, 0.01),
+            ("two-ground corolla integrates to 1/2", gamma0(2), samples_mid,
+             0.5, 0.01),
+            ("two-wheel integrates to 1/24", opposite_wheel(2), samples_big,
+             1.0 / 24.0, 0.02 * (1.0 / 24.0))):
+        est = run(graph, n_samples)
+        tol = max(3 * est.stderr, floor)
+        checks.append(_check(name, abs(abs(est.integral) - exact) <= tol,
+                             estimate=est.integral, stderr=est.stderr,
+                             samples=est.samples, tolerance=tol))
     return _report("mc-weights", checks)
 
 

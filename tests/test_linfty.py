@@ -81,6 +81,79 @@ def test_bad_differential_rejected():
         SmallDGLie({"a": 1, "b": 1}, diff={"a": {"b": Fraction(1)}})
 
 
+@pytest.mark.parametrize("degrees, diff, brackets", [
+    # a bracket value outside degree |a| + |b|
+    ({"a": 1, "b": 1}, None, {("a", "a"): {"b": 1}}),
+    # a name outside the basis, as a differential or a bracket value
+    ({"a": 1}, {"a": {"zz": 1}}, None),
+    ({"a": 1}, None, {("a", "a"): {"zz": 1}}),
+    # both orders stored, against graded antisymmetry
+    ({"a": 1, "b": 2, "c": 1}, None,
+     {("a", "c"): {"b": 1}, ("c", "a"): {"b": 5}}),
+    # [x, x] = -[x, x] in even degree
+    ({"a": 0, "b": 0}, None, {("a", "a"): {"b": 1}}),
+], ids=["bracket-degree", "diff-unknown", "bracket-unknown", "antisymmetry",
+        "even-square"])
+def test_bad_structure_constants_rejected(degrees, diff, brackets):
+    with pytest.raises(ValueError):
+        SmallDGLie(degrees, diff, brackets)
+
+
+def test_filled_table_is_accepted_again():
+    # twisting rebuilds an algebra from a table filled in by
+    # antisymmetry; twisting that once more by zero changes nothing
+    g, h, phi = quadratic_example()
+    omega_prime, _ = phi.twist({"u": Fraction(2)})
+    hw = h.twist(omega_prime)
+    again = hw.twist({})
+    assert again.diff == hw.diff and again.diff != h.diff
+    assert again.table == hw.table == h.table
+
+
+def test_check_axioms_reports_violations():
+    one = Fraction(1)
+    assert SmallDGLie({"a": 0, "b": 1, "c": 2},
+                      diff={"a": {"b": one}, "b": {"c": one}}
+                      ).check_axioms() == [("d2", "a")]
+    assert SmallDGLie({"v": 1, "x": 1, "w": 2, "z": 3},
+                      diff={"x": {"w": one}},
+                      brackets={("v", "w"): {"z": one}}
+                      ).check_axioms() == [("leibniz", "v", "x"),
+                                           ("leibniz", "x", "v")]
+    assert SmallDGLie({"a": 0, "b": 0, "c": 0},
+                      brackets={("a", "b"): {"a": one}, ("b", "c"): {"b": one},
+                                ("a", "c"): {"c": one}}
+                      ).check_axioms() == [
+        ("jacobi", "a", "b", "c"), ("jacobi", "a", "c", "b"),
+        ("jacobi", "b", "a", "c"), ("jacobi", "b", "c", "a"),
+        ("jacobi", "c", "a", "b"), ("jacobi", "c", "b", "a")]
+
+
+def test_check_identities_reports_violations():
+    one = Fraction(1)
+    g = SmallDGLie({"u": 1})
+    u_to_v = {"u": {"v": one}}
+    # not a chain map: d v = w but d u = 0
+    h = SmallDGLie({"v": 1, "w": 2}, diff={"v": {"w": one}})
+    assert LInftyMorphism(g, h, u_to_v).check_identities() == [
+        ("arity1", "u")]
+    # quadratic_example without its correction psi2(u, u) = -x
+    h = SmallDGLie({"v": 1, "x": 1, "w": 2}, diff={"x": {"w": one}},
+                   brackets={("v", "v"): {"w": one}})
+    assert LInftyMorphism(g, h, u_to_v).check_identities() == [
+        ("arity2", "u", "u")]
+    # [psi1 u, psi2(u, u)] = [v, x] = w
+    h = SmallDGLie({"v": 1, "x": 1, "w": 2},
+                   brackets={("v", "x"): {"w": one}})
+    assert LInftyMorphism(g, h, u_to_v, {("u", "u"): {"x": one}}
+                          ).check_identities() == [("arity3", "u", "u", "u")]
+    # [psi2(u, u), psi2(u, u)] = [x, x] = w
+    h = SmallDGLie({"v": 1, "x": 1, "w": 2},
+                   brackets={("x", "x"): {"w": one}})
+    assert LInftyMorphism(g, h, {}, {("u", "u"): {"x": one}}
+                          ).check_identities() == [("arity4-obstruction", "u")]
+
+
 def test_conflicting_psi2_rejected():
     # symmetric storage: (a,b) and (b,a) with different values conflict
     h = SmallDGLie({"v": 1})
