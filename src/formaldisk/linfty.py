@@ -13,8 +13,9 @@ The structure-constant side rests on two primitives, each one
 sparse_sum: combine((c1, x1), (c2, x2), ...) = c1 x1 + c2 x2 + ..., and
 extend, a map on basis names (or pairs of names) extended linearly (or
 bilinearly): d, the bracket, psi1 and psi2.  Every identity, push and
-twist is a combine of signed terms.  Structure constants are checked
-once, when an algebra is built (names, degrees, antisymmetry).
+twist is a combine of signed terms.  Structure constants and a
+morphism's components are checked once, when they are built (names,
+degrees, exact coefficients, antisymmetry).
 
 Dictionary between the Lie writing and the coalgebra writing used for
 morphisms: q1(a) = -d a and q2(a, b) = (-1)^{|a|} [a, b].  On shifted
@@ -79,6 +80,20 @@ def _store(table, key, value):
         raise ValueError("conflicting entries for %r" % (key,))
 
 
+def _image(source, target, names, elem, shift):
+    """elem without zeros, its coefficients Fractions, checked as the
+    image of the source basis names in degree |names| + shift of target
+    (both name -> degree).  ValueError for a name outside its basis or
+    an image of another degree, TypeError for an inexact coefficient."""
+    elem = combine((1, {k: _as_fraction(c) for k, c in elem.items()}))
+    if not (source.keys() >= set(names) and target.keys() >= elem.keys()):
+        raise ValueError("unknown name in %r -> %r" % (names, elem))
+    want = sum(source[k] for k in names) + shift
+    if any(target[k] != want for k in elem):
+        raise ValueError("image of %r is not of degree %d" % (names, want))
+    return elem
+
+
 def _on_basis(f, names):
     """The nonzero values of the linear map f on the given basis names."""
     return {n: img for n in names if (img := f({n: Q1}))}
@@ -94,29 +109,20 @@ class SmallDGLie:
         filled in by graded antisymmetry [b, a] = -(-1)^{|a||b|} [a, b],
         pairs missing from both sides are zero.  ValueError for an
         unknown name, an image of the wrong degree, or a stored pair
-        that contradicts antisymmetry.
+        that contradicts antisymmetry; TypeError for a coefficient that
+        is not an int or a Fraction.
     """
 
     def __init__(self, degrees, diff=None, brackets=None):
         self.degrees = dict(degrees)
-        self.diff = {name: self._image((name,), img, 1)
+        self.diff = {name: _image(self.degrees, self.degrees, (name,), img, 1)
                      for name, img in (diff or {}).items()}
         self.table = {}
         for (a, b), v in (brackets or {}).items():
-            v = self._image((a, b), v, 0)
+            v = _image(self.degrees, self.degrees, (a, b), v, 0)
             _store(self.table, (a, b), v)
             sign = (-1) ** (1 + self.degrees[a] * self.degrees[b] % 2)
             _store(self.table, (b, a), combine((sign, v)))
-
-    def _image(self, names, elem, shift):
-        """elem without zeros, checked to lie in degree |names| + shift."""
-        elem = combine((1, elem))
-        if not self.degrees.keys() >= {*names, *elem}:
-            raise ValueError("unknown name in %r -> %r" % (names, elem))
-        want = sum(self.degrees[k] for k in names) + shift
-        if any(self.degrees[k] != want for k in elem):
-            raise ValueError("image of %r is not of degree %d" % (names, want))
-        return elem
 
     def degree_of(self, elem):
         degs = {self.degrees[k] for k in combine((1, elem))}
@@ -188,20 +194,23 @@ class SmallDGLie:
 class LInftyMorphism:
     """A morphism g -> h with components psi1 (linear) and psi2.
 
-    psi1: name -> element of h, degree 0.
-    psi2: pair -> element of h, one degree lower than the input pair;
-        stored under both orders (on ordinary degree-one inputs the
-        shifted symmetry is plain), and ValueError if the two orders
+    psi1: name of g -> element of h of the same degree.
+    psi2: pair of names of g -> element of h, one degree lower than the
+        pair; stored under both orders (on ordinary degree-one inputs
+        the shifted symmetry is plain), and ValueError if the two orders
         are given different values.
+    ValueError for a name outside its algebra or an image of another
+    degree, TypeError for a coefficient that is not an int or a Fraction.
     """
 
     def __init__(self, source, target, psi1, psi2=None):
         self.source = source
         self.target = target
-        self.p1 = {k: combine((1, v)) for k, v in psi1.items()}
+        g, h = source.degrees, target.degrees
+        self.p1 = {k: _image(g, h, (k,), v, 0) for k, v in psi1.items()}
         self.p2 = {}
         for (a, b), v in (psi2 or {}).items():
-            v = combine((1, v))
+            v = _image(g, h, (a, b), v, -1)
             _store(self.p2, (a, b), v)
             _store(self.p2, (b, a), v)
 

@@ -51,12 +51,20 @@ the variance finite, and leaves graphs without sampled aerial vertices
 (the corollas) untouched.
 
 Samples come in chunks of CHUNK, each with its own counter-indexed
-random stream, drawn whole before any evaluation.  A chunk is then
-evaluated in blocks of BLOCK samples, small enough for the CPU cache:
-kernel redraws, the in-disk test 0 < r < 1, and only on the in-disk
-samples the mixture density, the chart, the determinant and the
-collision filter.  A sample that leaves the disk costs its
-draws and is counted as discarded.  No libm sin or cos runs per
+random stream, and a chunk's memory is that of one block of BLOCK
+samples whatever CHUNK is.  A chunk is drawn and evaluated a block at a
+time: each array of draws reads its own generator, advanced to where
+the array starts in the chunk's stream, so a block draws just its own
+rows and gets the values a whole-chunk draw would give it; and every
+array a block computes is a view of one array made once per chunk
+(_Buffers).  The second half is needed as much as the first: without
+chunk-sized draws to lift the allocator's mmap and trim thresholds, a
+block temporary of 128 KiB or more would be mapped, faulted in and
+unmapped again for every block.  Blocks are small enough for the CPU
+cache.  A block runs the kernel redraws, the in-disk test 0 < r < 1,
+and only on the in-disk samples the mixture density, the chart, the
+determinant and the collision filter.  A sample that leaves the disk
+costs its draws and is counted as discarded.  No libm sin or cos runs per
 sample: the direction of an angle theta comes from one tangent
 t = tan(theta/2) as (1 - t^2, 2t) / (1 + t^2), and a ground point's t
 also gives its chart point -1/t and chart factor (1 + 1/t^2) / 2.  The
@@ -313,44 +321,135 @@ def _mixture_plan(graph):
             p_comp / KERNEL_LOG)
 
 
-def _direction(t):
-    """(cos theta, sin theta) from t = tan(theta/2), with no libm sin/cos."""
-    tt = t * t
-    q = 1.0 + tt
-    return (1.0 - tt) / q, 2.0 * t / q
+def _direction(t, out=None):
+    """(cos theta, sin theta) from t = tan(theta/2), with no libm sin/cos.
+
+    Written into out = (c, s) when given, else into new arrays; t is
+    left as it is.  s is 2 (t / q) rather than (2 t) / q: a factor of 2
+    is exact, so the two round alike.
+    """
+    c, s = np.empty((2,) + np.shape(t)) if out is None else out
+    np.multiply(t, t, out=s)
+    np.subtract(1.0, s, out=c)
+    s += 1.0                                          # q = 1 + t^2
+    c /= s
+    np.divide(t, s, out=s)
+    s *= 2.0
+    return c, s
 
 
-def _sort_rows(a):
+def _sort_rows(a, low=None):
     """Sort a down its first axis in place, as np.sort(a, axis=0) would.
 
     An odd-even transposition network of np.minimum and np.maximum:
     len(a) rounds of compare-exchanges of neighbouring rows, each a
     whole-row operation, where np.sort would sort every column apart.
-    For values that are not NaN the result equals np.sort's.
+    low, if given, is the row the exchanges work in.  For values that
+    are not NaN the result equals np.sort's.
     """
+    if low is None:
+        low = np.empty(a.shape[1:])
     for start in range(len(a)):
         for k in range(start % 2, len(a) - 1, 2):
-            low = np.minimum(a[k], a[k + 1])
+            np.minimum(a[k], a[k + 1], out=low)
             np.maximum(a[k], a[k + 1], out=a[k + 1])
             a[k] = low
     return a
 
 
+def _buffer_rows(plan, mix, sampled, m):
+    """name -> (rows, dtype) of every buffer a block of the graph uses.
+
+    rows None marks a buffer of one row, viewed 1-D.  The draws (radius
+    to kernel_angle) hold one sample per row, so their rows are their
+    columns.  The kernel's buffers are left out when mix is None.
+    """
+    src, _, (e1, _, _, _), grounds, terms, _, (i, _), _ = plan
+    edges, minors, pairs = len(src), len(e1), len(i)
+    centres = sampled + m + 1 if mix else sampled
+    points = sampled + 1 + m
+    rows = dict(radius=sampled, angle=sampled, ground=m,
+                r=sampled, ang=sampled, alpha=m, low=None,
+                px=centres, py=centres,
+                r_in=sampled, px_in=centres, py_in=centres, t_in=m,
+                rc=sampled, scale=sampled, x=points, y=points,
+                chart=None, ground_chart=None,
+                ys=edges, yt=edges, dx=edges, dist2=edges, dy=edges,
+                dx2=edges, re=2 * edges,
+                factors=minors + len(grounds), minor=minors, other=minors,
+                prods=len(terms), factor=len(terms), dets=None,
+                gap=pairs, end=pairs, gap_y=pairs, square=None)
+    flags = dict(inside=sampled, below_one=sampled, keep=None,
+                 close=edges, drop=None, close_apart=pairs, hit=None)
+    indices = {}
+    if mix:
+        comps = len(mix[1])
+        rows.update(coin=None, kernel_radius=None, kernel_angle=None,
+                    ox=None, oy=None, u=None, rho=None, wx=None, wy=None,
+                    d2=comps, centre=comps, k=comps, denom=None)
+        flags.update(below=comps, moved=None, near=comps, far=comps)
+        indices = dict.fromkeys(("pick", "picked", "at", "to"))
+    return {**{name: (n, np.float64) for name, n in rows.items()},
+            **{name: (n, np.bool_) for name, n in flags.items()},
+            **{name: (n, np.intp) for name, n in indices.items()}}
+
+
+class _Buffers:
+    """One array made per chunk, lent to each of its blocks as named views.
+
+    shapes is _buffer_rows'.  buf(name, cols) views name's slot of the
+    array as (rows, cols), C-contiguous, or as (cols,) for rows None;
+    cols is at most block.  Being one allocation, the array is taken
+    from the same heap pages chunk after chunk once the first chunk
+    has freed it and so lifted glibc's mmap and trim thresholds.
+    """
+
+    def __init__(self, block, shapes):
+        spans, size = {}, 0
+        for name, (rows, dtype) in shapes.items():
+            nbytes = ((1 if rows is None else rows) * block
+                      * np.dtype(dtype).itemsize)
+            spans[name] = (size, nbytes, rows, dtype)
+            size += -(-nbytes // 64) * 64                 # aligned slots
+        self.arena = np.empty(size, np.uint8)
+        self.slots = {
+            name: (self.arena[start:start + nbytes].view(dtype), rows)
+            for name, (start, nbytes, rows, dtype) in spans.items()}
+
+    def __call__(self, name, cols):
+        flat, rows = self.slots[name]
+        if rows is None:
+            return flat[:cols]
+        return flat[:rows * cols].reshape(rows, cols)
+
+
+def _take(a, index, out, axis=None):
+    """a.take(index, axis) written into out.  numpy's default "raise"
+    mode would go through a temporary; every index here is in range."""
+    return a.take(index, axis=axis, out=out, mode="clip")
+
+
 def _block_values(plan, mix, r, ang, alpha, coin=None, rho_u=None,
-                  turn=None):
+                  turn=None, buf=None):
     """Integrand of one block of draws, and the number of samples dropped.
 
     plan is _det_plan's and mix _mixture_plan's.  r and ang hold the
     sampled vertices' radii and angles, alpha the ground points' angles
     in any order, one sample per row; coin, rho_u and turn are the kernel
-    draws.  Every angle is in turns.  The work runs on one row per
-    coordinate, so that gathering a vertex's or an edge's values is a
-    contiguous copy.  The points are Cartesian rows of one centre table:
-    the sampled points, the ground points' boundary images e^{i alpha},
-    then w = 1.  The coin picks at most one component per sample, which
-    moves its vertex to the centre plus the offset; so a pair's centre
-    is always the partner's base draw.  The integrand is returned for the
-    in-disk samples only, 0 where the collision filter drops one.
+    draws.  Every angle is in turns.  buf is the chunk's _Buffers (made
+    here if None): every array the block computes is a view of it, the
+    integrand returned too, which therefore holds until the next block.
+    Only np.flatnonzero's lists of the moved and of the in-disk samples
+    are new arrays.
+
+    The work runs on one row per coordinate, so that gathering a
+    vertex's or an edge's values is a contiguous copy.  The points are
+    Cartesian rows of one centre table: the sampled points, the ground
+    points' boundary images e^{i alpha}, then w = 1.  The coin picks at
+    most one component per sample, which moves its vertex to the centre
+    plus the offset; so a pair's centre is always the partner's base
+    draw.  The integrand is returned for the in-disk samples only, 0
+    where the collision filter drops one.
 
     On them the determinant is taken in Cartesian coordinates
     z = x + iy of the points, times the chart's Jacobian determinant:
@@ -362,146 +461,233 @@ def _block_values(plan, mix, r, ang, alpha, coin=None, rho_u=None,
     """
     src, tgt, (e1, e2, k1, k2), grounds, terms, signs, (i, j), norm = plan
     size, sampled, m = len(r), r.shape[1], alpha.shape[1]
-    r, ang, alpha = (a.T.copy() for a in (r, ang, alpha))
+    if buf is None:
+        buf = _Buffers(size, _buffer_rows(plan, mix, sampled, m))
+    draws = r, ang, alpha
+    r, ang, alpha = (buf(name, size) for name in ("r", "ang", "alpha"))
+    for rows, drawn in zip((r, ang, alpha), draws):
+        np.copyto(rows, drawn.T)
     ang *= np.pi
-    _sort_rows(alpha)
+    _sort_rows(alpha, buf("low", size))
     alpha *= np.pi
-    cos, sin = _direction(np.tan(ang, out=ang))
     t = np.tan(alpha, out=alpha)
-    px, py = np.empty((2, sampled + m + 1 if mix else sampled, size))
-    np.multiply(r, cos, out=px[:sampled])
-    np.multiply(r, sin, out=py[:sampled])
+    px, py = buf("px", size), buf("py", size)
+    _direction(np.tan(ang, out=ang), (px[:sampled], py[:sampled]))
+    px[:sampled] *= r
+    py[:sampled] *= r
     if mix:
         starts, v, c, weight = mix
-        px[sampled:-1], py[sampled:-1] = _direction(t)
+        _direction(t, (px[sampled:-1], py[sampled:-1]))
         px[-1], py[-1] = 1.0, 0.0
         # the component whose interval holds the coin: as searchsorted's
         # right side, the count of interval starts at or below the coin
-        pick = (starts[:, None] <= coin).sum(axis=0) - 1
-        rows = np.flatnonzero(pick >= 0)
-        pick = pick[rows]
+        below = np.less_equal(starts[:, None], coin, out=buf("below", size))
+        pick = np.sum(below, axis=0, out=buf("pick", size))
+        pick -= 1
+        moved = np.flatnonzero(np.greater_equal(pick, 0,
+                                                out=buf("moved", size)))
+        count = len(moved)
+        pick = _take(pick, moved, buf("picked", count))
         # flat indices of each moved sample's centre and vertex
-        at, to = c[pick] * size + rows, v[pick] * size + rows
-        ox, oy = _direction(np.tan(np.pi * turn[rows]))
-        rho = KERNEL_RMIN * np.exp(rho_u[rows] * KERNEL_LOG)
-        wx, wy = px.take(at) + rho * ox, py.take(at) + rho * oy
-        px.reshape(-1)[to], py.reshape(-1)[to] = wx, wy
-        r.reshape(-1)[to] = np.sqrt(wx * wx + wy * wy)
-    keep = np.flatnonzero(np.all((r > 0.0) & (r < 1.0), axis=0))
-    if len(keep) < size:
-        r, px, py, t = (a.take(keep, axis=1) for a in (r, px, py, t))
-    kept = r.shape[1]
+        at = _take(c, pick, buf("at", count))
+        to = _take(v, pick, buf("to", count))
+        for index in (at, to):
+            index *= size
+            index += moved
+        u = _take(turn, moved, buf("u", count))
+        u *= np.pi
+        ox, oy = _direction(np.tan(u, out=u), (buf("ox", count),
+                                               buf("oy", count)))
+        rho = _take(rho_u, moved, buf("rho", count))
+        rho *= KERNEL_LOG
+        np.exp(rho, out=rho)
+        rho *= KERNEL_RMIN
+        ox *= rho
+        oy *= rho
+        wx = _take(px, at, buf("wx", count))
+        wy = _take(py, at, buf("wy", count))
+        wx += ox
+        wy += oy
+        px.put(to, wx)
+        py.put(to, wy)
+        wx *= wx
+        wy *= wy
+        wx += wy
+        r.put(to, np.sqrt(wx, out=wx))
+    inside = np.greater(r, 0.0, out=buf("inside", size))
+    inside &= np.less(r, 1.0, out=buf("below_one", size))
+    keep = np.flatnonzero(np.all(inside, axis=0, out=buf("keep", size)))
+    kept = len(keep)
+    if kept < size:
+        r, px, py, t = (_take(a, keep, buf(name, kept), axis=1)
+                        for name, a in (("r_in", r), ("px_in", px),
+                                        ("py_in", py), ("t_in", t)))
     denom = 1.0
     if mix:
         # the mixture density: each component's kernel around its centre
-        d2 = np.square(px[v] - px[c])
-        d2 += np.square(py[v] - py[c])
-        k = np.divide(r[v], np.maximum(d2, KERNEL_RMIN ** 2))
-        k[~((d2 >= KERNEL_RMIN ** 2) & (d2 <= KERNEL_RMAX ** 2))] = 0.0
-        denom = k.sum(axis=0)
+        centre = buf("centre", kept)
+        d2 = _take(px, v, buf("d2", kept), axis=0)
+        d2 -= _take(px, c, centre, axis=0)
+        np.square(d2, out=d2)
+        k = _take(py, v, buf("k", kept), axis=0)
+        k -= _take(py, c, centre, axis=0)
+        d2 += np.square(k, out=k)
+        _take(r, v, k, axis=0)
+        k /= np.maximum(d2, KERNEL_RMIN ** 2, out=centre)
+        near = np.greater_equal(d2, KERNEL_RMIN ** 2, out=buf("near", kept))
+        near &= np.less_equal(d2, KERNEL_RMAX ** 2, out=buf("far", kept))
+        np.copyto(k, 0.0, where=np.logical_not(near, out=near))
+        denom = np.sum(k, axis=0, out=buf("denom", kept))
         denom *= weight
         denom += BASE_WEIGHT
 
     # the disk chart z = i(1+w)/(1-w), with |1-w|^2 from 1 - w = a - ib:
     # x holds the gauge point, the sampled points and the ground points
-    rc = np.clip(r, 1e-12, 1.0 - 1e-12)
-    scale = rc / r
-    a, b = 1.0 - px[:sampled] * scale, py[:sampled] * scale
-    d = a * a + b * b
-    x, y = np.empty((2, sampled + 1 + m, kept))
+    rc = np.clip(r, 1e-12, 1.0 - 1e-12, out=buf("rc", kept))
+    scale = np.divide(rc, r, out=buf("scale", kept))
+    a, b = px[:sampled], py[:sampled]
+    a *= scale
+    np.subtract(1.0, a, out=a)
+    b *= scale
+    d = a
+    d *= a
+    d += np.multiply(b, b, out=scale)
+    x, y = buf("x", kept), buf("y", kept)
     x[0], y[0], y[sampled + 1:] = 0.0, 1.0, 0.0
-    np.divide(-2.0 * b, d, out=x[1:sampled + 1])
-    np.divide((1.0 - rc) * (1.0 + rc), d, out=y[1:sampled + 1])
+    b *= -2.0
+    np.divide(b, d, out=x[1:sampled + 1])
+    one_less = np.subtract(1.0, rc, out=scale)
+    one_less *= np.add(1.0, rc, out=b)
+    np.divide(one_less, d, out=y[1:sampled + 1])
     np.divide(-1.0, t, out=x[sampled + 1:])
     rc *= 4.0
-    rc /= d * d
+    d *= d
+    rc /= d
     t *= t
     np.divide(0.5, t, out=t)
     t += 0.5
-    chart = np.prod(rc, axis=0)                       # 4 r / |1 - w|^4
-    chart *= np.prod(t, axis=0)                       # dq / dalpha
+    chart = np.prod(rc, axis=0, out=buf("chart", kept))  # 4 r / |1 - w|^4
+    chart *= np.prod(t, axis=0, out=buf("ground_chart", kept))  # dq/dalpha
     chart /= norm
 
-    ys, yt = y.take(src, axis=0), y.take(tgt, axis=0)
-    dx = x.take(tgt, axis=0)
-    dx -= x.take(src, axis=0)
-    dy = yt - ys
+    e_count = len(src)
+    ys = _take(y, src, buf("ys", kept), axis=0)
+    yt = _take(y, tgt, buf("yt", kept), axis=0)
+    dx = _take(x, tgt, buf("dx", kept), axis=0)
+    dx -= _take(x, src, buf("dist2", kept), axis=0)
+    dy = np.subtract(yt, ys, out=buf("dy", kept))
     sy = yt
     sy += ys
-    dx2 = dx * dx
-    dist2 = dy * dy
+    dx2 = np.multiply(dx, dx, out=buf("dx2", kept))
+    dist2 = np.multiply(dy, dy, out=buf("dist2", kept))
     dist2 += dx2
     # collision margin: drop samples with near-coincident points, here
     # those of an edge, whose |z_q - z_p|^2 is also u's denominator
-    drop = np.any(dist2 < COLLISION_MARGIN ** 2, axis=0)
+    close = np.less(dist2, COLLISION_MARGIN ** 2, out=buf("close", kept))
+    drop = np.any(close, axis=0, out=buf("drop", kept))
     inv_n = np.divide(1.0, dist2, out=dist2)
-    inv_d = sy * sy
+    inv_d = np.multiply(sy, sy, out=ys)
     inv_d += dx2
     np.divide(1.0, inv_d, out=inv_d)
     im_diff = sy                                      # Im(u - v)
     im_diff *= inv_d
     dy *= inv_n
     im_diff -= dy
-    e_count = len(src)
-    re = np.empty((2 * e_count, kept))
+    re = buf("re", kept)
     np.add(inv_n, inv_d, out=re[:e_count])            # Re(u + v)
     np.subtract(inv_n, inv_d, out=re[e_count:])       # Re(u - v)
     re[:e_count] *= dx
     re[e_count:] *= dx
-    factors = np.empty((len(e1) + len(grounds), kept))
-    minors = im_diff.take(e1, axis=0, out=factors[:len(e1)])
-    minors *= re.take(k2, axis=0)
-    other = im_diff.take(e2, axis=0)
-    other *= re.take(k1, axis=0)
+    factors = buf("factors", kept)
+    minors = _take(im_diff, e1, factors[:len(e1)], axis=0)
+    minors *= _take(re, k2, buf("minor", kept), axis=0)
+    other = _take(im_diff, e2, buf("other", kept), axis=0)
+    other *= _take(re, k1, buf("minor", kept), axis=0)
     minors -= other
-    im_diff.take(grounds, axis=0, out=factors[len(e1):])
+    _take(im_diff, grounds, factors[len(e1):], axis=0)
     # each term's factors multiplied left to right
-    prods = factors.take(terms[:, 0], axis=0)
+    prods = _take(factors, terms[:, 0], buf("prods", kept), axis=0)
     for col in range(1, terms.shape[1]):
-        prods *= factors.take(terms[:, col], axis=0)
-    dets = signs @ prods
+        prods *= _take(factors, terms[:, col], buf("factor", kept), axis=0)
+    dets = np.matmul(signs, prods, out=buf("dets", kept))
     dets *= chart
 
     if len(i):                                        # pairs no edge joins
-        dist2 = np.square(x[i] - x[j])
-        dist2 += np.square(y[i] - y[j])
-        drop |= np.any(dist2 < COLLISION_MARGIN ** 2, axis=0)
-    drop |= ~np.isfinite(dets)
+        gap = _take(x, i, buf("gap", kept), axis=0)
+        gap -= _take(x, j, buf("end", kept), axis=0)
+        np.square(gap, out=gap)
+        gap_y = _take(y, i, buf("gap_y", kept), axis=0)
+        gap_y -= _take(y, j, buf("end", kept), axis=0)
+        gap += np.square(gap_y, out=gap_y)
+        close = np.less(gap, COLLISION_MARGIN ** 2,
+                        out=buf("close_apart", kept))
+        drop |= np.any(close, axis=0, out=buf("hit", kept))
+    hit = np.isfinite(dets, out=buf("hit", kept))
+    drop |= np.logical_not(hit, out=hit)
     dets /= denom
-    dets[drop] = 0.0
+    np.copyto(dets, 0.0, where=drop)
     return dets, size - kept + int(np.count_nonzero(drop))
 
 
 def _chunk_sums(args):
     """One deterministic chunk: returns (sum, sumsq, kept, discarded).
 
-    The chunk's whole random stream is drawn first, in a fixed order, so
-    the result depends on (graph, chunk index, chunk size, seed) alone.
-    The samples are then evaluated BLOCK at a time by _block_values, with
-    the plans built once per chunk.
+    The chunk's random stream, read in a fixed order, depends on (chunk
+    index, seed) alone, so the result depends on (graph, chunk index,
+    chunk size, seed) alone.  It is drawn BLOCK samples at a time: each
+    of the six arrays (radii, angles, ground angles, coin, kernel radius
+    and kernel angle) reads its own PCG64 on the chunk's seed, advanced
+    to where the array starts in the stream, and each block draws only
+    its own rows of them.  PCG64 spends one 64-bit output per double, so
+    a block gets the values a draw of the whole chunk would give it.
+    Arrays with no columns read no stream.  Every block, its draws
+    included, lives in one _Buffers made per chunk, and the plans are
+    built once per chunk.
+
+    Both halves keep a chunk's memory at that of one block, and both
+    are needed: with the draws streamed but the block's arrays made and
+    freed block by block, every one of 128 KiB or more would be mapped,
+    faulted in and unmapped again for each block, as no chunk-sized
+    array would lift glibc's mmap and trim thresholds any more.  The
+    single array of _Buffers lifts them itself, once, in a process's
+    first chunk of the largest graph so far.
     """
     graph_json, chunk_index, chunk_size, seed = args
     from .graphs import AdmissibleGraph
     graph = AdmissibleGraph.from_json(graph_json)
-    n, m = graph.n, graph.m
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
-                                                       spawn_key=(chunk_index,)))
+    sampled, m = graph.n - 1, graph.m
+    mix = _mixture_plan(graph)
+    plan = _det_plan(graph)
     # radii, angles and ground angles (in turns; _block_values sorts the
     # ground angles), then coin, kernel radius and kernel angle
-    draws = [rng.random((chunk_size, n - 1)), rng.random((chunk_size, n - 1)),
-             rng.random((chunk_size, m))]
-    mix = _mixture_plan(graph)
-    if mix:
-        draws += [rng.random(chunk_size) for _ in range(3)]
+    names = ("radius", "angle", "ground",
+             *(("coin", "kernel_radius", "kernel_angle") if mix else ()))
+    widths = (sampled, sampled, m, 1, 1, 1)
+    seq = np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,))
+    streams, start = [], 0
+    for width in widths[:len(names)]:
+        stream = None
+        if width:
+            bits = np.random.PCG64(seq)
+            bits.advance(start)
+            stream = np.random.Generator(bits)
+        streams.append(stream)
+        start += chunk_size * width
 
-    plan = _det_plan(graph)
+    buf = _Buffers(min(chunk_size, BLOCK), _buffer_rows(plan, mix, sampled, m))
     s1 = s2 = 0.0
     discarded = 0
     for lo in range(0, chunk_size, BLOCK):
-        g, dropped = _block_values(plan, mix,
-                                   *(a[lo:lo + BLOCK] for a in draws))
+        size = min(BLOCK, chunk_size - lo)
+        draws = [buf(name, size) for name in names]
+        for drawn, stream in zip(draws, streams):
+            if stream:
+                stream.random(out=drawn.reshape(-1))
+        g, dropped = _block_values(
+            plan, mix, *(a.reshape(size, -1) for a in draws[:3]), *draws[3:],
+            buf=buf)
         s1 += float(g.sum())
-        s2 += float((g * g).sum())
+        s2 += float(np.multiply(g, g, out=buf("square", len(g))).sum())
         discarded += dropped
     return s1, s2, chunk_size, discarded
 

@@ -164,6 +164,44 @@ def test_conflicting_psi2_rejected():
                              ("t", "u"): {"v": Fraction(2)}})
 
 
+@pytest.mark.parametrize("psi1, psi2", [
+    # an image outside the target, a key outside the source and a psi2
+    # value in degree 2, all at once
+    ({"u": {"zz": 1}, "q": {"w": 1}}, {("u", "u"): {"w": 1}}),
+    ({"q": {"v": 1}}, None),                    # psi1 key not in the source
+    ({}, {("u", "q"): {"x": 1}}),               # psi2 key not in the source
+    ({"u": {"zz": 1}}, None),                   # psi1 image not in the target
+    ({}, {("u", "u"): {"zz": 1}}),              # psi2 image not in the target
+    ({"u": {"w": 1}}, None),                    # psi1 image in degree 2
+    ({}, {("u", "u"): {"w": 1}}),               # psi2 image in degree 2
+], ids=["found-example", "psi1-key", "psi2-key", "psi1-image", "psi2-image",
+        "psi1-degree", "psi2-degree"])
+def test_morphism_data_outside_its_algebras_rejected(psi1, psi2):
+    g = SmallDGLie({"u": 1})
+    h = SmallDGLie({"v": 1, "x": 1, "w": 2})
+    with pytest.raises(ValueError):
+        LInftyMorphism(g, h, psi1, psi2)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: SmallDGLie({"a": 1, "b": 2}, brackets={("a", "a"): {"b": 0.1}}),
+    lambda: SmallDGLie({"a": 1, "b": 2}, diff={"a": {"b": 0.5}}),
+    lambda: LInftyMorphism(SmallDGLie({"u": 1}), SmallDGLie({"v": 1}),
+                           {"u": {"v": 1.0}}),
+    lambda: LInftyMorphism(SmallDGLie({"u": 1}), SmallDGLie({"x": 1}),
+                           {}, {("u", "u"): {"x": 0.5}}),
+], ids=["bracket", "diff", "psi1", "psi2"])
+def test_inexact_coefficients_rejected(build):
+    with pytest.raises(TypeError):
+        build()
+
+
+def test_int_coefficients_are_stored_as_fractions():
+    lie = SmallDGLie({"a": 1, "b": 2}, brackets={("a", "a"): {"b": 3}})
+    value = lie.bracket({"a": 1}, {"a": 1})
+    assert value == {"b": 3} and type(value["b"]) is Fraction
+
+
 def test_elem_helpers():
     a = {"x": Fraction(1)}
     b = {"x": Fraction(-1), "y": Fraction(2)}

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from formaldisk import (angle, gamma0, graphs_with_profile,
                         mc_weight_cached, modified_bernoulli, opposite_wheel,
                         theta_series, wheel_weight_closed)
 from formaldisk.graphs import AdmissibleGraph
-from formaldisk.weights import (BLOCK, SAMPLER, TWO_PI, _block_values,
+from formaldisk.weights import (BLOCK, CHUNK, SAMPLER, TWO_PI, _block_values,
                                 _chunk_sums, _det_plan, _direction,
                                 _kernel_components, _mixture_plan,
                                 _pool_size, _sort_rows,
@@ -280,6 +281,26 @@ def test_chunk_sums_equal_the_blocked_reference(name, size, seed):
     # sample, so the sums are equal, not merely close
     args = (ORACLE_GRAPHS[name].to_json(), 3, size, seed)
     assert _chunk_sums(args) == chunk_sums_blocked_reference(args)
+
+
+def _chunk_peak(graph, size):
+    """Peak bytes traced while one chunk of size samples runs."""
+    tracemalloc.start()
+    try:
+        _chunk_sums((graph.to_json(), 0, size, 0))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name", ["wheel-4", "mixed"])
+def test_chunk_memory_does_not_grow_with_the_chunk(name):
+    # the draws are streamed block by block into buffers made once per
+    # chunk; a chunk drawn whole would hold 11 doubles a sample for the
+    # 4-wheel, 22 MB at CHUNK samples
+    graph = ORACLE_GRAPHS[name]
+    small = _chunk_peak(graph, 2 * BLOCK + 17)
+    assert _chunk_peak(graph, CHUNK) <= 1.5 * small
 
 
 def _rows_with_ties_and_zeros(m, rng):
