@@ -51,25 +51,22 @@ the variance finite, and leaves graphs without sampled aerial vertices
 (the corollas) untouched.
 
 Samples come in chunks of CHUNK, each with its own counter-indexed
-random stream, and a chunk's memory is that of one block of BLOCK
-samples whatever CHUNK is.  A chunk is drawn and evaluated a block at a
-time: each array of draws reads its own generator, advanced to where
-the array starts in the chunk's stream, so a block draws just its own
-rows and gets the values a whole-chunk draw would give it; and every
-array a block computes is a view of one array made once per chunk
-(_Buffers).  The second half is needed as much as the first: without
-chunk-sized draws to lift the allocator's mmap and trim thresholds, a
-block temporary of 128 KiB or more would be mapped, faulted in and
-unmapped again for every block.  Blocks are small enough for the CPU
-cache.  A block runs the kernel redraws, the in-disk test 0 < r < 1,
-and only on the in-disk samples the mixture density, the chart, the
-determinant and the collision filter.  A sample that leaves the disk
-costs its draws and is counted as discarded.  No libm sin or cos runs per
-sample: the direction of an angle theta comes from one tangent
-t = tan(theta/2) as (1 - t^2, 2t) / (1 + t^2), and a ground point's t
-also gives its chart point -1/t and chart factor (1 + 1/t^2) / 2.  The
-points stay Cartesian from the base draw on; a redraw writes the new
-point and its radius sqrt(x^2 + y^2).
+random stream, drawn and evaluated a block of BLOCK samples at a time,
+so a chunk's memory is that of one block whatever CHUNK is.  Each array
+of draws reads its own generator, advanced to where the array starts in
+the chunk's stream, so a block draws just its own rows and gets the
+values a whole-chunk draw would give it; and every array a block uses
+is asked for where it is first written and carved from one array made
+once per chunk (_arena), which keeps the allocator from faulting the
+block's arrays in anew.  A block runs the kernel redraws, the in-disk
+test 0 < r < 1, and only on the in-disk samples the mixture density,
+the chart, the determinant and the collision filter.  A sample that
+leaves the disk costs its draws and is counted as discarded.  No libm
+sin or cos runs per sample: the direction of an angle theta comes from
+one tangent t = tan(theta/2) as (1 - t^2, 2t) / (1 + t^2), and a ground
+point's t also gives its chart point -1/t and chart factor
+(1 + 1/t^2) / 2.  The points stay Cartesian from the base draw on; a
+redraw writes the new point and its radius sqrt(x^2 + y^2).
 
 Each quantity is computed once.  What depends on the graph alone is
 built once per chunk: the determinant plan with the collision pairs
@@ -209,19 +206,10 @@ def _kernel_components(graph):
     j near w = 1.  Vertex 1 is the gauge point and never participates.
     """
     n = graph.n
-    pair_edges = {}
-    for s, t in graph.edges:
-        key = (min(s, t), max(s, t))
-        pair_edges[key] = pair_edges.get(key, 0) + 1
-    comps = []
-    for (a, b) in sorted(pair_edges):
-        if 2 <= a and b <= n:
-            comps.append(("pair", a, b))
-        elif 2 <= a <= n < b:
-            comps.append(("ground", a, b - n))
-    for j in range(2, n + 1):
-        comps.append(("inf", j, None))
-    return comps
+    joined = sorted({(min(s, t), max(s, t)) for s, t in graph.edges})
+    return ([("pair", a, b) if b <= n else ("ground", a, b - n)
+             for a, b in joined if 2 <= a <= n]
+            + [("inf", j, None) for j in range(2, n + 1)])
 
 
 def _det_plan(graph):
@@ -242,16 +230,18 @@ def _det_plan(graph):
     (A, B) at an aerial target and A at a ground target.  The sources'
     minus signs are folded into the terms' signs.
 
-    Returns (src, tgt, minors, grounds, terms, signs, pairs, norm): src
-    and tgt index every edge's endpoints (0-based, aerial vertices first,
-    then ground); minors = (e1, e2, k1, k2) arrays, one entry per 2x2
-    minor A[e1] Y[k2] - A[e2] Y[k1], where Y stacks every edge's C and
-    then every edge's B (k = e at the edge's source, E + e at its
+    Returns (src, tgt, minors, grounds, terms, signs, ends, apart, norm):
+    src and tgt index every edge's endpoints (0-based, aerial vertices
+    first, then ground); minors = (e1, e2, k1, k2) arrays, one entry per
+    2x2 minor A[e1] Y[k2] - A[e2] Y[k1], where Y stacks every edge's C
+    and then every edge's B (k = e at the edge's source, E + e at its
     target); grounds holds the edge of each 1x1 minor A[e]; terms indexes
     each term's factors, the 2x2 minors first and then the 1x1 ones, and
-    signs holds each term's sign; pairs lists the pairs of points that no
-    edge joins, the only ones the collision filter measures on its own;
-    norm = (2 pi)^E, the partials' common denominator.
+    signs holds each term's sign; ends gathers x and y at every edge's
+    source and then at its target from a table of the points' x rows
+    above their y rows, and apart does the same for the pairs of points
+    that no edge joins, the only ones the collision filter measures on
+    its own; norm = (2 pi)^E, the partials' common denominator.
     """
     n, m = graph.n, graph.m
     edges = graph.edges
@@ -283,9 +273,11 @@ def _det_plan(graph):
     def slot(e, v):
         return e if edges[e][0] == v else e_count + e
 
+    def stacked(pairs):                     # rows of x, then of y, per end
+        first, second = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+        return np.concatenate((first, first + n + m, second, second + n + m))
+
     joined = {frozenset(edge) for edge in edges}
-    apart = [(a - 1, b - 1) for a, b in combinations(range(1, n + m + 1), 2)
-             if frozenset((a, b)) not in joined]
     ends = np.array(edges, dtype=np.intp).reshape(-1, 2) - 1
     return (ends[:, 0], ends[:, 1],
             np.array([(e1, e2, slot(e1, v), slot(e2, v))
@@ -294,8 +286,10 @@ def _det_plan(graph):
             np.array([e for _, (e,) in singles], dtype=np.intp),
             np.array([[index[key] for key in t] for _, t in found],
                      dtype=np.intp).reshape(len(found), n - 1 + m),
-            np.array([sign for sign, _ in found]),
-            np.array(apart, dtype=np.intp).reshape(-1, 2).T,
+            np.array([sign for sign, _ in found]), stacked(ends),
+            stacked([(a - 1, b - 1)
+                     for a, b in combinations(range(1, n + m + 1), 2)
+                     if frozenset((a, b)) not in joined]),
             TWO_PI ** e_count)
 
 
@@ -303,10 +297,11 @@ def _mixture_plan(graph):
     """The chunk's constants of the kernel redraw and mixture density.
 
     None for a graph with no kernel component.  Otherwise (starts, v, c,
-    weight): the start of each component's interval of the coin, the
-    row of the vertex it moves and the row of its centre in the table of
-    centres, and p_comp / KERNEL_LOG, the weight of the kernels' sum in
-    the density.
+    around, weight): the start of each component's interval of the
+    coin, the row of the vertex it moves and the row of its centre in
+    the table of centres, the rows of x at both and then of y at both in
+    that table with its x rows above its y rows, and p_comp / KERNEL_LOG,
+    the weight of the kernels' sum in the density.
     """
     comps = _kernel_components(graph)
     if not comps:
@@ -317,7 +312,9 @@ def _mixture_plan(graph):
     c = np.array([a - 2 if kind == "pair" else sampled + b - 1
                   if kind == "ground" else sampled + graph.m
                   for kind, a, b in comps])
+    centres = sampled + graph.m + 1
     return (BASE_WEIGHT + p_comp * np.arange(len(comps)), v, c,
+            np.concatenate((v, c, v + centres, c + centres)),
             p_comp / KERNEL_LOG)
 
 
@@ -357,70 +354,59 @@ def _sort_rows(a, low=None):
     return a
 
 
-def _buffer_rows(plan, mix, sampled, m):
-    """name -> (rows, dtype) of every buffer a block of the graph uses.
+_arena_words = 256 * BLOCK    # doubles: 8 MiB, above a 4-wheel block's 6.5
 
-    rows None marks a buffer of one row, viewed 1-D.  The draws (radius
-    to kernel_angle) hold one sample per row, so their rows are their
-    columns.  The kernel's buffers are left out when mix is None.
+
+def _arena():
+    """(buf, reset): the arrays of one block, carved from one array.
+
+    buf(rows, cols, dtype) carves the next rows * cols items of an array
+    of doubles, viewed as dtype (float, np.bool_ or np.intp), as a
+    C-contiguous (rows, cols) array, or (cols,) for rows None; reset()
+    hands them all back for the next block.  The array is made once per
+    arena, that is per chunk, of _arena_words doubles; a block that
+    needs more gets its overflowing arrays one by one, and the reset
+    after it makes the array a sixteenth larger than that block's need.
+
+    One allocation, not one per array, keeps a chunk from faulting:
+    freed at a chunk's end, it lifts glibc's mmap and trim thresholds,
+    and the next chunk's array takes the same heap pages again, where
+    arrays of 128 KiB or more made one by one would be faulted in anew.
+    One size for every graph up to the 4-wheel lets the graphs of a
+    process share those pages, where a larger array per larger graph
+    would leave the smaller ones resident as free heap; pages a block
+    never touches cost no memory.  buf is a closure, as cheap as a lookup.
     """
-    src, _, (e1, _, _, _), grounds, terms, _, (i, _), _ = plan
-    edges, minors, pairs = len(src), len(e1), len(i)
-    centres = sampled + m + 1 if mix else sampled
-    points = sampled + 1 + m
-    rows = dict(radius=sampled, angle=sampled, ground=m,
-                r=sampled, ang=sampled, alpha=m, low=None,
-                px=centres, py=centres,
-                r_in=sampled, px_in=centres, py_in=centres, t_in=m,
-                rc=sampled, scale=sampled, x=points, y=points,
-                chart=None, ground_chart=None,
-                ys=edges, yt=edges, dx=edges, dist2=edges, dy=edges,
-                dx2=edges, re=2 * edges,
-                factors=minors + len(grounds), minor=minors, other=minors,
-                prods=len(terms), factor=len(terms), dets=None,
-                gap=pairs, end=pairs, gap_y=pairs, square=None)
-    flags = dict(inside=sampled, below_one=sampled, keep=None,
-                 close=edges, drop=None, close_apart=pairs, hit=None)
-    indices = {}
-    if mix:
-        comps = len(mix[1])
-        rows.update(coin=None, kernel_radius=None, kernel_angle=None,
-                    ox=None, oy=None, u=None, rho=None, wx=None, wy=None,
-                    d2=comps, centre=comps, k=comps, denom=None)
-        flags.update(below=comps, moved=None, near=comps, far=comps)
-        indices = dict.fromkeys(("pick", "picked", "at", "to"))
-    return {**{name: (n, np.float64) for name, n in rows.items()},
-            **{name: (n, np.bool_) for name, n in flags.items()},
-            **{name: (n, np.intp) for name, n in indices.items()}}
+    data = views = None
+    top = size = 0
 
+    def buf(rows, cols, dtype=float):
+        nonlocal top
+        count = cols if rows is None else rows * cols
+        start = top
+        if dtype is float:
+            top = end = start + count
+            flat = data[start:end]
+        else:
+            view, per = views[dtype]                  # items per double
+            top = end = start - (-count // per)
+            flat = view[start * per:start * per + count]
+        if end > size:
+            flat = np.empty(count, dtype)
+        return flat if rows is None else flat.reshape(rows, cols)
 
-class _Buffers:
-    """One array made per chunk, lent to each of its blocks as named views.
+    def reset():
+        nonlocal data, views, top, size
+        global _arena_words
+        if data is None or top > size:
+            _arena_words = size = max(_arena_words, top + top // 16)
+            data = np.empty(size)
+            views = {dtype: (data.view(dtype), 8 // np.dtype(dtype).itemsize)
+                     for dtype in (np.bool_, np.intp)}
+        top = 0
 
-    shapes is _buffer_rows'.  buf(name, cols) views name's slot of the
-    array as (rows, cols), C-contiguous, or as (cols,) for rows None;
-    cols is at most block.  Being one allocation, the array is taken
-    from the same heap pages chunk after chunk once the first chunk
-    has freed it and so lifted glibc's mmap and trim thresholds.
-    """
-
-    def __init__(self, block, shapes):
-        spans, size = {}, 0
-        for name, (rows, dtype) in shapes.items():
-            nbytes = ((1 if rows is None else rows) * block
-                      * np.dtype(dtype).itemsize)
-            spans[name] = (size, nbytes, rows, dtype)
-            size += -(-nbytes // 64) * 64                 # aligned slots
-        self.arena = np.empty(size, np.uint8)
-        self.slots = {
-            name: (self.arena[start:start + nbytes].view(dtype), rows)
-            for name, (start, nbytes, rows, dtype) in spans.items()}
-
-    def __call__(self, name, cols):
-        flat, rows = self.slots[name]
-        if rows is None:
-            return flat[:cols]
-        return flat[:rows * cols].reshape(rows, cols)
+    reset()
+    return buf, reset
 
 
 def _take(a, index, out, axis=None):
@@ -436,20 +422,21 @@ def _block_values(plan, mix, r, ang, alpha, coin=None, rho_u=None,
     plan is _det_plan's and mix _mixture_plan's.  r and ang hold the
     sampled vertices' radii and angles, alpha the ground points' angles
     in any order, one sample per row; coin, rho_u and turn are the kernel
-    draws.  Every angle is in turns.  buf is the chunk's _Buffers (made
-    here if None): every array the block computes is a view of it, the
-    integrand returned too, which therefore holds until the next block.
-    Only np.flatnonzero's lists of the moved and of the in-disk samples
-    are new arrays.
+    draws.  Every angle is in turns.  buf is the chunk's _arena (made
+    here if None): each array the block computes, the integrand returned
+    too, is asked of it where it is first written, with its rows, columns
+    and dtype, and holds until the arena is reset.  Only np.flatnonzero's
+    lists of the moved and of the in-disk samples are new arrays.
 
     The work runs on one row per coordinate, so that gathering a
-    vertex's or an edge's values is a contiguous copy.  The points are
-    Cartesian rows of one centre table: the sampled points, the ground
-    points' boundary images e^{i alpha}, then w = 1.  The coin picks at
-    most one component per sample, which moves its vertex to the centre
-    plus the offset; so a pair's centre is always the partner's base
-    draw.  The integrand is returned for the in-disk samples only, 0
-    where the collision filter drops one.
+    vertex's or an edge's values is a contiguous copy, and the x rows
+    of a table sit above its y rows, so that one take gathers both.  The
+    points are the rows of one centre table: the sampled points, the
+    ground points' boundary images e^{i alpha}, then w = 1.  The coin
+    picks at most one component per sample, which moves its vertex to
+    the centre plus the offset; so a pair's centre is always the
+    partner's base draw.  The integrand is returned for the in-disk
+    samples only, 0 where the collision filter drops one.
 
     On them the determinant is taken in Cartesian coordinates
     z = x + iy of the points, times the chart's Jacobian determinant:
@@ -459,53 +446,52 @@ def _block_values(plan, mix, r, ang, alpha, coin=None, rho_u=None,
     squared distance |z_q - z_p|^2 behind u is also the one the
     collision filter tests for the pair (p, q).
     """
-    src, tgt, (e1, e2, k1, k2), grounds, terms, signs, (i, j), norm = plan
+    src, _, (e1, e2, k1, k2), grounds, terms, signs, ends, apart, norm = plan
     size, sampled, m = len(r), r.shape[1], alpha.shape[1]
-    if buf is None:
-        buf = _Buffers(size, _buffer_rows(plan, mix, sampled, m))
-    draws = r, ang, alpha
-    r, ang, alpha = (buf(name, size) for name in ("r", "ang", "alpha"))
-    for rows, drawn in zip((r, ang, alpha), draws):
-        np.copyto(rows, drawn.T)
+    buf = buf or _arena()[0]
+    r, ang, alpha = (np.positive(a.T, out=buf(a.shape[1], size))  # copied
+                     for a in (r, ang, alpha))        # to a row per column
     ang *= np.pi
-    _sort_rows(alpha, buf("low", size))
+    _sort_rows(alpha, buf(None, size))
     alpha *= np.pi
     t = np.tan(alpha, out=alpha)
-    px, py = buf("px", size), buf("py", size)
+    centres = sampled + m + 1 if mix else sampled
+    p = buf(2 * centres, size)
+    px, py = p[:centres], p[centres:]
     _direction(np.tan(ang, out=ang), (px[:sampled], py[:sampled]))
     px[:sampled] *= r
     py[:sampled] *= r
     if mix:
-        starts, v, c, weight = mix
+        starts, v, c, around, weight = mix
         _direction(t, (px[sampled:-1], py[sampled:-1]))
         px[-1], py[-1] = 1.0, 0.0
         # the component whose interval holds the coin: as searchsorted's
         # right side, the count of interval starts at or below the coin
-        below = np.less_equal(starts[:, None], coin, out=buf("below", size))
-        pick = np.sum(below, axis=0, out=buf("pick", size))
+        below = np.less_equal(starts[:, None], coin,
+                              out=buf(len(starts), size, np.bool_))
+        pick = np.sum(below, axis=0, out=buf(None, size, np.intp))
         pick -= 1
-        moved = np.flatnonzero(np.greater_equal(pick, 0,
-                                                out=buf("moved", size)))
+        moved = np.flatnonzero(np.greater_equal(
+            pick, 0, out=buf(None, size, np.bool_)))
         count = len(moved)
-        pick = _take(pick, moved, buf("picked", count))
+        pick = _take(pick, moved, buf(None, count, np.intp))
         # flat indices of each moved sample's centre and vertex
-        at = _take(c, pick, buf("at", count))
-        to = _take(v, pick, buf("to", count))
+        at = _take(c, pick, buf(None, count, np.intp))
+        to = _take(v, pick, buf(None, count, np.intp))
         for index in (at, to):
             index *= size
             index += moved
-        u = _take(turn, moved, buf("u", count))
+        u = _take(turn, moved, buf(None, count))
         u *= np.pi
-        ox, oy = _direction(np.tan(u, out=u), (buf("ox", count),
-                                               buf("oy", count)))
-        rho = _take(rho_u, moved, buf("rho", count))
+        ox, oy = _direction(np.tan(u, out=u), buf(2, count))
+        rho = _take(rho_u, moved, buf(None, count))
         rho *= KERNEL_LOG
         np.exp(rho, out=rho)
         rho *= KERNEL_RMIN
         ox *= rho
         oy *= rho
-        wx = _take(px, at, buf("wx", count))
-        wy = _take(py, at, buf("wy", count))
+        wx = _take(px, at, buf(None, count))
+        wy = _take(py, at, buf(None, count))
         wx += ox
         wy += oy
         px.put(to, wx)
@@ -514,37 +500,41 @@ def _block_values(plan, mix, r, ang, alpha, coin=None, rho_u=None,
         wy *= wy
         wx += wy
         r.put(to, np.sqrt(wx, out=wx))
-    inside = np.greater(r, 0.0, out=buf("inside", size))
-    inside &= np.less(r, 1.0, out=buf("below_one", size))
-    keep = np.flatnonzero(np.all(inside, axis=0, out=buf("keep", size)))
+    inside = np.greater(r, 0.0, out=buf(sampled, size, np.bool_))
+    inside &= np.less(r, 1.0, out=buf(sampled, size, np.bool_))
+    keep = np.flatnonzero(np.all(inside, axis=0,
+                                 out=buf(None, size, np.bool_)))
     kept = len(keep)
     if kept < size:
-        r, px, py, t = (_take(a, keep, buf(name, kept), axis=1)
-                        for name, a in (("r_in", r), ("px_in", px),
-                                        ("py_in", py), ("t_in", t)))
+        r, p, t = (_take(a, keep, buf(len(a), kept), axis=1)
+                   for a in (r, p, t))
+        px, py = p[:centres], p[centres:]
     denom = 1.0
     if mix:
-        # the mixture density: each component's kernel around its centre
-        centre = buf("centre", kept)
-        d2 = _take(px, v, buf("d2", kept), axis=0)
-        d2 -= _take(px, c, centre, axis=0)
+        # the mixture density: each component's kernel around its centre,
+        # from x and y at its vertex and at its centre
+        comps = len(v)
+        d2, centre, k, centre_y = _take(
+            p, around, buf(4 * comps, kept), axis=0).reshape(4, comps, kept)
+        d2 -= centre
         np.square(d2, out=d2)
-        k = _take(py, v, buf("k", kept), axis=0)
-        k -= _take(py, c, centre, axis=0)
+        k -= centre_y
         d2 += np.square(k, out=k)
         _take(r, v, k, axis=0)
         k /= np.maximum(d2, KERNEL_RMIN ** 2, out=centre)
-        near = np.greater_equal(d2, KERNEL_RMIN ** 2, out=buf("near", kept))
-        near &= np.less_equal(d2, KERNEL_RMAX ** 2, out=buf("far", kept))
+        near = np.greater_equal(d2, KERNEL_RMIN ** 2,
+                                out=buf(comps, kept, np.bool_))
+        near &= np.less_equal(d2, KERNEL_RMAX ** 2,
+                              out=buf(comps, kept, np.bool_))
         np.copyto(k, 0.0, where=np.logical_not(near, out=near))
-        denom = np.sum(k, axis=0, out=buf("denom", kept))
+        denom = np.sum(k, axis=0, out=buf(None, kept))
         denom *= weight
         denom += BASE_WEIGHT
 
     # the disk chart z = i(1+w)/(1-w), with |1-w|^2 from 1 - w = a - ib:
     # x holds the gauge point, the sampled points and the ground points
-    rc = np.clip(r, 1e-12, 1.0 - 1e-12, out=buf("rc", kept))
-    scale = np.divide(rc, r, out=buf("scale", kept))
+    rc = np.clip(r, 1e-12, 1.0 - 1e-12, out=buf(sampled, kept))
+    scale = np.divide(rc, r, out=buf(sampled, kept))
     a, b = px[:sampled], py[:sampled]
     a *= scale
     np.subtract(1.0, a, out=a)
@@ -552,7 +542,8 @@ def _block_values(plan, mix, r, ang, alpha, coin=None, rho_u=None,
     d = a
     d *= a
     d += np.multiply(b, b, out=scale)
-    x, y = buf("x", kept), buf("y", kept)
+    xy = buf(2 * (sampled + 1 + m), kept)
+    x, y = xy[:sampled + 1 + m], xy[sampled + 1 + m:]
     x[0], y[0], y[sampled + 1:] = 0.0, 1.0, 0.0
     b *= -2.0
     np.divide(b, d, out=x[1:sampled + 1])
@@ -566,63 +557,68 @@ def _block_values(plan, mix, r, ang, alpha, coin=None, rho_u=None,
     t *= t
     np.divide(0.5, t, out=t)
     t += 0.5
-    chart = np.prod(rc, axis=0, out=buf("chart", kept))  # 4 r / |1 - w|^4
-    chart *= np.prod(t, axis=0, out=buf("ground_chart", kept))  # dq/dalpha
+    chart = np.prod(rc, axis=0, out=buf(None, kept))   # 4 r / |1 - w|^4
+    chart *= np.prod(t, axis=0, out=buf(None, kept))    # dq/dalpha
     chart /= norm
 
+    # x and y at every edge's source, then at its target
     e_count = len(src)
-    ys = _take(y, src, buf("ys", kept), axis=0)
-    yt = _take(y, tgt, buf("yt", kept), axis=0)
-    dx = _take(x, tgt, buf("dx", kept), axis=0)
-    dx -= _take(x, src, buf("dist2", kept), axis=0)
-    dy = np.subtract(yt, ys, out=buf("dy", kept))
-    sy = yt
-    sy += ys
-    dx2 = np.multiply(dx, dx, out=buf("dx2", kept))
-    dist2 = np.multiply(dy, dy, out=buf("dist2", kept))
+    at_src, at_tgt = _take(xy, ends, buf(4 * e_count, kept),
+                           axis=0).reshape(2, 2 * e_count, kept)
+    diff = np.subtract(at_tgt, at_src, out=buf(2 * e_count, kept))
+    dx, dy = diff[:e_count], diff[e_count:]
+    sy = at_tgt[e_count:]
+    sy += at_src[e_count:]
+    squares = np.multiply(diff, diff, out=at_src)
+    dx2, dist2 = squares[:e_count], squares[e_count:]
     dist2 += dx2
     # collision margin: drop samples with near-coincident points, here
     # those of an edge, whose |z_q - z_p|^2 is also u's denominator
-    close = np.less(dist2, COLLISION_MARGIN ** 2, out=buf("close", kept))
-    drop = np.any(close, axis=0, out=buf("drop", kept))
+    close = np.less(dist2, COLLISION_MARGIN ** 2,
+                    out=buf(e_count, kept, np.bool_))
+    drop = np.any(close, axis=0, out=buf(None, kept, np.bool_))
     inv_n = np.divide(1.0, dist2, out=dist2)
-    inv_d = np.multiply(sy, sy, out=ys)
+    inv_d = np.multiply(sy, sy, out=at_tgt[:e_count])
     inv_d += dx2
     np.divide(1.0, inv_d, out=inv_d)
     im_diff = sy                                      # Im(u - v)
     im_diff *= inv_d
     dy *= inv_n
     im_diff -= dy
-    re = buf("re", kept)
+    re = buf(2 * e_count, kept)
     np.add(inv_n, inv_d, out=re[:e_count])            # Re(u + v)
     np.subtract(inv_n, inv_d, out=re[e_count:])       # Re(u - v)
     re[:e_count] *= dx
     re[e_count:] *= dx
-    factors = buf("factors", kept)
+    factors = buf(len(e1) + len(grounds), kept)
     minors = _take(im_diff, e1, factors[:len(e1)], axis=0)
-    minors *= _take(re, k2, buf("minor", kept), axis=0)
-    other = _take(im_diff, e2, buf("other", kept), axis=0)
-    other *= _take(re, k1, buf("minor", kept), axis=0)
+    minor = buf(len(e1), kept)
+    minors *= _take(re, k2, minor, axis=0)
+    other = _take(im_diff, e2, buf(len(e1), kept), axis=0)
+    other *= _take(re, k1, minor, axis=0)
     minors -= other
     _take(im_diff, grounds, factors[len(e1):], axis=0)
     # each term's factors multiplied left to right
-    prods = _take(factors, terms[:, 0], buf("prods", kept), axis=0)
+    prods = _take(factors, terms[:, 0], buf(len(terms), kept), axis=0)
+    factor = buf(len(terms), kept)
     for col in range(1, terms.shape[1]):
-        prods *= _take(factors, terms[:, col], buf("factor", kept), axis=0)
-    dets = np.matmul(signs, prods, out=buf("dets", kept))
+        prods *= _take(factors, terms[:, col], factor, axis=0)
+    dets = np.matmul(signs, prods, out=buf(None, kept))
     dets *= chart
 
-    if len(i):                                        # pairs no edge joins
-        gap = _take(x, i, buf("gap", kept), axis=0)
-        gap -= _take(x, j, buf("end", kept), axis=0)
+    hit = buf(None, kept, np.bool_)
+    if len(apart):                                    # pairs no edge joins
+        # x and y at each pair's first point, then at its second
+        pairs = len(apart) // 4
+        gap, end = _take(xy, apart, buf(4 * pairs, kept),
+                         axis=0).reshape(2, 2 * pairs, kept)
+        gap -= end
         np.square(gap, out=gap)
-        gap_y = _take(y, i, buf("gap_y", kept), axis=0)
-        gap_y -= _take(y, j, buf("end", kept), axis=0)
-        gap += np.square(gap_y, out=gap_y)
-        close = np.less(gap, COLLISION_MARGIN ** 2,
-                        out=buf("close_apart", kept))
-        drop |= np.any(close, axis=0, out=buf("hit", kept))
-    hit = np.isfinite(dets, out=buf("hit", kept))
+        gap[:pairs] += gap[pairs:]
+        close = np.less(gap[:pairs], COLLISION_MARGIN ** 2,
+                        out=buf(pairs, kept, np.bool_))
+        drop |= np.any(close, axis=0, out=hit)
+    np.isfinite(dets, out=hit)
     drop |= np.logical_not(hit, out=hit)
     dets /= denom
     np.copyto(dets, 0.0, where=drop)
@@ -639,55 +635,40 @@ def _chunk_sums(args):
     and kernel angle) reads its own PCG64 on the chunk's seed, advanced
     to where the array starts in the stream, and each block draws only
     its own rows of them.  PCG64 spends one 64-bit output per double, so
-    a block gets the values a draw of the whole chunk would give it.
-    Arrays with no columns read no stream.  Every block, its draws
-    included, lives in one _Buffers made per chunk, and the plans are
-    built once per chunk.
+    a block gets the values a draw of the whole chunk would give it, and
+    an array with no columns reads nothing.  A block's draws, like every
+    array it computes, are carved from the chunk's _arena, reset for the
+    next block; the plans are built once per chunk.
 
     Both halves keep a chunk's memory at that of one block, and both
-    are needed: with the draws streamed but the block's arrays made and
-    freed block by block, every one of 128 KiB or more would be mapped,
-    faulted in and unmapped again for each block, as no chunk-sized
-    array would lift glibc's mmap and trim thresholds any more.  The
-    single array of _Buffers lifts them itself, once, in a process's
-    first chunk of the largest graph so far.
+    are needed: with the draws streamed but the block's arrays made one
+    by one, no chunk-sized array would lift glibc's mmap and trim
+    thresholds any more, and each array of 128 KiB or more would be
+    faulted in anew for every block (see _arena).
     """
     graph_json, chunk_index, chunk_size, seed = args
     from .graphs import AdmissibleGraph
     graph = AdmissibleGraph.from_json(graph_json)
-    sampled, m = graph.n - 1, graph.m
     mix = _mixture_plan(graph)
     plan = _det_plan(graph)
     # radii, angles and ground angles (in turns; _block_values sorts the
     # ground angles), then coin, kernel radius and kernel angle
-    names = ("radius", "angle", "ground",
-             *(("coin", "kernel_radius", "kernel_angle") if mix else ()))
-    widths = (sampled, sampled, m, 1, 1, 1)
+    widths = (graph.n - 1, graph.n - 1, graph.m) + ((1, 1, 1) if mix else ())
     seq = np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,))
-    streams, start = [], 0
-    for width in widths[:len(names)]:
-        stream = None
-        if width:
-            bits = np.random.PCG64(seq)
-            bits.advance(start)
-            stream = np.random.Generator(bits)
-        streams.append(stream)
-        start += chunk_size * width
-
-    buf = _Buffers(min(chunk_size, BLOCK), _buffer_rows(plan, mix, sampled, m))
+    streams = [np.random.Generator(np.random.PCG64(seq).advance(
+        chunk_size * sum(widths[:k]))) for k in range(len(widths))]
+    buf, reset = _arena()
     s1 = s2 = 0.0
     discarded = 0
     for lo in range(0, chunk_size, BLOCK):
         size = min(BLOCK, chunk_size - lo)
-        draws = [buf(name, size) for name in names]
-        for drawn, stream in zip(draws, streams):
-            if stream:
-                stream.random(out=drawn.reshape(-1))
-        g, dropped = _block_values(
-            plan, mix, *(a.reshape(size, -1) for a in draws[:3]), *draws[3:],
-            buf=buf)
+        reset()
+        draws = [stream.random(out=buf(size, width))
+                 for stream, width in zip(streams, widths[:3])]
+        draws += [stream.random(out=buf(None, size)) for stream in streams[3:]]
+        g, dropped = _block_values(plan, mix, *draws, buf=buf)
         s1 += float(g.sum())
-        s2 += float(np.multiply(g, g, out=buf("square", len(g))).sum())
+        s2 += float(np.multiply(g, g, out=buf(None, len(g))).sum())
         discarded += dropped
     return s1, s2, chunk_size, discarded
 
@@ -760,15 +741,9 @@ def mc_weight(graph, samples, seed=0, workers=1, chunk_size=CHUNK):
                               samples, 0, seed, workers,
                               graph.canonical_hash())
 
-    tasks = []
-    left = samples
-    idx = 0
     gj = graph.to_json()
-    while left > 0:
-        size = min(chunk_size, left)
-        tasks.append((gj, idx, size, seed))
-        left -= size
-        idx += 1
+    tasks = [(gj, idx, min(chunk_size, samples - lo), seed)
+             for idx, lo in enumerate(range(0, samples, chunk_size))]
 
     processes = _pool_size(workers, len(tasks))
     if processes > 1:
@@ -777,10 +752,7 @@ def mc_weight(graph, samples, seed=0, workers=1, chunk_size=CHUNK):
     else:
         results = [_chunk_sums(t) for t in tasks]
 
-    total = sum(r[2] for r in results)
-    discarded = sum(r[3] for r in results)
-    s1 = sum(r[0] for r in results)
-    s2 = sum(r[1] for r in results)
+    s1, s2, total, discarded = (sum(column) for column in zip(*results))
     mean = s1 / total
     var = max(s2 / total - mean * mean, 0.0)
     integral = mean * volume
@@ -800,7 +772,8 @@ def cache_lookup(path, digest, samples, seed):
     A row hits only if its sampler fingerprint equals SAMPLER, so rows
     written by another sampler (or before rows carried one) miss.
 
-    Unreadable lines are skipped; one warning on stderr counts the lines
+    Unreadable lines are skipped, a matching row with a numeric field
+    missing or not a number too; one warning on stderr counts the lines
     skipped on the way.
     """
     if not os.path.exists(path):
@@ -823,10 +796,13 @@ def cache_lookup(path, digest, samples, seed):
                         and row.get("samples") == samples
                         and row.get("seed") == seed
                         and row.get("sampler") == SAMPLER):
-                    hit = WeightEstimate(**{k: row[k] for k in (
+                    numbers = {k: row.get(k) for k in (
                         "value", "stderr", "integral", "prefactor",
-                        "samples", "discarded", "seed", "workers", "digest")})
-                    break
+                        "samples", "discarded", "seed", "workers")}
+                    if all(type(v) in (int, float) for v in numbers.values()):
+                        hit = WeightEstimate(digest=digest, **numbers)
+                        break
+                    bad += 1                  # a field missing or not a number
     except OSError:
         return None
     if bad:

@@ -61,6 +61,24 @@ def test_weights_mc_corrupt_cache_warns(tmp_path, capsys):
     assert "unreadable cache line" in err
 
 
+def test_weights_mc_malformed_matching_cache_row(tmp_path, capsys):
+    # rows that match the run but lack a field or hold a string value are
+    # skipped with the warning, and the estimate is recomputed and stored
+    cache = tmp_path / "c.jsonl"
+    argv = ("weights", "mc", "--gamma0", "1", "--samples", "1000",
+            "--cache", str(cache))
+    assert run_cli(capsys, *argv)[0] == 0
+    row = json.loads(cache.read_text())
+    lacking = {k: v for k, v in row.items() if k != "stderr"}
+    cache.write_text(json.dumps(lacking) + "\n"
+                     + json.dumps(dict(row, value="1.0")) + "\n")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["served_from_cache"] is False
+    assert "warning: 2 unreadable cache line(s)" in err
+    assert json.loads(cache.read_text().splitlines()[-1]) == row
+
+
 def test_weights_mc_requires_one_graph_choice(capsys):
     code, _, err = run_cli(capsys, "weights", "mc", "--samples", "100")
     assert code == 2

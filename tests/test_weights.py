@@ -20,6 +20,7 @@ from formaldisk.weights import (BLOCK, CHUNK, SAMPLER, TWO_PI, _block_values,
                                 _pool_size, _sort_rows,
                                 cache_lookup, cache_store, WeightEstimate)
 from formaldisk.series import sinh_quotient_series
+from formaldisk import weights
 
 import helpers
 from helpers import (bernoulli, chunk_sums_blocked_reference,
@@ -135,6 +136,19 @@ def test_corolla_no_ground_moduli():
     # m=3: dim 3, plain average but still deterministic
     est = mc_weight(gamma0(3), 50_000, seed=2)
     assert abs(est.integral - 1.0 / 6.0) <= max(4 * est.stderr, 1e-3)
+
+
+@pytest.mark.parametrize("m, exact", [(1, 1), (2, -1 / 2), (3, -1 / 6)])
+def test_signed_corolla_values(m, exact):
+    # the sign of value, orientation prefactor included, is pinned here,
+    # not only its size
+    est = mc_weight(gamma0(m), 200_000, seed=0)
+    assert est.value == pytest.approx(exact, rel=1e-9)
+
+
+def test_signed_two_wheel_value_is_positive():
+    est = mc_weight(opposite_wheel(2), 200_000, seed=0)
+    assert est.value > 20 * est.stderr
 
 
 def test_two_wheel_converges():
@@ -301,6 +315,18 @@ def test_chunk_memory_does_not_grow_with_the_chunk(name):
     graph = ORACLE_GRAPHS[name]
     small = _chunk_peak(graph, 2 * BLOCK + 17)
     assert _chunk_peak(graph, CHUNK) <= 1.5 * small
+
+
+def test_arena_reuse_across_graphs_and_blocks(monkeypatch):
+    # one process, the arena grown from nothing by the 4-wheel's blocks,
+    # then lent to smaller graphs and to short last blocks: no block may
+    # read rows another one left behind, or write through overlapping views
+    monkeypatch.setattr(weights, "_arena_words", 0)
+    for name in ("wheel-4", "gamma0(2)", "mixed", "wheel-4", "gamma0(3)"):
+        for size in (1, BLOCK + 1, 2 * BLOCK + 17):
+            args = (ORACLE_GRAPHS[name].to_json(), 5, size, 0)
+            assert (_chunk_sums(args)
+                    == chunk_sums_blocked_reference(args)), (name, size)
 
 
 def _rows_with_ties_and_zeros(m, rng):
@@ -545,6 +571,22 @@ def test_cache_lookup_warns_once_for_all_unreadable_lines(tmp_path, capsys):
     path.write_text("[1, 2]\n")
     assert cache_lookup(str(path), "x", 1, 0) is None
     assert "warning: 1 unreadable" in capsys.readouterr().err
+
+
+def test_matching_row_missing_a_field_or_not_a_number_is_unreadable(
+        tmp_path, capsys):
+    # a row that matches digest, samples, seed and sampler but lacks a
+    # field used to raise KeyError; one with a string value was served
+    path = tmp_path / "w.jsonl"
+    est = mc_weight(gamma0(1), 1000, seed=0)
+    row = dict(est.to_json(), sampler=SAMPLER)
+    lacking = {k: v for k, v in row.items() if k != "stderr"}
+    path.write_text(json.dumps(lacking) + "\n"
+                    + json.dumps(dict(row, value=str(est.value))) + "\n")
+    assert cache_lookup(str(path), est.digest, 1000, 0) is None
+    assert "warning: 2 unreadable" in capsys.readouterr().err
+    cache_store(str(path), est)
+    assert cache_lookup(str(path), est.digest, 1000, 0) == est
 
 
 def test_cache_lookup_missing_file(tmp_path):
