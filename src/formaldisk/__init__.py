@@ -10,8 +10,8 @@ Todd-type determinant.
 
 __version__ = "0.1.0"
 
-from .series import (DEFAULT_CAP, TruncatedSeries, UnivariateSeries,
-                     SeriesMatrix, nilpotent_powers, series_at, exp_series,
+from .series import (DEFAULT_CAP, TruncatedSeries, SeriesMatrix,
+                     nilpotent_powers, series_at, exp_series,
                      sinh_quotient_series)
 from .polyvector import (PolyVectorField, DifferentialForm,
                          schouten_bracket, wedge_fields, wedge_forms,
@@ -37,7 +37,7 @@ from .linfty import (SmallDGLie, LInftyMorphism, quadratic_example,
 from .suites import SUITES, run_suite
 
 __all__ = [
-    "DEFAULT_CAP", "TruncatedSeries", "UnivariateSeries", "SeriesMatrix",
+    "DEFAULT_CAP", "TruncatedSeries", "SeriesMatrix",
     "nilpotent_powers", "series_at", "exp_series", "sinh_quotient_series",
     "PolyVectorField", "DifferentialForm", "schouten_bracket",
     "wedge_fields", "wedge_forms", "contract", "exterior_derivative",

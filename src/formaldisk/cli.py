@@ -220,8 +220,9 @@ def _cmd_todd(args, config):
     qt = tilde_todd_series(order)
     prod = q * exp_series(order, Fraction(-1, 2))
     report = _base_report("todd", {"order": order})
-    report["todd"] = [str(c) for c in q.coeffs]
-    report["modified_todd"] = [str(c) for c in qt.coeffs]
+    report["todd"] = [str(q.coefficient((k,))) for k in range(order + 1)]
+    report["modified_todd"] = [str(qt.coefficient((k,)))
+                               for k in range(order + 1)]
     ok = prod == qt
     report["modified_equals_todd_times_exp_minus_half"] = ok
     _emit(report, args.out)

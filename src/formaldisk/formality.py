@@ -53,8 +53,8 @@ from itertools import combinations, islice
 from math import factorial, prod
 
 from .series import (DEFAULT_CAP, TruncatedSeries, SeriesMatrix,
-                     UnivariateSeries, bernoulli_numbers, nilpotent_powers,
-                     sparse_sum)
+                     bernoulli_numbers, nilpotent_powers, sparse_sum,
+                     univariate)
 from .polyvector import contract
 from .polydiff import PolyDiffOp, hkr, hkr_weight
 from .graphs import gamma0, wheel_survivors
@@ -241,7 +241,8 @@ def theta_and_det(xi):
         trace = sparse_sum(pair for i, row in enumerate(rows)
                            for j, e in row.items() if i in rows[j]
                            for pair in (e * rows[j][i]).terms.items())
-        pieces.append(EtaFormScalar._make(dim, cap, trace).scale(theta[2 * k]))
+        pieces.append(EtaFormScalar._make(dim, cap, trace).scale(
+            theta.coefficient((2 * k,))))
     return EtaFormScalar._make(
         dim, min(p.cap for p in pieces),
         sparse_sum(pair for p in pieces for pair in p.terms.items())).exp()
@@ -262,7 +263,8 @@ def closed_form_map(mc, field):
 
 def _subset_coefficient(partition, m, theta):
     """(-1)^{m(m-1)/2} (1/m!) prod_i l_i theta_{l_i} for cycle type partition."""
-    return hkr_weight(m) * prod(l * theta[l] for l in partition)
+    return hkr_weight(m) * prod(l * theta.coefficient((l,))
+                                for l in partition)
 
 
 def twisted_first_taylor(mc, field, j_max=None):
@@ -307,8 +309,8 @@ def twisted_first_taylor(mc, field, j_max=None):
 
 def todd_series(order):
     """q(x) = x / (1 - e^{-x}) = sum_n B_n x^n / n!, with B_1 = +1/2."""
-    return UnivariateSeries([b / factorial(n) for n, b
-                             in enumerate(bernoulli_numbers(order))])
+    return univariate([b / factorial(n) for n, b
+                       in enumerate(bernoulli_numbers(order))])
 
 
 def tilde_todd_series(order):
@@ -316,5 +318,5 @@ def tilde_todd_series(order):
 
     q~(x) = q(x) e^{-x/2}, so q~_n = (2^{1-n} - 1) B_n / n!.
     """
-    return UnivariateSeries([(Fraction(2) ** (1 - n) - 1) * b / factorial(n)
-                             for n, b in enumerate(bernoulli_numbers(order))])
+    return univariate([(Fraction(2) ** (1 - n) - 1) * b / factorial(n)
+                       for n, b in enumerate(bernoulli_numbers(order))])

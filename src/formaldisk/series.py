@@ -6,10 +6,10 @@ arithmetic is integer arithmetic; its coefficients are read out as
 fractions.Fraction.  It carries an explicit validity cap N:
 coefficients of total degree <= N are meaningful, higher ones are
 silently dropped.  Products take the minimum of the caps of the
-factors, differentiation lowers the cap by one.  Univariate series
-(the Bernoulli-type generating functions and Todd series, all from one
-table of Bernoulli numbers, and e^{cx}) are dense lists of Fraction
-coefficients; series_at evaluates one at a nilpotent argument.
+factors, differentiation lowers the cap by one.  The generating series
+(the Bernoulli-type ones and the Todd series, all from one table of
+Bernoulli numbers, and e^{cx}) are one-variable series capped at their
+order; series_at evaluates one at a nilpotent argument.
 
 The sparse-sum core at the top (sparse_sum, SparseSum) is the key ->
 coefficient algebra that every coefficient container of the package is
@@ -400,88 +400,6 @@ class TruncatedSeries(SparseSum):
 
 
 # ---------------------------------------------------------------------
-# univariate series calculus
-# ---------------------------------------------------------------------
-
-class UnivariateSeries:
-    """Dense univariate series: coeffs[k] is the coefficient of x^k."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        self.coeffs = [_as_fraction(c) for c in coeffs]
-        if not self.coeffs:
-            self.coeffs = [Q0]
-
-    @classmethod
-    def _make(cls, coeffs):
-        """Trusted constructor: a nonempty list of Fractions."""
-        self = object.__new__(cls)
-        self.coeffs = coeffs
-        return self
-
-    def one_like(self):
-        return UnivariateSeries._make([Q1] + [Q0] * self.order)
-
-    def is_zero(self):
-        return not any(self.coeffs)
-
-    @property
-    def order(self):
-        return len(self.coeffs) - 1
-
-    def __getitem__(self, k):
-        return self.coeffs[k] if 0 <= k <= self.order else Q0
-
-    def __eq__(self, other):
-        if not isinstance(other, UnivariateSeries):
-            return NotImplemented
-        n = max(self.order, other.order)
-        return all(self[k] == other[k] for k in range(n + 1))
-
-    def __hash__(self):
-        # == pads with zeros, so trailing zeros must not change the hash
-        n = len(self.coeffs)
-        while n and self.coeffs[n - 1] == 0:
-            n -= 1
-        return hash(tuple(self.coeffs[:n]))
-
-    def __add__(self, other):
-        n = min(self.order, other.order)
-        return UnivariateSeries([self[k] + other[k] for k in range(n + 1)])
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            return UnivariateSeries([v * c for v in self.coeffs])
-        n = min(self.order, other.order)
-        out = [Q0] * (n + 1)
-        for i, a in enumerate(self.coeffs[:n + 1]):
-            if a == 0:
-                continue
-            for j in range(n + 1 - i):
-                b = other[j]
-                if b != 0:
-                    out[i + j] += a * b
-        return UnivariateSeries(out)
-
-    __rmul__ = scale = __mul__
-
-    def __repr__(self):
-        return "UnivariateSeries(%s)" % (self.coeffs,)
-
-
-@functools.cache
-def _exp_coeffs(order, c):
-    return tuple(c ** k / factorial(k) for k in range(order + 1))
-
-
-def exp_series(order, c):
-    """e^{cx} through x^order for a rational c, from a cached table."""
-    return UnivariateSeries._make(list(_exp_coeffs(order, _as_fraction(c))))
-
-
-# ---------------------------------------------------------------------
 # matrices with series entries
 # ---------------------------------------------------------------------
 
@@ -557,7 +475,7 @@ def nilpotent_powers(x, kmax):
     """(k, x^k) for k = 1, 2, .. while the power x^k is nonzero.
 
     x is anything with * and is_zero(): a SeriesMatrix, an
-    EtaFormScalar, a UnivariateSeries.  Raises ValueError unless
+    EtaFormScalar, a TruncatedSeries.  Raises ValueError unless
     x^(kmax+1) vanishes.
     """
     power = x
@@ -573,14 +491,15 @@ def nilpotent_powers(x, kmax):
 def series_at(f, x):
     """sum_k f_k x^k, a running + over the nonzero powers of a nilpotent x.
 
-    x is anything with one_like, *, +, scale and is_zero: a SeriesMatrix,
-    an EtaFormScalar, a UnivariateSeries without constant term.  Raises
-    ValueError unless x^(f.order+1) vanishes.
+    f is a one-variable series, read through its cap.  x is anything
+    with one_like, *, +, scale and is_zero: a SeriesMatrix, an
+    EtaFormScalar, a TruncatedSeries without constant term.  Raises
+    ValueError unless x^(f.cap+1) vanishes.
     """
-    out = x.one_like().scale(f[0])
-    for k, power in nilpotent_powers(x, f.order):
-        if f[k]:
-            out = out + power.scale(f[k])
+    out = x.one_like().scale(f.constant_term())
+    for k, power in nilpotent_powers(x, f.cap):
+        if c := f.coefficient((k,)):
+            out = out + power.scale(c)
     return out
 
 
@@ -588,12 +507,28 @@ def series_at(f, x):
 # named generating series
 # ---------------------------------------------------------------------
 
+def univariate(coeffs):
+    """sum_k coeffs[k] x^k as a one-variable series capped at its order,
+    len(coeffs) - 1."""
+    return TruncatedSeries(1, len(coeffs) - 1,
+                           {(k,): c for k, c in enumerate(coeffs)})
+
+
+# typed: a float c must never hit the entry of an equal exact c
+@functools.lru_cache(maxsize=None, typed=True)
+def exp_series(order, c):
+    """e^{cx} through x^order for a rational c, one shared series per
+    argument."""
+    c = _as_fraction(c)
+    return univariate([c ** k / factorial(k) for k in range(order + 1)])
+
+
 def sinh_quotient_series(order):
     """(e^{x/2} - e^{-x/2})/x: its x^k coefficient is 2 (1/2)^{k+1}/(k+1)!,
     twice that of x^{k+1} in e^{x/2}, at even k, and zero at odd k."""
     half = exp_series(order + 1, Fraction(1, 2))
-    return UnivariateSeries._make([2 * half[k + 1] if k % 2 == 0 else Q0
-                                   for k in range(order + 1)])
+    return univariate([2 * half.coefficient((k + 1,)) if k % 2 == 0 else Q0
+                       for k in range(order + 1)])
 
 
 @functools.cache

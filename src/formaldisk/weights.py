@@ -98,8 +98,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .series import (Q0, UnivariateSeries, bernoulli_numbers, exp_series,
-                     series_at)
+from .series import (Q0, bernoulli_numbers, exp_series, series_at,
+                     univariate)
 
 TWO_PI = 2.0 * math.pi
 COLLISION_MARGIN = 1e-9
@@ -109,6 +109,10 @@ KERNEL_RMIN = 1e-4
 KERNEL_RMAX = 2.0
 KERNEL_LOG = math.log(KERNEL_RMAX / KERNEL_RMIN)
 BASE_WEIGHT = 0.5
+# the largest m and E for which m! (mc_weight's volume) and (2 pi)^E
+# (_det_plan's norm) are floats
+MAX_GROUND = 170
+MAX_EDGES = 386
 # Cache rows carry this fingerprint and hit only on an exact match.  Bump
 # the version whenever a change can move a chunk's sums, even in the last
 # bits.
@@ -123,25 +127,22 @@ SAMPLER = ("v%d chunk=%d rmin=%r rmax=%r base=%r margin=%r"
 # ---------------------------------------------------------------------
 
 @functools.cache
-def _theta_coeffs(order):
-    b = bernoulli_numbers(order)
-    return tuple(-b[k] / (2 * k * math.factorial(k)) if k and k % 2 == 0
-                 else Q0 for k in range(order + 1))
-
 def theta_series(order):
     """-(1/2) log((e^{x/2} - e^{-x/2})/x), the matrix-logarithm series.
 
-    theta_k = -B_k / (2k k!) for even k >= 2, zero otherwise.  Computed
-    once per process and order; every call returns a fresh series.  Its
-    x^k coefficient does not depend on the order.
+    theta_k = -B_k / (2k k!) for even k >= 2, zero otherwise.  Built
+    once per process and order, one shared series.  Its x^k coefficient
+    does not depend on the order.
     """
-    return UnivariateSeries(_theta_coeffs(order))
+    b = bernoulli_numbers(order)
+    return univariate([-b[k] / (2 * k * math.factorial(k))
+                       if k and k % 2 == 0 else Q0 for k in range(order + 1)])
 
 def modified_bernoulli(l):
     """s_hat_l = -theta_l = B_l / (2l l!) for even l >= 2, zero otherwise."""
     if l < 0:
         raise ValueError("negative index")
-    return -_theta_coeffs(l)[l]
+    return -theta_series(l).coefficient((l,))
 
 def wheel_weight_closed(l):
     """W_l = -(-1)^{l(l+1)/2} l s_hat_l; zero for odd l."""
@@ -686,8 +687,10 @@ def _pool_size(workers, tasks):
 def moduli_dimension(graph):
     """Dimension 2(n-1) + m of the gauge-fixed configuration space.
 
-    Raises ValueError unless the graph has an aerial vertex to gauge-fix
-    and one edge (one angle form) per dimension.
+    Raises ValueError unless the graph has an aerial vertex to gauge-fix,
+    one edge (one angle form) per dimension, and at most MAX_GROUND
+    ground vertices and MAX_EDGES edges, so that m! and (2 pi)^E are
+    floats.
     """
     if graph.n < 1:
         raise ValueError("need at least one aerial vertex to gauge-fix")
@@ -695,6 +698,10 @@ def moduli_dimension(graph):
     if len(graph.edges) != dim:
         raise ValueError("form degree %d does not match moduli %d"
                          % (len(graph.edges), dim))
+    if graph.m > MAX_GROUND or dim > MAX_EDGES:
+        raise ValueError("m! and (2 pi)^E are floats only for at most %d "
+                         "ground vertices and %d edges, got %d and %d"
+                         % (MAX_GROUND, MAX_EDGES, graph.m, dim))
     return dim
 
 

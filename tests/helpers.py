@@ -63,24 +63,22 @@ def wheel_weight_from_bernoulli(l):
 
 
 def useries_log(f):
-    """log(f) for f with constant term 1, by composing log(1 + u)."""
-    from formaldisk import UnivariateSeries
-    if f[0] != 1:
+    """log(f) for a one-variable f with constant term 1, by composing
+    log(1 + u) through f's cap."""
+    if f.constant_term() != 1:
         raise ValueError("log requires constant term 1")
-    n = f.order
-    u = UnivariateSeries([0] + f.coeffs[1:])
-    out = UnivariateSeries([0] * (n + 1))
-    power = UnivariateSeries([1] + [0] * n)
-    for k in range(1, n + 1):
-        power = power * u  # a product keeps the lower order, n
-        out = out + power * Fraction((-1) ** (k + 1), k)
+    u = f - f.one_like()
+    out, power = f.zero_like(), f.one_like()
+    for k in range(1, f.cap + 1):
+        power = power * u
+        out = out + power.scale(Fraction((-1) ** (k + 1), k))
     return out
 
 
 def theta_by_log(order):
     """theta = -(1/2) log((e^{x/2} - e^{-x/2})/x) through `order`."""
     from formaldisk import sinh_quotient_series
-    return useries_log(sinh_quotient_series(order)) * Fraction(-1, 2)
+    return useries_log(sinh_quotient_series(order)).scale(Fraction(-1, 2))
 
 
 # -- truncated series on one Fraction per coefficient -----------------

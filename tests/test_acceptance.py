@@ -49,7 +49,7 @@ def test_criterion_02_wheel_weights_closed_form(capsys):
 
 def _mc_line(capture, num, graph, samples, target, floor, workers=1):
     est = mc_weight(graph, samples, seed=SEED, workers=workers)
-    err = abs(abs(est.integral) - target)
+    err = abs(est.integral - target)
     tol = max(3 * est.stderr, floor)
     detail = ("integral %.6f vs %.6f, err %.2e, tol %.2e, %d samples"
               % (est.integral, target, err, tol, est.samples))

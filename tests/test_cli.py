@@ -319,3 +319,29 @@ def test_bad_graph_files_exit_2_before_any_work(graph, message, tmp_path,
     assert out == ""
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("pick, message", [
+    (["--gamma0", "200"], "170 ground vertices and 386 edges, got 200 and 200"),
+    (None, "170 ground vertices and 386 edges, got 0 and 398"),
+])
+def test_graphs_beyond_float_range_exit_2_before_any_work(
+        pick, message, tmp_path, monkeypatch, capsys):
+    # 200! and (2 pi)^398 overflow a float; None picks a graph file with
+    # 200 aerial vertices, the star 1 -> j and the chain j + 1 -> j
+    if pick is None:
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"n": 200, "m": 0, "edges": (
+            [[1, j] for j in range(2, 201)]
+            + [[j + 1, j] for j in range(1, 200)])}))
+        pick = ["--graph", str(path)]
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("work started on a graph out of range")
+    monkeypatch.setattr("formaldisk.cli.mc_weight", must_not_run)
+    code, out, err = run_cli(capsys, "weights", "mc", *pick, "--samples",
+                             "10", "--no-cache")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err

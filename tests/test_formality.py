@@ -21,10 +21,10 @@ from formaldisk import (AdmissibleGraph, DifferentialForm, EtaFormScalar,
                         graph_operator, hkr, theta_and_det,
                         twisted_first_taylor, u_one,
                         xi_matrix, todd_series, tilde_todd_series,
-                        exp_series, sinh_quotient_series,
-                        UnivariateSeries)
+                        exp_series, sinh_quotient_series)
 from formaldisk.cli import _standard_pair
 from formaldisk.graphs import wheel_survivors
+from formaldisk.series import univariate
 from formaldisk.suites import random_field, random_series
 
 import helpers
@@ -547,7 +547,7 @@ def test_wheel_identity_with_eta_words_on_two_term_data(dim, seed):
 def test_theta_series_is_not_rebuilt_after_a_warm_up_pass():
     # theta's coefficients are cached per order: a second pass over the
     # same points builds none
-    cache = weights._theta_coeffs
+    cache = weights.theta_series
     cache.cache_clear()
     inputs = [_benchmark_style(point, 0) for point in
               ((2, 2, 2), (3, 3, 3), (4, 4, 4), (5, 4, 4), (5, 5, 3))]
@@ -565,11 +565,13 @@ def test_theta_series_is_not_rebuilt_after_a_warm_up_pass():
 
 def test_todd_series_coefficients():
     q = todd_series(6)
-    assert q.coeffs[:5] == [Fraction(1), Fraction(1, 2), Fraction(1, 12),
-                            Fraction(0), Fraction(-1, 720)]
+    assert [q.coefficient((k,)) for k in range(5)] == [
+        Fraction(1), Fraction(1, 2), Fraction(1, 12), Fraction(0),
+        Fraction(-1, 720)]
     qt = tilde_todd_series(6)
-    assert qt.coeffs[:5] == [Fraction(1), Fraction(0), Fraction(-1, 24),
-                             Fraction(0), Fraction(7, 5760)]
+    assert [qt.coefficient((k,)) for k in range(5)] == [
+        Fraction(1), Fraction(0), Fraction(-1, 24), Fraction(0),
+        Fraction(7, 5760)]
     assert q * exp_series(6, Fraction(-1, 2)) == qt
 
 
@@ -577,9 +579,9 @@ def test_todd_series_are_the_reciprocals_of_their_closed_forms():
     # (1 - e^{-x})/x = sum_k (-1)^k x^k / (k+1)!, and q~ is 1 over the
     # sinh quotient; both products are 1 through order 16
     order = 16
-    one = UnivariateSeries([1] + [0] * order)
-    denom = UnivariateSeries([Fraction((-1) ** k, factorial(k + 1))
-                              for k in range(order + 1)])
+    one = univariate([1] + [0] * order)
+    denom = univariate([Fraction((-1) ** k, factorial(k + 1))
+                        for k in range(order + 1)])
     assert todd_series(order) * denom == one
     assert tilde_todd_series(order) * sinh_quotient_series(order) == one
 

@@ -4,10 +4,10 @@ from math import factorial, gcd
 
 import pytest
 
-from formaldisk import (DEFAULT_CAP, TruncatedSeries, UnivariateSeries,
-                        SeriesMatrix, exp_series, nilpotent_powers, series_at,
+from formaldisk import (DEFAULT_CAP, TruncatedSeries, SeriesMatrix,
+                        exp_series, nilpotent_powers, series_at,
                         sinh_quotient_series)
-from formaldisk.series import bernoulli_numbers
+from formaldisk.series import bernoulli_numbers, univariate
 import formaldisk
 
 import helpers
@@ -183,33 +183,38 @@ def test_terms_are_fractions_and_read_only():
 # ---------------------------------------------------------------------
 
 def test_exp_log_inverse():
-    # exp at a univariate argument is e^x evaluated at it
+    # exp at a one-variable argument is e^x evaluated at it
     def exp(f):
-        return series_at(exp_series(f.order, 1), f)
-    x = UnivariateSeries([Fraction(0), Fraction(1)] + [Fraction(0)] * 8)
+        return series_at(exp_series(f.cap, 1), f)
+    x = univariate([0, 1] + [0] * 8)
     assert useries_log(exp(x)) == x
-    one_plus = UnivariateSeries([Fraction(1), Fraction(1)] + [Fraction(0)] * 8)
+    one_plus = univariate([1, 1] + [0] * 8)
     assert exp(useries_log(one_plus)) == one_plus
 
 
 def test_exp_series_is_a_homomorphism_with_factorial_coefficients():
     a, b = Fraction(-1, 2), Fraction(3)
     e = exp_series(8, a)
-    assert e.coeffs == [a ** k / factorial(k) for k in range(9)]
+    assert e.cap == 8
+    assert [e.coefficient((k,)) for k in range(9)] == [
+        a ** k / factorial(k) for k in range(9)]
     assert e * exp_series(8, b) == exp_series(8, a + b)
-    assert exp_series(8, 0) == UnivariateSeries([1])
-    # every call returns its own coefficients, never the cached table
-    e.coeffs[0] = Fraction(5)
-    assert exp_series(8, a)[0] == 1
+    assert exp_series(8, 0) == univariate([1] + [0] * 8)
+    # one shared series per argument; a float never hits an exact entry
+    assert exp_series(8, a) is e
+    exp_series(8, Fraction(1, 2))
     with pytest.raises(TypeError):
         exp_series(8, 0.5)
 
 
-def test_univariate_hash_ignores_trailing_zeros():
-    a, b = UnivariateSeries([1]), UnivariateSeries([1, 0])
-    assert a == b and hash(a) == hash(b)
-    assert len({a, b}) == 1
-    assert len({UnivariateSeries([]), UnivariateSeries([0, 0, 0])}) == 1
+def test_univariate_is_capped_at_its_order():
+    f = univariate([1, Fraction(1, 2), 0, 3])
+    assert (f.dim, f.cap) == (1, 3)
+    assert f.terms == {(0,): 1, (1,): Fraction(1, 2), (3,): 3}
+    # == compares caps: a trailing zero coefficient raises the cap
+    assert univariate([1]) != univariate([1, 0])
+    with pytest.raises(TypeError):
+        univariate([0.5])
 
 
 def test_bernoulli_numbers_match_the_defining_recurrence():
@@ -227,9 +232,9 @@ def test_bernoulli_numbers_match_the_defining_recurrence():
 def test_sinh_quotient_coefficients(k, value):
     # (e^{x/2}-e^{-x/2})/x = sum_k x^{2k} / (4^k (2k+1)!)
     s = sinh_quotient_series(6)
-    assert s[k] == value
+    assert s.coefficient((k,)) == value
     if k + 1 <= 6:
-        assert s[k + 1] == 0
+        assert s.coefficient((k + 1,)) == 0
 
 
 # ---------------------------------------------------------------------
@@ -254,7 +259,7 @@ def test_matrix_exp_of_strictly_triangular():
 def test_series_at_matrix_geometric():
     # f = 1/(1-x) at a nilpotent matrix equals the finite geometric sum
     t1, t2 = _nilpotent_pair()
-    one = UnivariateSeries([Fraction(1)] * 7)
+    one = univariate([1] * 7)
     m = SeriesMatrix([[t1 * t1, t2], [TruncatedSeries.zero(2, 5), t1 * t2]])
     val = series_at(one, m)
     acc = m.one_like()
@@ -305,19 +310,18 @@ def test_sparse_product_matches_the_dense_reference(seed):
         ref = helpers.matrix_mul_reference(x, y)
         got = x * y
         assert got.rows == ref.rows and got.zero == ref.zero
-    f = UnivariateSeries([Fraction(rng.randint(-3, 3), rng.randint(1, 4))
-                          for _ in range(6)])
+    f = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(6)]
     one, zero = a.zero.one_like(), a.zero
     ref = [[one.scale(f[0]) if i == j else zero for j in range(size)]
            for i in range(size)]
     power = a
-    for k in range(1, f.order + 1):
+    for k in range(1, len(f)):
         for i, row in enumerate(helpers.dense_entries(power)):
             for j, e in enumerate(row):
                 ref[i][j] = ref[i][j] + e.scale(f[k])
         power = helpers.matrix_mul_reference(power, a)
     assert power.is_zero()
-    assert series_at(f, a).rows == SeriesMatrix(ref).rows
+    assert series_at(univariate(f), a).rows == SeriesMatrix(ref).rows
 
 
 def test_nilpotent_powers_stop_at_the_first_vanishing_power():
@@ -343,9 +347,9 @@ def test_matrix_functions_reject_a_non_nilpotent_argument():
     with pytest.raises(ValueError):
         series_at(exp_series(64, 1), identity)
     with pytest.raises(ValueError):
-        series_at(UnivariateSeries([Fraction(1)] * 7), identity)
+        series_at(univariate([1] * 7), identity)
     with pytest.raises(ValueError):
-        series_at(exp_series(6, 1), UnivariateSeries([1, 1]))
+        series_at(exp_series(6, 1), univariate([1, 1]))
 
 
 def test_default_cap_is_eight():

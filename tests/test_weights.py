@@ -17,10 +17,10 @@ from formaldisk.graphs import AdmissibleGraph
 from formaldisk.weights import (BLOCK, CHUNK, SAMPLER, TWO_PI, _block_values,
                                 _chunk_sums, _det_plan, _direction,
                                 _kernel_components, _mixture_plan,
-                                _pool_size, _sort_rows,
+                                _pool_size, _sort_rows, moduli_dimension,
                                 cache_lookup, cache_store, WeightEstimate)
-from formaldisk.series import sinh_quotient_series
-from formaldisk import weights
+from formaldisk.series import sinh_quotient_series, univariate
+from formaldisk import suites, weights
 
 import helpers
 from helpers import (bernoulli, chunk_sums_blocked_reference,
@@ -55,30 +55,27 @@ def test_modified_bernoulli_values():
 
 def test_theta_series_is_minus_shat():
     th = theta_series(6)
-    assert th[2] == -Fraction(1, 48)
-    assert th[0] == 0 and th[1] == 0
+    assert th.cap == 6
+    assert th.coefficient((2,)) == -Fraction(1, 48)
+    assert th.coefficient((0,)) == 0 and th.coefficient((1,)) == 0
 
 
-def test_theta_series_hands_out_a_fresh_series_per_call():
-    # the coefficients are computed once per order; a caller that edits
-    # its copy must not change what the next caller gets
-    th = theta_series(6)
-    th.coeffs[2] = Fraction(7)
-    th.coeffs.append(Fraction(1))
-    assert theta_series(6)[2] == -Fraction(1, 48)
-    assert theta_series(6).order == 6
+def test_theta_series_is_one_shared_series_per_order():
+    # built once per order; no caller can change it
+    assert theta_series(6) is theta_series(6)
 
 
 def test_theta_series_coefficients_do_not_depend_on_the_order():
-    assert theta_series(12).coeffs[:7] == theta_series(6).coeffs
+    long, short = theta_series(12), theta_series(6)
+    assert all(long.coefficient((k,)) == short.coefficient((k,))
+               for k in range(7))
 
 
 def test_inverse_sqrt_squares_to_reciprocal():
     order = 8
     r = inverse_sqrt_sinh_quotient(order)
     prod = r * r * sinh_quotient_series(order)
-    want = [Fraction(1)] + [Fraction(0)] * order
-    assert prod.coeffs == want
+    assert prod == univariate([1] + [0] * order)
 
 
 # ---------------------------------------------------------------------
@@ -149,6 +146,21 @@ def test_signed_corolla_values(m, exact):
 def test_signed_two_wheel_value_is_positive():
     est = mc_weight(opposite_wheel(2), 200_000, seed=0)
     assert est.value > 20 * est.stderr
+
+
+def test_mc_weights_suite_checks_the_sign(monkeypatch):
+    # the suite compares the signed integral with +1, +1/2 and +1/24:
+    # the same estimates with their integrals negated fail every check
+    sizes = dict(samples_small=20_000, samples_mid=20_000,
+                 samples_big=200_000)
+    assert suites.suite_mc_weights(**sizes)["passed"]
+
+    def negated(*args, **kwargs):
+        est = mc_weight(*args, **kwargs)
+        return dataclasses.replace(est, integral=-est.integral)
+    monkeypatch.setattr(suites, "mc_weight", negated)
+    report = suites.suite_mc_weights(**sizes)
+    assert not any(check["pass"] for check in report["checks"])
 
 
 def test_two_wheel_converges():
@@ -238,6 +250,35 @@ def test_moduli_mismatch_rejected():
     bad = gamma0(2)
     with pytest.raises(ValueError):
         mc_weight(AdmissibleGraphPatch(bad), 100)
+
+
+def _chain_and_star(n):
+    """n aerial vertices, no ground: the star 1 -> j and the chain
+    j + 1 -> j, 2(n - 1) edges."""
+    return AdmissibleGraph(n, 0, [(1, j) for j in range(2, n + 1)]
+                           + [(j + 1, j) for j in range(1, n)])
+
+
+def test_graphs_beyond_float_range_are_rejected_before_any_work():
+    # m! and (2 pi)^E are floats exactly up to these limits
+    assert math.isfinite(float(math.factorial(weights.MAX_GROUND)))
+    with pytest.raises(OverflowError):
+        float(math.factorial(weights.MAX_GROUND + 1))
+    assert math.isfinite(TWO_PI ** weights.MAX_EDGES)
+    with pytest.raises(OverflowError):
+        TWO_PI ** (weights.MAX_EDGES + 1)
+    assert moduli_dimension(gamma0(170)) == 170
+    assert moduli_dimension(_chain_and_star(194)) == 386
+    with pytest.raises(ValueError, match="170 ground vertices and 386 edges, got 200 and 200"):
+        mc_weight(gamma0(200), 10)
+    with pytest.raises(ValueError, match="170 ground vertices and 386 edges, got 0 and 398"):
+        mc_weight(_chain_and_star(200), 10)
+
+
+def test_graphs_at_the_float_limits_integrate():
+    for graph in (gamma0(170), _chain_and_star(194)):
+        est = mc_weight(graph, 10)
+        assert math.isfinite(est.integral) and est.samples == 10
 
 
 class AdmissibleGraphPatch:
