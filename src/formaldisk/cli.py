@@ -17,7 +17,7 @@ from . import __version__
 from .series import DEFAULT_CAP, TruncatedSeries, exp_series
 from .polyvector import PolyVectorField
 from .graphs import AdmissibleGraph, enumerate_graphs, gamma0, opposite_wheel
-from .weights import (check_seed, mc_weight, mc_weight_cached,
+from .weights import (check_seed, check_size, mc_weight, mc_weight_cached,
                       moduli_dimension, wheel_weight_closed)
 from .formality import (MaurerCartanData, closed_form_map,
                         tilde_todd_series, todd_series,
@@ -116,9 +116,12 @@ def _resolve_graph(args):
              bool(args.graph)]
     if sum(picks) != 1:
         raise ValueError("choose exactly one of --wheel, --gamma0, --graph")
+    # the named graphs' sizes are checked before their edges are built
     if args.wheel is not None:
+        check_size(0, 2 * args.wheel)
         return opposite_wheel(args.wheel)
     if args.gamma0 is not None:
+        check_size(args.gamma0, args.gamma0)
         return gamma0(args.gamma0)
     with open(args.graph, "r", encoding="utf-8") as fh:
         return AdmissibleGraph.from_json(json.load(fh))

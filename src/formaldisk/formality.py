@@ -262,7 +262,12 @@ def closed_form_map(mc, field):
 # ---------------------------------------------------------------------
 
 def _subset_coefficient(partition, m, theta):
-    """(-1)^{m(m-1)/2} (1/m!) prod_i l_i theta_{l_i} for cycle type partition."""
+    """(-1)^{m(m-1)/2} (1/m!) prod_i l_i theta_{l_i} for cycle type partition.
+
+    For one 2-cycle it is minus the signed integral of its graph:
+    c_Gamma = -mc_weight(wheel_graph((2,), m + 1)).value (Monte Carlo,
+    m <= 2).  The relation for other cycle types is not derived yet.
+    """
     return hkr_weight(m) * prod(l * theta.coefficient((l,))
                                 for l in partition)
 

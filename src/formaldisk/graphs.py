@@ -100,37 +100,38 @@ class AdmissibleGraph:
 def enumerate_graphs(n, m, epsilon=0):
     """All labeled admissible graphs with the given vertex counts.
 
-    Deterministic lexicographic order on the sorted edge tuples.
+    Deterministic order, vertex by vertex: aerial vertex 1 takes each
+    out-degree, smallest first, and for each one each set of that many
+    targets in lexicographic order; for each choice vertex 2 does the
+    same, and so on.
     """
+    return _graphs(n, m, epsilon, None)
+
+
+def _graphs(n, m, epsilon, out_degrees):
+    """enumerate_graphs' graphs, in its order; when out_degrees is given,
+    only those whose aerial vertex v has out-degree out_degrees[v - 1]."""
     if n < 0 or m < 0:
         raise ValueError("negative vertex counts")
     if epsilon < 0:
         raise ValueError("negative defect %d" % epsilon)
-    e_total = 2 * n + m - 2 - epsilon
-    if e_total < 0:
-        return []
-    if n == 0:
-        return [AdmissibleGraph(0, m, (), epsilon)] if e_total == 0 else []
-    targets = {}
-    for v in range(1, n + 1):
-        targets[v] = [u for u in range(1, n + m + 1) if u != v]
     out = []
 
-    def rec(v, remaining, acc):
+    def rec(v, remaining, edges):
         if v > n:
             if remaining == 0:
-                out.append(AdmissibleGraph(n, m, tuple(acc), epsilon))
+                out.append(AdmissibleGraph(n, m, edges, epsilon))
             return
-        pool = targets[v]
-        slots_left = sum(len(targets[u]) for u in range(v + 1, n + 1))
-        for k in range(min(len(pool), remaining) + 1):
-            if remaining - k > slots_left:
-                continue
-            for combo in combinations(pool, k):
-                rec(v + 1, remaining - k,
-                    acc + [(v, t) for t in combo])
+        pool = [u for u in range(1, n + m + 1) if u != v]
+        for k in (range(n + m) if out_degrees is None
+                  else (out_degrees[v - 1],)):
+            # the later vertices can take at most n + m - 1 edges each
+            if 0 <= k <= remaining <= k + (n - v) * (n + m - 1):
+                for combo in combinations(pool, k):
+                    rec(v + 1, remaining - k,
+                        edges + tuple((v, t) for t in combo))
 
-    rec(1, e_total, [])
+    rec(1, 2 * n + m - 2 - epsilon, ())
     return out
 
 
@@ -172,23 +173,14 @@ def vanishing_tag(graph):
 # wheel families
 # ---------------------------------------------------------------------
 
-def _partitions_min2(j):
-    """Partitions of j into parts >= 2, weakly decreasing tuples."""
+def _partitions_min2(j, top=None):
+    """Partitions of j into parts >= 2 (and <= top), weakly decreasing
+    tuples, largest first part first."""
     if j == 0:
-        return [()]
-    out = []
-
-    def rec(rest, maxpart, acc):
-        if rest == 0:
-            out.append(tuple(acc))
-            return
-        for part in range(min(rest, maxpart), 1, -1):
-            if rest - part == 1:
-                continue  # a leftover 1 can never be completed
-            rec(rest - part, part, acc + [part])
-
-    rec(j, j, [])
-    return out
+        yield ()
+    for part in range(min(j, top or j), 1, -1):
+        for rest in _partitions_min2(j - part, part):
+            yield (part,) + rest
 
 
 def cycle_type_multiplicity(partition):
@@ -264,12 +256,10 @@ def opposite_wheel(k, reverse_cycle=False):
 
 
 def graphs_with_profile(n, m, out_degrees, epsilon=0):
-    """Enumerate and filter by exact out-degree per aerial vertex."""
-    out = []
-    for g in enumerate_graphs(n, m, epsilon):
-        if all(g.out_degree(v) == out_degrees[v - 1] for v in range(1, n + 1)):
-            out.append(g)
-    return out
+    """The graphs of enumerate_graphs whose aerial vertex v has exactly
+    out_degrees[v - 1] outgoing edges, in the same order; the graphs of
+    other profiles are never built."""
+    return _graphs(n, m, epsilon, out_degrees)
 
 
 def wheel_survivors(j, m):

@@ -22,7 +22,6 @@ cap among them, whatever their order.
 from __future__ import annotations
 
 import functools
-import json
 from fractions import Fraction
 from math import factorial, gcd, lcm
 from operator import add
@@ -384,9 +383,6 @@ class TruncatedSeries(SparseSum):
             exp = tuple(row["exp"])
             terms[exp] = Fraction(int(row["num"]), int(row["den"]))
         return cls(obj["d"], obj["cap"], terms)
-
-    def dumps(self):
-        return json.dumps(self.to_json(), sort_keys=True)
 
     def __repr__(self):
         if not self.nums:

@@ -250,6 +250,12 @@ def _det_plan(graph):
     blocks = range(2, n + m + 1)            # column order
     rows = {v: [] for v in blocks}
     found = []                               # (sign, blocks' row tuples)
+    cap = {v: 2 if v <= n else 1 for v in blocks}
+    # a vertex's edges not yet handed out minus the rows it still lacks:
+    # an edge handed to one end lowers only the other end's, and a branch
+    # that takes any below 0 can end in no term
+    slack = {v: sum(v in edge for edge in edges) - cap.get(v, 0)
+             for v in range(1, n + m + 1)}
 
     def assign(e):
         if e == e_count:
@@ -260,13 +266,16 @@ def _det_plan(graph):
             found.append((-1.0 if flips % 2 else 1.0,
                           [(v, tuple(rows[v])) for v in blocks]))
             return
-        for v in edges[e]:
-            if v >= 2 and len(rows[v]) < (2 if v <= n else 1):
+        for v, w in (edges[e], edges[e][::-1]):
+            if v >= 2 and len(rows[v]) < cap[v] and slack[w]:
                 rows[v].append(e)
+                slack[w] -= 1
                 assign(e + 1)
+                slack[w] += 1
                 rows[v].pop()
 
-    assign(0)
+    if min(slack.values()) >= 0:
+        assign(0)
     minors = sorted({key for _, t in found for key in t if key[0] <= n})
     singles = sorted({key for _, t in found for key in t if key[0] > n})
     index = {key: i for i, key in enumerate(minors + singles)}
@@ -688,9 +697,7 @@ def moduli_dimension(graph):
     """Dimension 2(n-1) + m of the gauge-fixed configuration space.
 
     Raises ValueError unless the graph has an aerial vertex to gauge-fix,
-    one edge (one angle form) per dimension, and at most MAX_GROUND
-    ground vertices and MAX_EDGES edges, so that m! and (2 pi)^E are
-    floats.
+    one edge (one angle form) per dimension, and passes check_size.
     """
     if graph.n < 1:
         raise ValueError("need at least one aerial vertex to gauge-fix")
@@ -698,11 +705,18 @@ def moduli_dimension(graph):
     if len(graph.edges) != dim:
         raise ValueError("form degree %d does not match moduli %d"
                          % (len(graph.edges), dim))
-    if graph.m > MAX_GROUND or dim > MAX_EDGES:
+    check_size(graph.m, dim)
+    return dim
+
+
+def check_size(ground, edges):
+    """ValueError unless a graph of this many ground vertices and edges
+    has at most MAX_GROUND and MAX_EDGES, so that m! and (2 pi)^E are
+    floats; callers may ask before the graph is built."""
+    if ground > MAX_GROUND or edges > MAX_EDGES:
         raise ValueError("m! and (2 pi)^E are floats only for at most %d "
                          "ground vertices and %d edges, got %d and %d"
-                         % (MAX_GROUND, MAX_EDGES, graph.m, dim))
-    return dim
+                         % (MAX_GROUND, MAX_EDGES, ground, edges))
 
 
 def check_seed(seed):

@@ -345,3 +345,31 @@ def test_graphs_beyond_float_range_exit_2_before_any_work(
     assert out == ""
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
+
+
+class _Built(Exception):
+    pass
+
+
+@pytest.mark.parametrize("flag, limit, message", [
+    ("--wheel", 193, "got 0 and 388"),
+    ("--gamma0", 170, "got 171 and 171"),
+])
+def test_named_graphs_are_sized_before_they_are_built(
+        flag, limit, message, monkeypatch, capsys):
+    # one past the limit exits 2 without building the graph, whose 2k or m
+    # edges would take memory in proportion to a huge count; the limit
+    # itself passes the check and builds the graph
+    def build(*args, **kwargs):
+        raise _Built
+    monkeypatch.setattr("formaldisk.cli.opposite_wheel", build)
+    monkeypatch.setattr("formaldisk.cli.gamma0", build)
+    code, out, err = run_cli(capsys, "weights", "mc", flag, str(limit + 1),
+                             "--samples", "10", "--no-cache")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+    assert "170 ground vertices and 386 edges" in err
+    with pytest.raises(_Built):
+        main(["weights", "mc", flag, str(limit), "--samples", "10",
+              "--no-cache"])

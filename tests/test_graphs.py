@@ -1,5 +1,5 @@
-from itertools import combinations, product
-from math import comb
+from itertools import product
+from math import comb, prod
 
 import pytest
 
@@ -160,32 +160,33 @@ def test_survivors_match_families_j2():
     assert found == {(2,): 1}
 
 
-def _graphs_with_exact_profile(n, m, out_degrees):
-    """graphs_with_profile without enumerating the other profiles.
-
-    Each aerial vertex picks exactly its out-degree of targets; the
-    product over vertices runs in enumerate_graphs' order.
-    """
-    picks = [list(combinations([u for u in range(1, n + m + 1) if u != v], k))
-             for v, k in enumerate(out_degrees, 1)]
-    return [AdmissibleGraph(n, m, tuple((v, t) for v, combo in
-                                        enumerate(choice, 1) for t in combo))
-            for choice in product(*picks)]
+def test_graphs_with_profile_is_the_filtered_enumeration():
+    # each aerial vertex picks exactly its out-degree of targets among
+    # its n+m-1 allowed ones; the other profiles are never built
+    for n in range(4):
+        for m in range(3):
+            for eps in (0, 1):
+                e_total = 2 * n + m - 2 - eps
+                graphs = enumerate_graphs(n, m, eps)
+                for profile in product(range(n + m), repeat=n):
+                    got = graphs_with_profile(n, m, list(profile), eps)
+                    assert got == [g for g in graphs if all(
+                        g.out_degree(v) == k
+                        for v, k in enumerate(profile, 1))]
+                    want = prod(comb(n + m - 1, k) for k in profile)
+                    assert len(got) == (want if sum(profile) == e_total
+                                        else 0), (n, m, eps, profile)
 
 
 def test_wheel_survivors_equal_the_filtered_enumeration():
     # every graph with out-degrees (1,..,1, j+m) that vanishing_tag lets
     # through is a wheel family graph, and wheel_survivors builds exactly
-    # these, in the same order; full enumeration is only affordable for
-    # the smaller shapes, where it pins the profile-wise enumeration
-    for j in range(5):
+    # these, in the same order
+    for j in range(6):
         for m in range(3):
             profile = [1] * j + [j + m]
-            graphs = _graphs_with_exact_profile(j + 1, m, profile)
-            if j <= 3 and j + m <= 4:
-                assert graphs == graphs_with_profile(j + 1, m, profile)
             expected = []
-            for g in graphs:
+            for g in graphs_with_profile(j + 1, m, profile):
                 if vanishing_tag(g) is None:
                     ctype = cycle_type_of_wheelish(g, j)
                     assert ctype is not None, g
@@ -193,6 +194,18 @@ def test_wheel_survivors_equal_the_filtered_enumeration():
             assert wheel_survivors(j, m) == expected
             assert len(expected) == sum(classify_wheels(j, j + m - 1)
                                         .values())
+
+
+def test_wheel_families_count_the_derangements():
+    # the families of j cycle vertices are the cycle types of the
+    # fixed-point-free permutations of j letters:
+    # D_j = (j - 1)(D_{j-1} + D_{j-2}), D_0 = 1, D_1 = 0
+    derangements = [1, 0]
+    for j in range(2, 13):
+        derangements.append((j - 1) * (derangements[-1] + derangements[-2]))
+    for j in range(13):
+        assert sum(classify_wheels(j, j).values()) == derangements[j]
+    assert derangements[12] == 176_214_841
 
 
 def test_json_and_hash_stability():

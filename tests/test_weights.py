@@ -13,7 +13,8 @@ from formaldisk import (angle, gamma0, graphs_with_profile,
                         inverse_sqrt_sinh_quotient, mc_weight,
                         mc_weight_cached, modified_bernoulli, opposite_wheel,
                         theta_series, wheel_weight_closed)
-from formaldisk.graphs import AdmissibleGraph
+from formaldisk.formality import _subset_coefficient
+from formaldisk.graphs import AdmissibleGraph, wheel_graph
 from formaldisk.weights import (BLOCK, CHUNK, SAMPLER, TWO_PI, _block_values,
                                 _chunk_sums, _det_plan, _direction,
                                 _kernel_components, _mixture_plan,
@@ -146,6 +147,16 @@ def test_signed_corolla_values(m, exact):
 def test_signed_two_wheel_value_is_positive():
     est = mc_weight(opposite_wheel(2), 200_000, seed=0)
     assert est.value > 20 * est.stderr
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_two_cycle_coefficient_is_minus_its_signed_weight(m):
+    # the graph side's c_Gamma for one 2-cycle with m ground slots is
+    # minus the signed integral of wheel_graph((2,), m + 1)
+    est = mc_weight(wheel_graph((2,), m + 1), 10**6, seed=0)
+    c = float(_subset_coefficient((2,), m, theta_series(4)))
+    assert abs(est.value + c) <= 3 * est.stderr
+    assert abs(est.value - c) >= 10 * est.stderr
 
 
 def test_mc_weights_suite_checks_the_sign(monkeypatch):
@@ -413,13 +424,25 @@ def _terms(graph):
 
 
 def test_determinant_plan_term_counts():
-    for l in range(2, 7):
+    for l in range(2, 41):
         assert _terms(opposite_wheel(l)) == l - 1
     for k in range(1, 5):
         assert _terms(gamma0(k)) == 1
     assert len(OUT_DEGREE_2) == 216
     assert Counter(map(_terms, OUT_DEGREE_2)) == {0: 65, 1: 115, 2: 32, 3: 4}
     assert max(map(_terms, graphs_with_profile(2, 2, (2, 2)))) == 1
+
+
+def test_wheel_plans_cut_the_branches_that_cannot_fill_a_block():
+    # the search for a plan's terms cuts a branch once some vertex lacks
+    # more rows than it has edges left, so the 24-wheel stays within the
+    # line budget (the uncut search grew 3-5x per two rim vertices and
+    # took seconds at the 22-wheel)
+    sys.settrace(_LineBudget(500_000))
+    try:
+        assert _terms(opposite_wheel(24)) == 23
+    finally:
+        sys.settrace(None)
 
 
 def test_determinant_plan_matches_the_dense_determinant():
