@@ -1,8 +1,11 @@
 """Batch front-end: graphs, weights, verification suites, reports.
 
-Exit codes: 0 success, 1 a verification suite failed, 2 usage errors.
+Exit codes: 0 success, 1 a verification suite failed, 2 refused input:
+a bad number, an unreadable config or graph file, an unwritable --out.
 All reports are UTF-8 JSON, stable for a fixed configuration except
-for the "timings" field.
+for the "timings" field.  Each command checks its input, computes and
+returns (report, exit code); on input it refuses it raises ValueError
+or OSError, and main alone prints the error and writes the report.
 """
 
 from __future__ import annotations
@@ -11,29 +14,33 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction
 
 from . import __version__
-from .series import DEFAULT_CAP, TruncatedSeries, exp_series
+from .series import DEFAULT_CAP, TruncatedSeries
 from .polyvector import PolyVectorField
-from .graphs import AdmissibleGraph, enumerate_graphs, gamma0, opposite_wheel
+from .graphs import (AdmissibleGraph, enumerate_graphs, gamma0, graph_count,
+                     opposite_wheel)
 from .weights import (check_seed, check_size, mc_weight, mc_weight_cached,
                       moduli_dimension, wheel_weight_closed)
-from .formality import (MaurerCartanData, closed_form_map,
-                        tilde_todd_series, todd_series,
-                        twisted_first_taylor)
+from .formality import MaurerCartanData, closed_form_map, twisted_first_taylor
 from . import suites as suites_mod
 
 DEFAULT_CACHE = "weights.jsonl"
+# `graphs` builds its whole list before it writes: 125,970 graphs take
+# 6-10 s and 550-640 MB
+MAX_GRAPHS = 200_000
 
 
 def _load_config(path):
     if not path:
         return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise ValueError("config must be a JSON object")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            cfg = json.load(fh)
+        if not isinstance(cfg, dict):
+            raise ValueError("config must be a JSON object")
+    except (OSError, ValueError) as exc:
+        raise ValueError("cannot read config: %s" % exc) from None
     return cfg
 
 
@@ -64,18 +71,9 @@ def _setting(value, config, key, default):
     return _at_least_one(key, value)
 
 
-def _emit(report, out_path):
-    text = json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
-
-
-def _base_report(kind, config):
-    return {"schema": 1, "toolkit": __version__, "kind": kind,
-            "config": config}
+def _report(kind, config, **fields):
+    return dict(schema=1, toolkit=__version__, kind=kind, config=config,
+                **fields)
 
 
 def _eta_operator_json(op):
@@ -98,17 +96,11 @@ def _standard_pair(d, s, cap):
 
 
 def _cmd_graphs(args, config):
-    try:
-        graphs = enumerate_graphs(args.n, args.m, args.epsilon)
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    report = _base_report("graphs", {"n": args.n, "m": args.m,
-                                     "epsilon": args.epsilon})
-    report["count"] = len(graphs)
-    report["graphs"] = [g.to_json() for g in graphs]
-    _emit(report, args.out)
-    return 0
+    graph_count(args.n, args.m, args.epsilon, MAX_GRAPHS)  # raises past it
+    graphs = enumerate_graphs(args.n, args.m, args.epsilon)
+    return _report("graphs", {"n": args.n, "m": args.m,
+                              "epsilon": args.epsilon},
+                   count=len(graphs), graphs=[g.to_json() for g in graphs]), 0
 
 
 def _resolve_graph(args):
@@ -129,26 +121,16 @@ def _resolve_graph(args):
 
 def _cmd_weights(args, config):
     if args.mode == "closed":
-        if args.order < 1:
-            print("error: order must be at least 1, got %d" % args.order,
-                  file=sys.stderr)
-            return 2
-        table = {"W_%d" % l: str(wheel_weight_closed(l))
-                 for l in range(1, args.order + 1)}
-        report = _base_report("weights-closed", {"order": args.order})
-        report["weights"] = table
-        _emit(report, args.out)
-        return 0
-    try:
-        graph = _resolve_graph(args)
-        moduli_dimension(graph)  # mc_weight's own checks, before any work
-        samples = _setting(args.samples, config, "samples", 200_000)
-        workers = _setting(args.workers, config, "workers", 1)
-        seed = check_seed(args.seed if args.seed is not None
-                          else _config_int(config, "seed", 0))
-    except (ValueError, OSError, KeyError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+        _at_least_one("order", args.order)
+        return _report("weights-closed", {"order": args.order}, weights={
+            "W_%d" % l: str(wheel_weight_closed(l))
+            for l in range(1, args.order + 1)}), 0
+    graph = _resolve_graph(args)
+    moduli_dimension(graph)  # mc_weight's own checks, before any work
+    samples = _setting(args.samples, config, "samples", 200_000)
+    workers = _setting(args.workers, config, "workers", 1)
+    seed = check_seed(args.seed if args.seed is not None
+                      else _config_int(config, "seed", 0))
     started = time.time()
     if args.no_cache:
         est, cached = mc_weight(graph, samples, seed=seed,
@@ -157,124 +139,84 @@ def _cmd_weights(args, config):
         est, cached = mc_weight_cached(graph, samples, seed=seed,
                                        workers=workers,
                                        cache_path=args.cache)
-    report = _base_report("weights-mc", {
+    return _report("weights-mc", {
         "samples": samples, "seed": seed, "workers": workers,
-        "graph": graph.to_json()})
-    report["estimate"] = est.to_json()
-    report["served_from_cache"] = cached
-    report["timings"] = {"seconds": round(time.time() - started, 3)}
-    _emit(report, args.out)
-    return 0
+        "graph": graph.to_json()}, estimate=est.to_json(),
+        served_from_cache=cached,
+        timings={"seconds": round(time.time() - started, 3)}), 0
 
 
 def _cmd_formality(args, config):
-    try:
-        d = _setting(args.d, config, "dimension", 3)
-        s = _setting(args.s, config, "eta_generators", 2)
-        cap = _setting(args.cap, config, "cap", DEFAULT_CAP)
-        if cap < 3:
-            # agreement is checked through cap - 3
-            raise ValueError("cap must be at least 3, got %d" % cap)
-        axes = tuple(int(a) for a in args.gamma.split(","))
-        if len(set(axes)) != len(axes):
-            raise ValueError("repeated --gamma axis makes gamma zero: %s"
-                             % args.gamma)
-        mc = _standard_pair(d, s, cap)
-        gamma = PolyVectorField.from_wedge(
-            d, axes, TruncatedSeries.const(d, 1, cap))
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    d = _setting(args.d, config, "dimension", 3)
+    s = _setting(args.s, config, "eta_generators", 2)
+    cap = _setting(args.cap, config, "cap", DEFAULT_CAP)
+    if cap < 3:
+        # agreement is checked through cap - 3
+        raise ValueError("cap must be at least 3, got %d" % cap)
+    axes = tuple(int(a) for a in args.gamma.split(","))
+    if len(set(axes)) != len(axes):
+        raise ValueError("repeated --gamma axis makes gamma zero: %s"
+                         % args.gamma)
+    mc = _standard_pair(d, s, cap)
+    gamma = PolyVectorField.from_wedge(d, axes,
+                                       TruncatedSeries.const(d, 1, cap))
     started = time.time()
     lhs = twisted_first_taylor(mc, gamma)
     graph_done = time.time()
     rhs = closed_form_map(mc, gamma)
     closed_done = time.time()
     agree = lhs.agrees_with(rhs, cap - 3)
-    report = _base_report("formality", {
+    return _report("formality", {
         "dimension": d, "eta_generators": s, "cap": cap,
-        "gamma": list(axes)})
-    report["graph_side"] = _eta_operator_json(lhs)
-    report["closed_side"] = _eta_operator_json(rhs)
-    report["agree"] = agree
-    report["timings"] = {
-        "seconds": round(time.time() - started, 3),
-        "stages": {"graph_side": round(graph_done - started, 3),
-                   "closed_side": round(closed_done - graph_done, 3)}}
-    _emit(report, args.out)
-    return 0 if agree else 1
+        "gamma": list(axes)}, graph_side=_eta_operator_json(lhs),
+        closed_side=_eta_operator_json(rhs), agree=agree, timings={
+            "seconds": round(time.time() - started, 3),
+            "stages": {"graph_side": round(graph_done - started, 3),
+                       "closed_side": round(closed_done - graph_done, 3)}},
+    ), 0 if agree else 1
 
 
 def _cmd_twist(args, config):
-    report = _base_report("twist", {})
     result = suites_mod.suite_twisting()
-    report["result"] = result
-    _emit(report, args.out)
-    return 0 if result["passed"] else 1
+    return _report("twist", {}, result=result), 0 if result["passed"] else 1
 
 
 def _cmd_todd(args, config):
-    order = args.order
-    if order < 0:
-        print("error: order must be at least 0, got %d" % order,
-              file=sys.stderr)
-        return 2
-    q = todd_series(order)
-    qt = tilde_todd_series(order)
-    prod = q * exp_series(order, Fraction(-1, 2))
-    report = _base_report("todd", {"order": order})
-    report["todd"] = [str(q.coefficient((k,))) for k in range(order + 1)]
-    report["modified_todd"] = [str(qt.coefficient((k,)))
-                               for k in range(order + 1)]
-    ok = prod == qt
-    report["modified_equals_todd_times_exp_minus_half"] = ok
-    _emit(report, args.out)
-    return 0 if ok else 1
+    if args.order < 0:
+        raise ValueError("order must be at least 0, got %d" % args.order)
+    q, qt, ok = suites_mod.todd_table(args.order)
+    return _report("todd", {"order": args.order}, todd=q, modified_todd=qt,
+                   modified_equals_todd_times_exp_minus_half=ok
+                   ), 0 if ok else 1
 
 
 def _cmd_verify(args, config):
-    name = args.suite
-    names = sorted(suites_mod.SUITES) if name == "all" else [name]
-    if name != "all" and name not in suites_mod.SUITES:
-        print("error: unknown suite %r; known: %s"
-              % (name, ", ".join(sorted(suites_mod.SUITES) + ["all"])),
-              file=sys.stderr)
-        return 2
-    try:
-        seed = (args.seed if args.seed is not None
-                else _config_int(config, "seed", suites_mod.DEFAULT_SEED))
-        if args.trials is not None:
-            _at_least_one("trials", args.trials)
-        if "mc-weights" in names:
-            check_seed(seed)
-            small = _setting(args.samples, config, "samples", 100_000)
-            workers = _setting(args.workers, config, "workers", 1)
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    results = []
+    suites = suites_mod.SUITES
+    names = sorted(suites) if args.suite == "all" else [args.suite]
+    if args.suite not in suites and args.suite != "all":
+        raise ValueError("unknown suite %r; known: %s"
+                         % (args.suite, ", ".join(sorted(suites) + ["all"])))
+    seed = (args.seed if args.seed is not None
+            else _config_int(config, "seed", suites_mod.DEFAULT_SEED))
+    trials = ({} if args.trials is None
+              else {"trials": _at_least_one("trials", args.trials)})
+    kwargs = {name: dict(seed=seed, **trials)
+              for name in ("gerstenhaber", "derivation")}
+    if "mc-weights" in names:
+        small = _setting(args.samples, config, "samples", 100_000)
+        kwargs["mc-weights"] = dict(
+            samples_small=small, samples_mid=10 * small,
+            samples_big=100 * small, seed=check_seed(seed),
+            workers=_setting(args.workers, config, "workers", 1),
+            cache_path=None if args.no_cache else args.cache)
     started = time.time()
-    for suite_name in names:
-        kwargs = {}
-        if suite_name in ("gerstenhaber", "derivation"):
-            kwargs["seed"] = seed
-            if args.trials is not None:
-                kwargs["trials"] = args.trials
-        if suite_name == "mc-weights":
-            kwargs.update(samples_small=small,
-                          samples_mid=10 * small,
-                          samples_big=100 * small,
-                          seed=seed,
-                          workers=workers)
-            if not args.no_cache:
-                kwargs["cache_path"] = args.cache
-        results.append(suites_mod.run_suite(suite_name, **kwargs))
-    report = _base_report("verify", {"suites": names, "seed": seed})
-    report["results"] = results
-    report["passed"] = all(r["passed"] for r in results)
-    report["timings"] = {"seconds": round(time.time() - started, 3)}
-    _emit(report, args.out)
-    return 0 if report["passed"] else 1
+    results = [suites_mod.run_suite(name, **kwargs.get(name, {}))
+               for name in names]
+    passed = all(r["passed"] for r in results)
+    return _report("verify", {"suites": names, "seed": seed},
+                   results=results, passed=passed,
+                   timings={"seconds": round(time.time() - started, 3)},
+                   ), 0 if passed else 1
 
 
 def build_parser():
@@ -286,12 +228,23 @@ def build_parser():
     p.add_argument("--out", help="write the JSON report here instead of stdout")
     sub = p.add_subparsers(dest="command", required=True)
 
+    # the Monte-Carlo options of `weights mc` and `verify mc-weights`
+    mc = argparse.ArgumentParser(add_help=False)
+    mc.add_argument("--samples", type=int,
+                    help="sample count (verify: the smallest, scaled "
+                         "1/10/100)")
+    mc.add_argument("--seed", type=int)
+    mc.add_argument("--workers", type=int)
+    mc.add_argument("--cache", default=DEFAULT_CACHE)
+    mc.add_argument("--no-cache", action="store_true")
+
     g = sub.add_parser("graphs", help="enumerate admissible graphs")
     g.add_argument("n", type=int)
     g.add_argument("m", type=int)
     g.add_argument("epsilon", type=int, nargs="?", default=0)
 
-    w = sub.add_parser("weights", help="closed-form or Monte-Carlo weights")
+    w = sub.add_parser("weights", parents=[mc],
+                       help="closed-form or Monte-Carlo weights")
     w.add_argument("mode", choices=["closed", "mc"])
     w.add_argument("order", type=int, nargs="?", default=4,
                    help="closed mode: highest wheel size")
@@ -299,11 +252,6 @@ def build_parser():
     w.add_argument("--gamma0", type=int,
                    help="mc mode: corolla with this many ground vertices")
     w.add_argument("--graph", help="mc mode: path to a graph JSON file")
-    w.add_argument("--samples", type=int)
-    w.add_argument("--seed", type=int)
-    w.add_argument("--workers", type=int)
-    w.add_argument("--cache", default=DEFAULT_CACHE)
-    w.add_argument("--no-cache", action="store_true")
 
     f = sub.add_parser("formality",
                        help="twisted first Taylor coefficient, both routes")
@@ -318,15 +266,10 @@ def build_parser():
     t = sub.add_parser("todd", help="Todd series table and identity")
     t.add_argument("--order", type=int, default=10)
 
-    v = sub.add_parser("verify", help="run a named verification suite")
+    v = sub.add_parser("verify", parents=[mc],
+                       help="run a named verification suite")
     v.add_argument("suite")
     v.add_argument("--trials", type=int)
-    v.add_argument("--samples", type=int,
-                   help="mc-weights: smallest sample count (scales 1/10/100)")
-    v.add_argument("--seed", type=int)
-    v.add_argument("--workers", type=int)
-    v.add_argument("--cache", default=DEFAULT_CACHE)
-    v.add_argument("--no-cache", action="store_true")
     return p
 
 
@@ -341,14 +284,20 @@ _HANDLERS = {
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = _load_config(args.config)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print("error: cannot read config: %s" % exc, file=sys.stderr)
+        report, code = _HANDLERS[args.command](args, _load_config(args.config))
+        text = json.dumps(report, indent=2, sort_keys=True,
+                          ensure_ascii=False) + "\n"
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except (ValueError, OSError) as exc:
+        print("error: %s" % exc, file=sys.stderr)
         return 2
-    return _HANDLERS[args.command](args, config)
+    return code
 
 
 if __name__ == "__main__":

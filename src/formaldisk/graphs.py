@@ -108,13 +108,42 @@ def enumerate_graphs(n, m, epsilon=0):
     return _graphs(n, m, epsilon, None)
 
 
-def _graphs(n, m, epsilon, out_degrees):
-    """enumerate_graphs' graphs, in its order; when out_degrees is given,
-    only those whose aerial vertex v has out-degree out_degrees[v - 1]."""
+def _check_counts(n, m, epsilon):
     if n < 0 or m < 0:
         raise ValueError("negative vertex counts")
     if epsilon < 0:
         raise ValueError("negative defect %d" % epsilon)
+
+
+def graph_count(n, m, epsilon=0, limit=None):
+    """len(enumerate_graphs(n, m, epsilon)), without building a graph.
+
+    Each aerial vertex may point at the n + m - 1 others, and any
+    2n + m - 2 - epsilon of those n(n + m - 1) edges make a graph, so
+    the count is a binomial coefficient (0 for a negative edge count).
+    Given a limit, a count above it raises ValueError: the product is
+    taken term by term and stops there, so a huge n costs nothing.
+    """
+    _check_counts(n, m, epsilon)
+    pool, edges = n * (n + m - 1), 2 * n + m - 2 - epsilon
+    if not 0 <= edges <= pool:
+        return 0
+    k, count = min(edges, pool - edges), 1
+    for i in range(1, k + 1):
+        # C(pool - k + i, i), which only grows with i
+        count = count * (pool - k + i) // i
+        if limit is not None and count > limit:
+            raise ValueError(
+                "%d aerial and %d ground vertices at defect %d make "
+                "C(%d, %d) graphs, more than the limit %d"
+                % (n, m, epsilon, pool, edges, limit))
+    return count
+
+
+def _graphs(n, m, epsilon, out_degrees):
+    """enumerate_graphs' graphs, in its order; when out_degrees is given,
+    only those whose aerial vertex v has out-degree out_degrees[v - 1]."""
+    _check_counts(n, m, epsilon)
     out = []
 
     def rec(v, remaining, edges):

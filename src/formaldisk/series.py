@@ -527,17 +527,26 @@ def sinh_quotient_series(order):
                        for k in range(order + 1)])
 
 
-@functools.cache
+# B_0, ..., B_n so far and Akiyama-Tanigawa row n, grown on demand
+_bernoulli = ((), ())
+
+
 def bernoulli_numbers(n):
     """B_0, ..., B_n with B_1 = +1/2: x / (1 - e^{-x}) = sum B_k x^k / k!.
 
     Akiyama-Tanigawa: row m starts from 1/(m+1), and each entry j-1
-    becomes j (a_{j-1} - a_j); B_m is the first entry of row m.
+    becomes j (a_{j-1} - a_j); B_m is the first entry of row m.  One
+    row is kept per process and grown to the largest n asked for, so
+    asking for every n up to N costs O(N^2) steps, not O(N^3).
     """
-    out, row = [], []
-    for m in range(n + 1):
-        row.append(Fraction(1, m + 1))
-        for j in range(m, 0, -1):
-            row[j - 1] = j * (row[j - 1] - row[j])
-        out.append(row[0])
-    return tuple(out)
+    global _bernoulli
+    out, row = _bernoulli
+    if len(out) <= n:
+        out, row = list(out), list(row)
+        for m in range(len(out), n + 1):
+            row.append(Fraction(1, m + 1))
+            for j in range(m, 0, -1):
+                row[j - 1] = j * (row[j - 1] - row[j])
+            out.append(row[0])
+        _bernoulli = tuple(out), tuple(row)
+    return tuple(out[:max(n + 1, 0)])

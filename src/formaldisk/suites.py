@@ -281,17 +281,19 @@ def suite_twisting():
     return _report("twisting", checks)
 
 
+def todd_table(order):
+    """q and q~ through x^order as strings, and whether q e^{-x/2} == q~."""
+    q, qt = todd_series(order), tilde_todd_series(order)
+    return ([str(q.coefficient((k,))) for k in range(order + 1)],
+            [str(qt.coefficient((k,))) for k in range(order + 1)],
+            q * exp_series(order, Fraction(-1, 2)) == qt)
+
+
 def suite_todd(order=10, matrix_order=6):
     """Todd series identities and the determinant factor."""
-    checks = []
-    q = todd_series(order)
-    qt = tilde_todd_series(order)
-    prod = q * exp_series(order, Fraction(-1, 2))
-    checks.append(_check(
-        "modified Todd = Todd * exp(-x/2) through order %d" % order,
-        prod == qt,
-        q=[str(q.coefficient((k,))) for k in range(order + 1)],
-        qtilde=[str(qt.coefficient((k,))) for k in range(order + 1)]))
+    q, qt, ok = todd_table(order)
+    checks = [_check("modified Todd = Todd * exp(-x/2) through order %d"
+                     % order, ok, q=q, qtilde=qt)]
     # matrix identity on a nilpotent 2x2 with series entries
     dim, cap = 2, matrix_order
     t1 = TruncatedSeries.variable(dim, 1, cap)

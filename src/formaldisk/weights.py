@@ -130,19 +130,19 @@ SAMPLER = ("v%d chunk=%d rmin=%r rmax=%r base=%r margin=%r"
 def theta_series(order):
     """-(1/2) log((e^{x/2} - e^{-x/2})/x), the matrix-logarithm series.
 
-    theta_k = -B_k / (2k k!) for even k >= 2, zero otherwise.  Built
-    once per process and order, one shared series.  Its x^k coefficient
-    does not depend on the order.
+    theta_k = -s_hat_k = -B_k / (2k k!).  Built once per process and
+    order, one shared series.  Its x^k coefficient does not depend on the
+    order.
     """
-    b = bernoulli_numbers(order)
-    return univariate([-b[k] / (2 * k * math.factorial(k))
-                       if k and k % 2 == 0 else Q0 for k in range(order + 1)])
+    return univariate([-modified_bernoulli(k) for k in range(order + 1)])
 
 def modified_bernoulli(l):
-    """s_hat_l = -theta_l = B_l / (2l l!) for even l >= 2, zero otherwise."""
+    """s_hat_l = B_l / (2l l!) for even l >= 2, zero otherwise."""
     if l < 0:
         raise ValueError("negative index")
-    return -theta_series(l).coefficient((l,))
+    if l == 0 or l % 2:
+        return Q0
+    return bernoulli_numbers(l)[l] / (2 * l * math.factorial(l))
 
 def wheel_weight_closed(l):
     """W_l = -(-1)^{l(l+1)/2} l s_hat_l; zero for odd l."""

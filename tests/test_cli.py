@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import formaldisk
 from formaldisk.cli import _config_int, main
 
 
@@ -373,3 +378,60 @@ def test_named_graphs_are_sized_before_they_are_built(
     with pytest.raises(_Built):
         main(["weights", "mc", flag, str(limit), "--samples", "10",
               "--no-cache"])
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["5", "2"], "C(30, 10) graphs"),            # 30,045,015
+    (["4", "3"], "C(24, 9) graphs"),             # 1,307,504
+    (["100000", "0"], "C(9999900000, 199998) graphs"),
+])
+def test_graph_listings_beyond_the_limit_exit_2_before_any_work(
+        argv, message, monkeypatch, capsys):
+    def build(*args, **kwargs):
+        raise _Built
+    monkeypatch.setattr("formaldisk.cli.enumerate_graphs", build)
+    code, out, err = run_cli(capsys, "graphs", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+    assert "more than the limit 200000" in err
+
+
+def test_out_into_a_missing_directory_exits_2(tmp_path, capsys):
+    target = tmp_path / "no-such-dir" / "report.json"
+    code, out, err = run_cli(capsys, "--out", str(target), "graphs", "1", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not target.parent.exists()
+
+
+@pytest.mark.parametrize("text", [None, "{not json", "[1, 2]"])
+def test_unreadable_config_files_exit_2(text, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    if text is not None:
+        cfg.write_text(text)
+    code, out, err = run_cli(capsys, "--config", str(cfg), "graphs", "1", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot read config")
+
+
+def _run_module(*argv):
+    src = str(Path(formaldisk.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "formaldisk", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+
+
+def test_python_dash_m_runs_the_cli():
+    done = _run_module("graphs", "1", "1")
+    assert done.returncode == 0
+    assert json.loads(done.stdout)["count"] == 1
+    done = _run_module("verify", "no-such-suite")
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: unknown suite")
+    assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr

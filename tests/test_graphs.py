@@ -8,6 +8,7 @@ from formaldisk import (AdmissibleGraph, classify_wheels,
                         enumerate_graphs, gamma0, graphs_with_profile,
                         opposite_wheel, vanishing_tag, wheel_graph,
                         wheel_survivors)
+from formaldisk.graphs import graph_count
 
 
 def test_edge_count_enforced():
@@ -44,15 +45,36 @@ def test_enumeration_count_closed_form():
                 assert got == want, (n, m, eps, got, want)
 
 
+def test_graph_count_is_the_length_of_the_enumeration():
+    for n, m, eps in product(range(4), range(4), range(3)):
+        if n + m <= 5:
+            assert graph_count(n, m, eps) == len(enumerate_graphs(n, m, eps))
+
+
+def test_graph_count_stops_past_its_limit():
+    assert graph_count(4, 2, 0, 125_970) == 125_970
+    with pytest.raises(ValueError, match=r"C\(24, 9\) graphs, more than "
+                                         r"the limit 125970"):
+        graph_count(4, 3, 0, 125_970)
+    # C(n(n - 1), 2n - 2) for n = 10^9 has billions of digits: only the
+    # first few factors are ever multiplied
+    with pytest.raises(ValueError, match="more than the limit 1"):
+        graph_count(10**9, 0, 0, 1)
+
+
 def test_enumeration_rejects_negative_vertex_counts():
     for n, m in ((-1, 2), (1, -3)):
         with pytest.raises(ValueError, match="negative vertex counts"):
             enumerate_graphs(n, m)
+        with pytest.raises(ValueError, match="negative vertex counts"):
+            graph_count(n, m)
 
 
 def test_negative_defect_is_rejected():
     with pytest.raises(ValueError, match="negative defect"):
         enumerate_graphs(3, 1, -3)
+    with pytest.raises(ValueError, match="negative defect"):
+        graph_count(3, 1, -3)
     with pytest.raises(ValueError, match="negative defect"):
         AdmissibleGraph(1, 2, ((1, 2), (1, 3)), epsilon=-1)
 

@@ -224,6 +224,16 @@ def test_bernoulli_numbers_match_the_defining_recurrence():
     assert list(bernoulli_numbers(20)) == want
 
 
+def test_bernoulli_numbers_grow_one_kept_row(monkeypatch):
+    # a shorter request after a longer one, then a longer one again, each
+    # read from the one row kept per process
+    want = [bernoulli(n) for n in range(41)]
+    want[1] = -want[1]
+    monkeypatch.setattr(formaldisk.series, "_bernoulli", ((), ()))
+    for n in (30, 10, 40):
+        assert bernoulli_numbers(n) == tuple(want[:n + 1]), n
+
+
 @pytest.mark.parametrize("k,value", [
     (0, Fraction(1)),
     (2, Fraction(1, 24)),

@@ -72,6 +72,20 @@ def test_theta_series_coefficients_do_not_depend_on_the_order():
                for k in range(7))
 
 
+def test_closed_wheel_weights_share_one_bernoulli_row(monkeypatch):
+    # W_1, ..., W_120 from empty caches: O(l) Akiyama-Tanigawa steps per
+    # new l take about 0.55M traced events; rebuilding the table from B_0
+    # for each l, O(l^2) steps, took 22M
+    monkeypatch.setattr("formaldisk.series._bernoulli", ((), ()))
+    theta_series.cache_clear()
+    sys.settrace(_LineBudget(2_000_000))
+    try:
+        table = [wheel_weight_closed(l) for l in range(1, 121)]
+    finally:
+        sys.settrace(None)
+    assert table[119] == wheel_weight_from_bernoulli(120)
+
+
 def test_inverse_sqrt_squares_to_reciprocal():
     order = 8
     r = inverse_sqrt_sinh_quotient(order)
