@@ -35,6 +35,11 @@ CASES = {
     "verify_wheel_identity": ["verify", "wheel-identity"],
     "verify_gerstenhaber_t20_s7": ["verify", "gerstenhaber", "--trials", "20",
                                    "--seed", "7"],
+    "verify_hkr": ["verify", "hkr"],
+    "verify_wheels": ["verify", "wheels"],
+    "verify_weights_closed": ["verify", "weights-closed"],
+    "verify_todd": ["verify", "todd"],
+    "verify_derivation": ["verify", "derivation"],
 }
 
 
