@@ -14,9 +14,8 @@ from .series import (DEFAULT_CAP, TruncatedSeries, SeriesMatrix,
                      nilpotent_powers, series_at, exp_series,
                      sinh_quotient_series)
 from .polyvector import (PolyVectorField, DifferentialForm,
-                         schouten_bracket, wedge_fields, wedge_forms,
-                         contract, exterior_derivative, hkr_components,
-                         pairing, sort_with_sign)
+                         schouten_bracket, contract, exterior_derivative,
+                         hkr_components, sort_with_sign)
 from .polydiff import (PolyDiffOp, bullet, cup, gerstenhaber_bracket,
                        hochschild_differential, hkr)
 from .etalgebra import EtaFormScalar, EtaField, EtaOperator
@@ -26,7 +25,7 @@ from .graphs import (AdmissibleGraph, enumerate_graphs, vanishing_tag,
                      graphs_with_profile, gamma0, opposite_wheel,
                      wheel_survivors)
 from .weights import (modified_bernoulli, wheel_weight_closed, theta_series,
-                      inverse_sqrt_sinh_quotient, angle, WeightEstimate,
+                      inverse_sqrt_sinh_quotient, WeightEstimate,
                       mc_weight, mc_weight_cached)
 from .formality import (graph_operator, u_one,
                         MaurerCartanData, xi_matrix, theta_and_det,
@@ -40,8 +39,7 @@ __all__ = [
     "DEFAULT_CAP", "TruncatedSeries", "SeriesMatrix",
     "nilpotent_powers", "series_at", "exp_series", "sinh_quotient_series",
     "PolyVectorField", "DifferentialForm", "schouten_bracket",
-    "wedge_fields", "wedge_forms", "contract", "exterior_derivative",
-    "hkr_components", "pairing", "sort_with_sign",
+    "contract", "exterior_derivative", "hkr_components", "sort_with_sign",
     "PolyDiffOp", "bullet", "cup", "gerstenhaber_bracket",
     "hochschild_differential", "hkr",
     "EtaFormScalar", "EtaField", "EtaOperator",
@@ -50,7 +48,7 @@ __all__ = [
     "cycle_type_of_wheelish", "graphs_with_profile", "gamma0",
     "opposite_wheel", "wheel_survivors",
     "modified_bernoulli", "wheel_weight_closed", "theta_series",
-    "inverse_sqrt_sinh_quotient", "angle", "WeightEstimate", "mc_weight",
+    "inverse_sqrt_sinh_quotient", "WeightEstimate", "mc_weight",
     "mc_weight_cached",
     "graph_operator", "u_one", "MaurerCartanData",
     "xi_matrix", "theta_and_det", "closed_form_map",

@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .series import (DEFAULT_CAP, SparseSum, TruncatedSeries, exp_series,
-                     series_at, sparse_sum)
+from .series import (DEFAULT_CAP, GradedSum, SparseSum, TruncatedSeries,
+                     checked_coefficient, exp_series, series_at, sparse_sum)
 from .polyvector import DifferentialForm, sort_with_sign
 
 
@@ -41,8 +41,7 @@ class EtaFormScalar(SparseSum):
             form = tuple(form)
             if list(eta) != sorted(set(eta)) or list(form) != sorted(set(form)):
                 raise ValueError("keys must be strictly increasing tuples")
-            if isinstance(s, (int, Fraction)):
-                s = TruncatedSeries.const(dim, s, cap)
+            s = checked_coefficient(s, dim, cap)
             if s:
                 clean.append(((eta, form), s))
         self.terms = sparse_sum(clean)
@@ -54,10 +53,6 @@ class EtaFormScalar(SparseSum):
     @classmethod
     def one(cls, dim, cap=DEFAULT_CAP):
         return cls(dim, cap, {((), ()): TruncatedSeries.const(dim, 1, cap)})
-
-    @classmethod
-    def generator(cls, dim, alpha, cap=DEFAULT_CAP):
-        return cls(dim, cap, {((alpha,), ()): TruncatedSeries.const(dim, 1, cap)})
 
     def zero_like(self):
         return EtaFormScalar._make(self.dim, self.cap, {})
@@ -145,6 +140,7 @@ class _EtaGraded(SparseSum):
             eta = tuple(eta)
             if list(eta) != sorted(set(eta)):
                 raise ValueError("eta-words must be strictly increasing")
+            payload = checked_coefficient(payload, dim, kind=GradedSum)
             if payload:
                 clean.append((eta, payload))
         self.parts = sparse_sum(clean)

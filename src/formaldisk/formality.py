@@ -272,7 +272,7 @@ def _subset_coefficient(partition, m, theta):
                                 for l in partition)
 
 
-def twisted_first_taylor(mc, field, j_max=None):
+def twisted_first_taylor(mc, field):
     """Twisted first Taylor coefficient as an eta-graded operator.
 
     Sums eta_{alpha_1} .. eta_{alpha_j} c_Gamma U_Gamma(omega_{alpha_1},
@@ -282,13 +282,12 @@ def twisted_first_taylor(mc, field, j_max=None):
     the module docstring.  A set stands for its j! orderings, which give
     one signed term: relabelling the cycle vertices by pi permutes the
     center's spokes, so gamma's alternation gives sgn pi, and reordering
-    the eta-word gives sgn pi again.
+    the eta-word gives sgn pi again.  The empty set is the corolla: the
+    eta-free part is u_one(field).
     """
     dim = field.dim
     factors = field.degree + 1
-    if j_max is None:
-        j_max = mc.s
-    top = min(j_max, factors)
+    top = min(mc.s, factors)
     theta = theta_series(top + 2) if top >= 2 else None  # j < 2: no cycle
 
     def terms():

@@ -57,17 +57,11 @@ class AdmissibleGraph:
         """Outgoing edges of v in the fixed (target-sorted) order."""
         return [e for e in self.edges if e[0] == v]
 
-    def in_edges(self, v):
-        return [e for e in self.edges if e[1] == v]
-
     def out_degree(self, v):
         return sum(1 for e in self.edges if e[0] == v)
 
     def in_degree(self, v):
         return sum(1 for e in self.edges if e[1] == v)
-
-    def edge_index(self, edge):
-        return self.edges.index(tuple(edge))
 
     def to_json(self):
         return {"n": self.n, "m": self.m, "epsilon": self.epsilon,
@@ -239,12 +233,12 @@ def classify_wheels(j, center_degree):
             for part in sorted(_partitions_min2(j))}
 
 
-def wheel_graph(partition, center_degree, reverse_cycles=False):
+def wheel_graph(partition, center_degree):
     """A labeled representative graph for a wheel family.
 
-    Cycle vertices are 1..j in consecutive blocks per part, the center
-    is j+1 and points at every cycle vertex and every ground vertex.
-    Forward orientation sends each block vertex to its successor.
+    Cycle vertices are 1..j in consecutive blocks per part, each sent to
+    its successor in the block, the last to the first; the center is
+    j+1 and points at every cycle vertex and every ground vertex.
     """
     if any(part < 2 for part in partition):
         raise ValueError("wheel cycle length must be at least 2, got %r"
@@ -256,8 +250,7 @@ def wheel_graph(partition, center_degree, reverse_cycles=False):
     edges = []
     start = 1
     for part in partition:
-        block = list(range(start, start + part))
-        ring = block[::-1] if reverse_cycles else block
+        ring = list(range(start, start + part))
         for a, b in zip(ring, ring[1:] + ring[:1]):
             edges.append((a, b))
         start += part
@@ -275,13 +268,13 @@ def gamma0(m):
     return AdmissibleGraph(1, m, edges)
 
 
-def opposite_wheel(k, reverse_cycle=False):
+def opposite_wheel(k):
     """The k-wheel: a k-cycle of rim vertices, each fed by the center.
 
     No ground vertices: the center's k spokes all point at the rim, so
     the graph has k+1 aerial vertices and 2k edges.
     """
-    return wheel_graph((k,), k - 1, reverse_cycles=reverse_cycle)
+    return wheel_graph((k,), k - 1)
 
 
 def graphs_with_profile(n, m, out_degrees, epsilon=0):

@@ -62,14 +62,6 @@ def extend(table, x, y=None):
                      for b, cb in y.items() if (a, b) in table))
 
 
-def elem_add(x, y):
-    return combine((1, x), (1, y))
-
-
-def elem_scale(x, c):
-    return combine((_as_fraction(c), x))
-
-
 def elem_is_zero(x):
     return not combine((1, x))
 

@@ -29,7 +29,8 @@ from functools import lru_cache
 from itertools import chain, product as _cartesian
 from math import comb, factorial, prod
 
-from .series import DEFAULT_CAP, GradedSum, TruncatedSeries, sparse_sum
+from .series import (DEFAULT_CAP, GradedSum, TruncatedSeries,
+                     checked_coefficient, sparse_sum)
 from .polyvector import hkr_components
 
 
@@ -89,6 +90,7 @@ class PolyDiffOp(GradedSum):
             for m in slots:
                 if len(m) != dim or any(e < 0 for e in m):
                     raise ValueError("bad multi-index %r" % (m,))
+            c = checked_coefficient(c, dim)
             if c:
                 clean.append((slots, c))
         self.terms = sparse_sum(clean)
@@ -139,14 +141,6 @@ class PolyDiffOp(GradedSum):
             rows.append({"coeff": self.terms[slots].to_json(),
                          "slots": [list(m) for m in slots]})
         return {"d": self.dim, "degree": self.degree, "terms": rows}
-
-    @classmethod
-    def from_json(cls, obj):
-        terms = {}
-        for row in obj["terms"]:
-            slots = tuple(tuple(m) for m in row["slots"])
-            terms[slots] = TruncatedSeries.from_json(row["coeff"])
-        return cls(obj["d"], obj["degree"], terms)
 
     def __repr__(self):
         return "PolyDiffOp(dim=%d, degree=%d, %d terms)" % (

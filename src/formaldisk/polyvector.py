@@ -30,10 +30,9 @@ iterated left to right for higher forms.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain, permutations
 
-from .series import DEFAULT_CAP, GradedSum, TruncatedSeries, sparse_sum
+from .series import GradedSum, checked_coefficient, sparse_sum
 
 
 def sort_with_sign(idx):
@@ -74,8 +73,7 @@ class _Alternating(GradedSum):
                 raise ValueError("axis out of range in %r" % (idx,))
             if list(idx) != sorted(set(idx)):
                 raise ValueError("index tuples must be strictly increasing")
-            if isinstance(s, (int, Fraction)):
-                s = TruncatedSeries.const(dim, s)
+            s = checked_coefficient(s, dim)
             if s:
                 clean[idx] = s
         self.comps = clean
@@ -84,8 +82,7 @@ class _Alternating(GradedSum):
     def from_wedge(cls, dim, axes, coeff=1):
         """coeff times the wedge of the basis elements of `axes`, sorted
         with its sign; zero on a repeated axis."""
-        if isinstance(coeff, (int, Fraction)):
-            coeff = TruncatedSeries.const(dim, coeff)
+        coeff = checked_coefficient(coeff, dim)
         sign, key = sort_with_sign(axes)
         comps = {key: coeff if sign == 1 else -coeff} if sign else {}
         return cls(dim, len(axes) - cls._shift, comps)
@@ -109,12 +106,6 @@ class _Alternating(GradedSum):
                 for i, s in sorted(self.comps.items())]
         return {"d": self.dim, "degree": self.degree, "components": rows}
 
-    @classmethod
-    def from_json(cls, obj):
-        comps = {tuple(r["tuple"]): TruncatedSeries.from_json(r["series"])
-                 for r in obj["components"]}
-        return cls(obj["d"], obj["degree"], comps)
-
     def __repr__(self):
         return "%s(dim=%d, degree=%d, %r)" % (
             type(self).__name__, self.dim, self.degree, self.comps)
@@ -136,11 +127,6 @@ class PolyVectorField(_Alternating):
     def function(cls, series):
         return cls(series.dim, -1, {(): series})
 
-    def as_function(self):
-        if self.degree != -1 and self.comps:
-            raise ValueError("not a degree -1 element")
-        return self.comps.get((), None)
-
 
 class DifferentialForm(_Alternating):
     """Exterior form with series coefficients, degree q >= 0."""
@@ -156,52 +142,6 @@ def exterior_derivative(series):
     """d of a function: the 1-form sum_i (d/dt_i f) dt_i."""
     return DifferentialForm._make(series.dim, 1, sparse_sum(
         ((i,), series.partial(i)) for i in range(1, series.dim + 1)))
-
-
-def _wedge(a, b, degree):
-    if a.dim != b.dim:
-        raise ValueError("dimension mismatch")
-
-    def products():
-        for i1, s1 in a.comps.items():
-            for i2, s2 in b.comps.items():
-                sign, key = sort_with_sign(i1 + i2)
-                if sign:
-                    yield key, (s1 * s2).scale(sign)
-    return type(a)._make(a.dim, degree, sparse_sum(products()))
-
-
-def wedge_forms(a, b):
-    return _wedge(a, b, a.degree + b.degree)
-
-
-def wedge_fields(a, b):
-    """Exterior product of poly-vector fields (degree adds plus one)."""
-    return _wedge(a, b, a.degree + b.degree + 1)
-
-
-def pairing(form, field):
-    """<form, field> for matching arity: the determinant pairing.
-
-    On basis elements <dt_{i_1} ^ .. ^ dt_{i_q}, e_{j_1} ^ .. ^ e_{j_q}>
-    is det(dt_{i_a}(e_{j_b})); with both stored on increasing tuples it
-    reduces to a diagonal sum of coefficient products.
-    """
-    if form.dim != field.dim:
-        raise ValueError("dimension mismatch")
-    if form.degree != field.degree + 1 and form.comps and field.comps:
-        raise ValueError("arity mismatch: form degree %d, field needs %d"
-                         % (form.degree, field.degree + 1))
-    out = None
-    for idx, s in form.comps.items():
-        t = field.comps.get(idx)
-        if t is not None:
-            out = s * t if out is None else out + s * t
-    if out is None:
-        caps = [s.cap for s in form.comps.values()]
-        caps += [s.cap for s in field.comps.values()]
-        out = TruncatedSeries.zero(form.dim, min(caps) if caps else DEFAULT_CAP)
-    return out
 
 
 def contract(form, field):

@@ -376,14 +376,6 @@ class TruncatedSeries(SparseSum):
                          "den": str(c.denominator)})
         return {"d": self.dim, "cap": self.cap, "terms": rows}
 
-    @classmethod
-    def from_json(cls, obj):
-        terms = {}
-        for row in obj["terms"]:
-            exp = tuple(row["exp"])
-            terms[exp] = Fraction(int(row["num"]), int(row["den"]))
-        return cls(obj["d"], obj["cap"], terms)
-
     def __repr__(self):
         if not self.nums:
             return "TruncatedSeries(dim=%d, cap=%d, 0)" % (self.dim, self.cap)
@@ -393,6 +385,27 @@ class TruncatedSeries(SparseSum):
             bits.append("%s*t^%s" % (terms[exp], list(exp)))
         return "TruncatedSeries(dim=%d, cap=%d, %s)" % (
             self.dim, self.cap, " + ".join(bits))
+
+
+def checked_coefficient(c, dim, cap=DEFAULT_CAP, kind=None):
+    """c as a coefficient of a container of dimension dim.
+
+    An int or a Fraction becomes the constant series capped at cap;
+    anything else must be a `kind` (a TruncatedSeries unless given) of
+    dimension dim.  TypeError for a float or another kind, ValueError
+    for another dimension.
+    """
+    if kind is None:
+        if isinstance(c, (int, Fraction)):
+            return TruncatedSeries.const(dim, c, cap)
+        kind = TruncatedSeries
+    if not isinstance(c, kind):
+        raise TypeError("%s coefficient expected, got %r"
+                        % (kind.__name__, c))
+    if c.dim != dim:
+        raise ValueError("coefficient of dimension %d in dimension %d"
+                         % (c.dim, dim))
+    return c
 
 
 # ---------------------------------------------------------------------

@@ -38,23 +38,20 @@ DEFAULT_SEED = 20240801
 # random generators (shared with the tests)
 # ---------------------------------------------------------------------
 
-def random_fraction(rng, span=3):
-    num = rng.randint(-span, span)
+def random_fraction(rng):
+    num = rng.randint(-3, 3)
     den = rng.choice([1, 1, 2, 3])
     return Fraction(num, den)
 
-def random_series(rng, dim, cap, max_total=2, terms=3, nonzero=False):
+def random_series(rng, dim, cap, max_total=2):
     """Sparse polynomial with small rational coefficients."""
     data = {}
-    for _ in range(terms):
+    for _ in range(3):
         exp = [0] * dim
         for _ in range(rng.randint(0, max_total)):
             exp[rng.randrange(dim)] += 1
         data[tuple(exp)] = random_fraction(rng)
-    s = TruncatedSeries(dim, cap, data)
-    if nonzero and s.is_zero():
-        return TruncatedSeries.monomial(dim, (0,) * dim, 1, cap)
-    return s
+    return TruncatedSeries(dim, cap, data)
 
 def random_field(rng, dim, cap, degree, terms=2):
     idx_pool = list(combinations(range(1, dim + 1), degree + 1))
@@ -65,13 +62,13 @@ def random_field(rng, dim, cap, degree, terms=2):
         comps[rng.choice(idx_pool)] = random_series(rng, dim, cap)
     return PolyVectorField(dim, degree, comps)
 
-def random_operator(rng, dim, cap, nslots, max_order=2, terms=2):
+def random_operator(rng, dim, cap, nslots, terms=2):
     out = PolyDiffOp.zero(dim, nslots - 1)
     for _ in range(terms):
         slots = []
         for _ in range(nslots):
             m = [0] * dim
-            for _ in range(rng.randint(0, max_order)):
+            for _ in range(rng.randint(0, 2)):
                 m[rng.randrange(dim)] += 1
             slots.append(tuple(m))
         out = out + PolyDiffOp.single(random_series(rng, dim, cap),
@@ -93,11 +90,12 @@ def _report(suite, checks):
 # suites
 # ---------------------------------------------------------------------
 
-def suite_hkr(d_max=3, degree_max=3):
-    """First Taylor coefficient against the antisymmetrized quantization."""
+def suite_hkr():
+    """First Taylor coefficient against the antisymmetrized quantization,
+    on every basis wedge in dimension d <= 3."""
     checks = []
-    for dim in range(1, d_max + 1):
-        for degree in range(-1, min(degree_max, dim - 1) + 1):
+    for dim in range(1, 4):
+        for degree in range(-1, dim):
             for idx in combinations(range(1, dim + 1), degree + 1):
                 field = PolyVectorField.from_wedge(dim, idx)
                 ok = u_one(field) == hkr(field)
@@ -113,16 +111,16 @@ def suite_hkr(d_max=3, degree_max=3):
     return _report("hkr", checks)
 
 
-def suite_weights_closed(l_max=4):
-    """Closed wheel weights, and theta against the sinh quotient."""
+def suite_weights_closed():
+    """Closed wheel weights W_1..W_4, and theta against the sinh quotient."""
     expected = {1: Fraction(0), 2: Fraction(1, 24), 3: Fraction(0),
                 4: Fraction(1, 1440)}
     checks = []
-    for l in range(1, min(l_max, 4) + 1):
+    for l, want in expected.items():
         w = wheel_weight_closed(l)
-        checks.append(_check("W_%d value" % l, w == expected[l],
-                             got=str(w), want=str(expected[l])))
-    order = 2 * l_max
+        checks.append(_check("W_%d value" % l, w == want,
+                             got=str(w), want=str(want)))
+    order = 2 * len(expected)
     checks.append(_check(
         "exp(-2 theta) is the sinh quotient through order %d" % order,
         series_at(exp_series(order, -2), theta_series(order))
@@ -130,11 +128,12 @@ def suite_weights_closed(l_max=4):
     return _report("weights-closed", checks)
 
 
-def suite_wheels(j_max=3, p_max=3):
-    """Brute-force survivors match the wheel families and multiplicities."""
+def suite_wheels():
+    """Brute-force survivors match the wheel families and multiplicities,
+    for j <= 3 cycle vertices around a center of degree p <= 3."""
     checks = []
-    for j in range(1, j_max + 1):
-        for p in range(0, p_max + 1):
+    for j in range(1, 4):
+        for p in range(0, 4):
             m = p - j + 1
             if m < 0:
                 continue
@@ -168,8 +167,10 @@ def _graded_jacobi(bracket, a, b, c):
             + bracket(c, bracket(a, b)).scale((-1) ** (pc * pb)))
 
 
-def suite_gerstenhaber(trials=200, seed=DEFAULT_SEED, d_max=3, cap=6):
-    """Randomized exact identities for both graded algebras."""
+def suite_gerstenhaber(trials=200, seed=DEFAULT_SEED):
+    """Randomized exact identities for both graded algebras, in dimension
+    d <= 3 on series capped at 6."""
+    d_max, cap = 3, 6
     rng = random.Random(seed)
     bad = {"d2": 0, "mm": 0, "jacobi-g": 0, "jacobi-s": 0,
            "hkr-cocycle": 0, "bullet-eval": 0}
@@ -289,8 +290,9 @@ def todd_table(order):
             q * exp_series(order, Fraction(-1, 2)) == qt)
 
 
-def suite_todd(order=10, matrix_order=6):
-    """Todd series identities and the determinant factor."""
+def suite_todd():
+    """Todd series identities through x^10 and the determinant factor."""
+    order, matrix_order = 10, 6
     q, qt, ok = todd_table(order)
     checks = [_check("modified Todd = Todd * exp(-x/2) through order %d"
                      % order, ok, q=q, qtilde=qt)]
@@ -319,8 +321,10 @@ def suite_todd(order=10, matrix_order=6):
     return _report("todd", checks)
 
 
-def suite_derivation(trials=100, seed=DEFAULT_SEED, dim=3, cap=6):
-    """Contraction with an exact 1-form is a bracket derivation."""
+def suite_derivation(trials=100, seed=DEFAULT_SEED):
+    """Contraction with an exact 1-form is a bracket derivation, in
+    dimension 3 on series capped at 6."""
+    dim, cap = 3, 6
     rng = random.Random(seed)
     failures = 0
     for _ in range(trials):
@@ -337,8 +341,10 @@ def suite_derivation(trials=100, seed=DEFAULT_SEED, dim=3, cap=6):
                failures == 0, failures=failures)])
 
 
-def suite_wheel_identity(cap=8):
-    """Twisted first Taylor coefficient against the closed determinant form."""
+def suite_wheel_identity():
+    """Twisted first Taylor coefficient against the closed determinant
+    form, on series capped at 8."""
+    cap = 8
     checks = []
     through = cap - 3
 
@@ -384,10 +390,9 @@ def suite_wheel_identity(cap=8):
     return _report("wheel-identity", checks)
 
 
-def suite_mc_weights(samples_small=100_000, samples_mid=1_000_000,
-                     samples_big=10_000_000, seed=0, workers=1,
-                     cache_path=None):
-    """Signed numeric weight integrals against their exact values."""
+def suite_mc_weights(samples=100_000, seed=0, workers=1, cache_path=None):
+    """Signed numeric weight integrals against their exact values; the
+    three graphs take samples, 10 * samples and 100 * samples draws."""
     checks = []
 
     def run(graph, n_samples):
@@ -398,11 +403,11 @@ def suite_mc_weights(samples_small=100_000, samples_mid=1_000_000,
         return mc_weight(graph, n_samples, seed=seed, workers=workers)
 
     for name, graph, n_samples, exact, floor in (
-            ("one-ground corolla integrates to 1", gamma0(1), samples_small,
+            ("one-ground corolla integrates to 1", gamma0(1), samples,
              1.0, 0.01),
-            ("two-ground corolla integrates to 1/2", gamma0(2), samples_mid,
+            ("two-ground corolla integrates to 1/2", gamma0(2), 10 * samples,
              0.5, 0.01),
-            ("two-wheel integrates to 1/24", opposite_wheel(2), samples_big,
+            ("two-wheel integrates to 1/24", opposite_wheel(2), 100 * samples,
              1.0 / 24.0, 0.02 * (1.0 / 24.0))):
         est = run(graph, n_samples)
         tol = max(3 * est.stderr, floor)

@@ -86,7 +86,6 @@ The reported weight carries the orientation prefactor
 
 from __future__ import annotations
 
-import cmath
 import functools
 import json
 import math
@@ -154,28 +153,6 @@ def wheel_weight_closed(l):
 def inverse_sqrt_sinh_quotient(order):
     """sqrt(x / (e^{x/2} - e^{-x/2})) = exp(theta) as a series."""
     return series_at(exp_series(order, 1), theta_series(order))
-
-
-# ---------------------------------------------------------------------
-# hyperbolic angle
-# ---------------------------------------------------------------------
-
-def angle(p, q):
-    """Angle coordinate in turns, in [0, 1), of the edge p -> q.
-
-    p must be interior (positive imaginary part); q may be interior or
-    a boundary (real) point.
-    """
-    p = complex(p)
-    q = complex(q)
-    if p.imag <= 0:
-        raise ValueError("edge source must lie in the upper half-plane")
-    num = q - p
-    den = q - p.conjugate()
-    if num == 0 or den == 0:
-        raise ValueError("coincident points have no angle")
-    val = cmath.phase(num / den) / TWO_PI
-    return val % 1.0
 
 
 # ---------------------------------------------------------------------
@@ -328,14 +305,14 @@ def _mixture_plan(graph):
             p_comp / KERNEL_LOG)
 
 
-def _direction(t, out=None):
+def _direction(t, out):
     """(cos theta, sin theta) from t = tan(theta/2), with no libm sin/cos.
 
-    Written into out = (c, s) when given, else into new arrays; t is
-    left as it is.  s is 2 (t / q) rather than (2 t) / q: a factor of 2
-    is exact, so the two round alike.
+    Written into out = (c, s); t is left as it is.  s is 2 (t / q)
+    rather than (2 t) / q: a factor of 2 is exact, so the two round
+    alike.
     """
-    c, s = np.empty((2,) + np.shape(t)) if out is None else out
+    c, s = out
     np.multiply(t, t, out=s)
     np.subtract(1.0, s, out=c)
     s += 1.0                                          # q = 1 + t^2
@@ -345,17 +322,15 @@ def _direction(t, out=None):
     return c, s
 
 
-def _sort_rows(a, low=None):
+def _sort_rows(a, low):
     """Sort a down its first axis in place, as np.sort(a, axis=0) would.
 
     An odd-even transposition network of np.minimum and np.maximum:
     len(a) rounds of compare-exchanges of neighbouring rows, each a
     whole-row operation, where np.sort would sort every column apart.
-    low, if given, is the row the exchanges work in.  For values that
-    are not NaN the result equals np.sort's.
+    low is the row the exchanges work in.  For values that are not NaN
+    the result equals np.sort's.
     """
-    if low is None:
-        low = np.empty(a.shape[1:])
     for start in range(len(a)):
         for k in range(start % 2, len(a) - 1, 2):
             np.minimum(a[k], a[k + 1], out=low)
@@ -426,16 +401,16 @@ def _take(a, index, out, axis=None):
 
 
 def _block_values(plan, mix, r, ang, alpha, coin=None, rho_u=None,
-                  turn=None, buf=None):
+                  turn=None, *, buf):
     """Integrand of one block of draws, and the number of samples dropped.
 
     plan is _det_plan's and mix _mixture_plan's.  r and ang hold the
     sampled vertices' radii and angles, alpha the ground points' angles
     in any order, one sample per row; coin, rho_u and turn are the kernel
-    draws.  Every angle is in turns.  buf is the chunk's _arena (made
-    here if None): each array the block computes, the integrand returned
-    too, is asked of it where it is first written, with its rows, columns
-    and dtype, and holds until the arena is reset.  Only np.flatnonzero's
+    draws.  Every angle is in turns.  buf is the chunk's _arena: each
+    array the block computes, the integrand returned too, is asked of it
+    where it is first written, with its rows, columns and dtype, and
+    holds until the arena is reset.  Only np.flatnonzero's
     lists of the moved and of the in-disk samples are new arrays.
 
     The work runs on one row per coordinate, so that gathering a
@@ -458,7 +433,6 @@ def _block_values(plan, mix, r, ang, alpha, coin=None, rho_u=None,
     """
     src, _, (e1, e2, k1, k2), grounds, terms, signs, ends, apart, norm = plan
     size, sampled, m = len(r), r.shape[1], alpha.shape[1]
-    buf = buf or _arena()[0]
     r, ang, alpha = (np.positive(a.T, out=buf(a.shape[1], size))  # copied
                      for a in (r, ang, alpha))        # to a row per column
     ang *= np.pi

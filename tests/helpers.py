@@ -19,6 +19,11 @@ coefficient, the oracle of the integer numerators over one denominator
 that TruncatedSeries stores.  chunk_sums_blocked_reference keeps the
 Monte Carlo chunk kernel that computed every quantity where it was used;
 its sums are the ones weights._chunk_sums must reproduce exactly.
+The wedge products, the determinant pairing, a degree -1 field's
+function and the hyperbolic angle of an edge are needed by tests alone:
+the Schouten bracket is checked as a derivation of the wedge, a full
+contraction against the pairing, and the angle pins the convention
+phi(p, q) = arg((q - p)/(q - conj p)) / 2 pi of the weights module.
 """
 
 from fractions import Fraction
@@ -155,6 +160,64 @@ def lie_bracket_vf(x, y):
         if acc is not None and not acc.is_zero():
             comps[(i,)] = acc
     return PolyVectorField(dim, 0, comps)
+
+
+# -- wedge, determinant pairing and function part ---------------------
+
+def _wedge(a, b, degree):
+    from formaldisk import sort_with_sign
+    from formaldisk.series import sparse_sum
+    if a.dim != b.dim:
+        raise ValueError("dimension mismatch")
+
+    def products():
+        for i1, s1 in a.comps.items():
+            for i2, s2 in b.comps.items():
+                sign, key = sort_with_sign(i1 + i2)
+                if sign:
+                    yield key, (s1 * s2).scale(sign)
+    return type(a)._make(a.dim, degree, sparse_sum(products()))
+
+
+def wedge_forms(a, b):
+    return _wedge(a, b, a.degree + b.degree)
+
+
+def wedge_fields(a, b):
+    """Exterior product of poly-vector fields (degree adds plus one)."""
+    return _wedge(a, b, a.degree + b.degree + 1)
+
+
+def pairing(form, field):
+    """<form, field> for matching arity: the determinant pairing.
+
+    On basis elements <dt_{i_1} ^ .. ^ dt_{i_q}, e_{j_1} ^ .. ^ e_{j_q}>
+    is det(dt_{i_a}(e_{j_b})); with both stored on increasing tuples it
+    reduces to a diagonal sum of coefficient products.
+    """
+    from formaldisk import DEFAULT_CAP, TruncatedSeries
+    if form.dim != field.dim:
+        raise ValueError("dimension mismatch")
+    if form.degree != field.degree + 1 and form.comps and field.comps:
+        raise ValueError("arity mismatch: form degree %d, field needs %d"
+                         % (form.degree, field.degree + 1))
+    out = None
+    for idx, s in form.comps.items():
+        t = field.comps.get(idx)
+        if t is not None:
+            out = s * t if out is None else out + s * t
+    if out is None:
+        caps = [s.cap for s in form.comps.values()]
+        caps += [s.cap for s in field.comps.values()]
+        out = TruncatedSeries.zero(form.dim, min(caps) if caps else DEFAULT_CAP)
+    return out
+
+
+def as_function(field):
+    """The series of a degree -1 field, None for its zero."""
+    if field.degree != -1 and field.comps:
+        raise ValueError("not a degree -1 element")
+    return field.comps.get((), None)
 
 
 # -- Hochschild differential via face maps ----------------------------
@@ -296,7 +359,7 @@ def hkr_reference(field):
     dim = field.dim
     k = field.degree + 1
     if k == 0:
-        f = field.as_function()
+        f = as_function(field)
         if f is None:
             return PolyDiffOp.zero(dim, -1)
         return PolyDiffOp.function(f)
@@ -349,7 +412,7 @@ def _lie_reference(coeff, axis, target):
 def _bracket_monomial_reference(c1, idx1, b):
     """[c1 * e_{idx1}, b]: flip a function, take the Lie derivative of a
     vector field, and split the first factor Y = c1 e_i off a longer word."""
-    from formaldisk import PolyVectorField, wedge_fields
+    from formaldisk import PolyVectorField
     dim = b.dim
     if len(idx1) == 0:
         # [f, b] = -(-1)^{(-1)|b|} [b, f]
@@ -464,7 +527,8 @@ def graph_operator_bruteforce(graph, fields):
             return PolyDiffOp.zero(dim, m - 1)
     edges = graph.edges
     out_lists = [graph.out_edges(v) for v in range(1, n + 1)]
-    in_lists = [graph.in_edges(v) for v in range(1, n + m + 1)]
+    in_lists = [[e for e in edges if e[1] == v]
+                for v in range(1, n + m + 1)]
     sums = {}
     for assign in product(range(1, dim + 1), repeat=len(edges)):
         axis = dict(zip(edges, assign))
@@ -632,6 +696,26 @@ def eta_exp_reference(x):
     from formaldisk.series import exp_series, series_at
     return series_at(exp_series(2 * x.dim + 2 * x.cap + 4, 1),
                      x.one_like() * x)
+
+# -- hyperbolic angle --------------------------------------------------
+
+def angle(p, q):
+    """Angle coordinate in turns, in [0, 1), of the edge p -> q.
+
+    p must be interior (positive imaginary part); q may be interior or
+    a boundary (real) point.
+    """
+    import cmath
+    p = complex(p)
+    q = complex(q)
+    if p.imag <= 0:
+        raise ValueError("edge source must lie in the upper half-plane")
+    num = q - p
+    den = q - p.conjugate()
+    if num == 0 or den == 0:
+        raise ValueError("coincident points have no angle")
+    return (cmath.phase(num / den) / (2 * cmath.pi)) % 1.0
+
 
 # -- Monte Carlo chunk on full-chunk arrays ----------------------------
 

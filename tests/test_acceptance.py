@@ -38,13 +38,13 @@ def _suite_line(capture, num, detail, name, **kwargs):
 
 def test_criterion_01_first_taylor_is_hkr(capsys):
     _suite_line(capsys, 1, "u_1 equals HKR on all basis wedges, d <= 3",
-                "hkr", d_max=3, degree_max=3)
+                "hkr")
 
 
 def test_criterion_02_wheel_weights_closed_form(capsys):
     _suite_line(capsys, 2,
                 "W_1..W_4 = 0, 1/24, 0, 1/1440 from the Bernoulli numbers",
-                "weights-closed", l_max=4)
+                "weights-closed")
 
 
 def _mc_line(capture, num, graph, samples, target, floor, workers=1):
@@ -72,7 +72,7 @@ def test_criterion_05_mc_weight_two_wheel(capsys):
 
 def test_criterion_06_wheel_classification(capsys):
     _suite_line(capsys, 6, "brute-force survivors match wheel families, j,p <= 3",
-                "wheels", j_max=3, p_max=3)
+                "wheels")
 
 
 def test_criterion_07_twisted_taylor_against_closed_form(capsys):
@@ -87,7 +87,7 @@ def test_criterion_07_twisted_taylor_against_closed_form(capsys):
     ok = True
     for idx in ((1, 2), (1, 2, 3)):
         gamma = PolyVectorField.from_wedge(dim, idx)
-        lhs = twisted_first_taylor(mc, gamma, j_max=2)
+        lhs = twisted_first_taylor(mc, gamma)
         rhs = closed_form_map(mc, gamma)
         ok = ok and lhs.agrees_with(rhs, cap - 3)
     assert _line(capsys, 7, ok,
@@ -96,7 +96,7 @@ def test_criterion_07_twisted_taylor_against_closed_form(capsys):
 
 def test_criterion_08_gerstenhaber_suite(capsys):
     _suite_line(capsys, 8, "graded algebra identities, 200 random instances",
-                "gerstenhaber", trials=200, d_max=3, cap=6)
+                "gerstenhaber", trials=200)
 
 
 def test_criterion_09_twisting_suite(capsys):
@@ -106,7 +106,7 @@ def test_criterion_09_twisting_suite(capsys):
 
 def test_criterion_10_todd_identities(capsys):
     _suite_line(capsys, 10, "Todd series, matrix exponential, linear degeneration",
-                "todd", order=10, matrix_order=6)
+                "todd")
 
 
 def test_criterion_11_contraction_derivation(capsys):

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import formaldisk
-from formaldisk.cli import _config_int, main
+from formaldisk.cli import MAX_ORDER, _config_int, main
 
 
 def run_cli(capsys, *argv):
@@ -395,6 +395,27 @@ def test_graph_listings_beyond_the_limit_exit_2_before_any_work(
     assert out == ""
     assert err.startswith("error: ") and message in err
     assert "more than the limit 200000" in err
+
+
+@pytest.mark.parametrize("argv, work", [
+    (["weights", "closed"], "formaldisk.cli.wheel_weight_closed"),
+    (["todd", "--order"], "formaldisk.suites.todd_table"),
+])
+def test_orders_beyond_the_printable_exit_2_before_any_work(
+        argv, work, monkeypatch, capsys):
+    # past MAX_ORDER the report holds integers of more than 4,300 digits,
+    # which Python refuses to print after minutes of work; MAX_ORDER
+    # itself passes the check and starts the work
+    def compute(*args, **kwargs):
+        raise _Built
+    monkeypatch.setattr(work, compute)
+    code, out, err = run_cli(capsys, *argv, str(MAX_ORDER + 1))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "at most MAX_ORDER = 1400, got 1401" in err
+    with pytest.raises(_Built):
+        main([*argv, str(MAX_ORDER)])
 
 
 def test_out_into_a_missing_directory_exits_2(tmp_path, capsys):

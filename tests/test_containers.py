@@ -282,9 +282,9 @@ def _lifted(x):
 
 
 def _poly(rng, dim, cap):
-    """1-3 monomials of total degree <= 4; cap None draws one in 2..8."""
+    """Up to 3 monomials of total degree <= 4; cap None draws one in 2..8."""
     return random_series(rng, dim, rng.randint(2, 8) if cap is None else cap,
-                         max_total=4, terms=rng.randint(1, 3))
+                         max_total=4)
 
 
 def _capped_operators(rng, cap):
@@ -331,7 +331,7 @@ def test_every_key_is_right_within_its_own_cap(product, inputs, cap):
 
 
 # ---------------------------------------------------------------------
-# public constructors and from_json still validate
+# public constructors validate
 # ---------------------------------------------------------------------
 
 def test_series_constructor_rejects_malformed_input():
@@ -346,10 +346,11 @@ def test_series_constructor_rejects_malformed_input():
 @pytest.mark.parametrize("cls,degree,arity", [(PolyVectorField, 1, 2),
                                               (DifferentialForm, 2, 2)])
 def test_alternating_constructor_rejects_malformed_input(cls, degree, arity):
-    assert cls(3, degree, {(1, 2): ONE}).comps
+    one = TruncatedSeries.const(3, 1, CAP)
+    assert cls(3, degree, {(1, 2): one}).comps
     for key in [(2, 1), (1, 1), (1, 4), (1,), (1, 2, 3)]:
         with pytest.raises(ValueError):
-            cls(3, degree, {key: ONE})
+            cls(3, degree, {key: one})
 
 
 def test_operator_constructor_rejects_malformed_input():
@@ -368,18 +369,35 @@ def test_eta_form_scalar_rejects_non_increasing_keys():
         EtaFormScalar(2, CAP, {((), (1, 1)): ONE})
 
 
-def test_from_json_rejects_malformed_rows():
-    series = T1.to_json()
-    series["terms"][0]["exp"] = [1]
-    with pytest.raises(ValueError):
-        TruncatedSeries.from_json(series)
-    for x in (PolyVectorField(3, 1, {(1, 2): T1}),
-              DifferentialForm(3, 2, {(1, 2): T1})):
-        obj = x.to_json()
-        obj["components"][0]["tuple"] = [2, 1]
-        with pytest.raises(ValueError):
-            type(x).from_json(obj)
-    obj = _op(((1, 0), (0, 0)), T1).to_json()
-    obj["terms"][0]["slots"] = [[1, 0]]
-    with pytest.raises(ValueError):
-        PolyDiffOp.from_json(obj)
+# one coefficient check, series.checked_coefficient, behind every public
+# constructor
+
+def test_an_int_operator_coefficient_is_a_constant_series():
+    op = PolyDiffOp(2, 0, {((1, 0),): 3})
+    assert op == PolyDiffOp(2, 0, {((1, 0),): TruncatedSeries.const(2, 3)})
+    assert op.scale(2) == PolyDiffOp(2, 0, {((1, 0),): 6})
+
+
+def test_a_field_refuses_a_float_coefficient():
+    with pytest.raises(TypeError):
+        PolyVectorField(2, 0, {(1,): 1.5})
+
+
+def test_an_operator_refuses_a_float_coefficient():
+    with pytest.raises(TypeError):
+        PolyDiffOp(2, 0, {((1, 0),): 1.5})
+
+
+def test_a_field_refuses_a_series_of_another_dimension():
+    with pytest.raises(ValueError, match="dimension 3 in dimension 2"):
+        PolyVectorField(2, 0, {(1,): TruncatedSeries.variable(3, 3)})
+
+
+def test_an_eta_form_scalar_refuses_a_series_of_another_dimension():
+    with pytest.raises(ValueError, match="dimension 3 in dimension 2"):
+        EtaFormScalar(2, CAP, {((1,), ()): TruncatedSeries.variable(3, 3)})
+
+
+def test_an_eta_operator_refuses_a_bare_number():
+    with pytest.raises(TypeError):
+        EtaOperator(2, {(1,): 5})

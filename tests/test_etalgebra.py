@@ -10,7 +10,7 @@ from helpers import eta_exp_reference
 
 
 def gen(dim, alpha, cap=6):
-    return EtaFormScalar.generator(dim, alpha, cap)
+    return EtaFormScalar(dim, cap, {((alpha,), ()): 1})
 
 
 def dt(dim, axis, cap=6):

@@ -27,7 +27,6 @@ def test_edges_stored_sorted():
     assert g.edges == ((1, 2), (1, 3), (2, 3))
     assert g.out_edges(1) == [(1, 2), (1, 3)]
     assert g.in_degree(3) == 2
-    assert g.edge_index((2, 3)) == 2
 
 
 def test_enumeration_count_closed_form():
@@ -144,14 +143,6 @@ def test_wheel_graph_shapes():
 def test_wheel_graph_rejects_cycles_shorter_than_two(partition):
     with pytest.raises(ValueError, match="cycle length must be at least 2"):
         wheel_graph(partition, 4)
-
-
-def test_wheel_graph_reverse_cycles():
-    a = wheel_graph((3,), 2)
-    b = wheel_graph((3,), 2, reverse_cycles=True)
-    assert a != b
-    assert cycle_type_of_wheelish(a, 3) == (3,)
-    assert cycle_type_of_wheelish(b, 3) == (3,)
 
 
 def test_cycle_type_of_wheelish_rejections():

@@ -6,7 +6,7 @@ from formaldisk import (EtaField, PolyVectorField, TruncatedSeries,
                         LInftyMorphism, SmallDGLie, eta_mc_residual,
                         eta_schouten, eta_twisted_differential,
                         quadratic_example, schouten_bracket)
-from formaldisk.linfty import elem_add, elem_is_zero, elem_scale
+from formaldisk.linfty import elem_is_zero
 
 
 def test_quadratic_example_is_coherent():
@@ -205,8 +205,6 @@ def test_int_coefficients_are_stored_as_fractions():
 def test_elem_helpers():
     a = {"x": Fraction(1)}
     b = {"x": Fraction(-1), "y": Fraction(2)}
-    assert elem_add(a, b) == {"y": Fraction(2)}
-    assert elem_scale(b, 0) == {}
     assert elem_is_zero({})
     assert not elem_is_zero(a)
 

@@ -1,16 +1,15 @@
 """Schouten calculus against coordinate formulas."""
 
 import random
-from fractions import Fraction
 from itertools import combinations
 
 from formaldisk import (DifferentialForm, PolyVectorField, TruncatedSeries,
-                        contract, exterior_derivative, pairing,
-                        schouten_bracket, sort_with_sign, wedge_fields,
-                        wedge_forms, hkr_components)
+                        contract, exterior_derivative, schouten_bracket,
+                        sort_with_sign, hkr_components)
 from formaldisk.suites import random_field, random_series
 
-from helpers import lie_bracket_vf, schouten_reference
+from helpers import (as_function, lie_bracket_vf, pairing,
+                     schouten_reference, wedge_fields, wedge_forms)
 
 CAP = 6
 
@@ -64,7 +63,7 @@ def test_schouten_on_functions_is_evaluation():
     got = schouten_bracket(x, f)
     want = t2 * t2 + (t1 * t1) * t1  # t2 d1(t1 t2) + t1^2 d2(t1 t2)
     assert got.degree == -1
-    assert got.as_function().agrees_with(want, CAP - 1)
+    assert as_function(got).agrees_with(want, CAP - 1)
 
 
 def test_schouten_vector_fields_vs_lie_oracle():
@@ -96,9 +95,9 @@ def test_schouten_leibniz_wedge_instance():
     t1, t2 = tvars(dim)
     x = PolyVectorField(dim, 0, {(1,): t2 * t2, (2,): t1})
     f, g = t1 + t2, t1 * t1
-    lhs = schouten_bracket(x, PolyVectorField.function(f * g)).as_function()
-    xf = schouten_bracket(x, PolyVectorField.function(f)).as_function()
-    xg = schouten_bracket(x, PolyVectorField.function(g)).as_function()
+    lhs = as_function(schouten_bracket(x, PolyVectorField.function(f * g)))
+    xf = as_function(schouten_bracket(x, PolyVectorField.function(f)))
+    xg = as_function(schouten_bracket(x, PolyVectorField.function(g)))
     assert lhs.agrees_with(xf * g + f * xg, CAP - 1)
 
 
@@ -186,7 +185,7 @@ def test_pairing_and_contract():
     # (-1)^{q(q-1)/2}; for q = 2 that is -1
     res = contract(form, field)
     assert res.degree == -1
-    assert res.as_function() == -full
+    assert as_function(res) == -full
     # partial contraction: 1-form into 2-field leaves a vector field
     one = DifferentialForm.from_wedge(dim, (1,), 1)
     partial = contract(one, PolyVectorField.from_wedge(dim, (1, 3)))

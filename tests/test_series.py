@@ -72,12 +72,6 @@ def test_scale_by_a_unit_equals_the_multiplied_series(c):
     assert TruncatedSeries.zero(2, -1).scale(c) == TruncatedSeries.zero(2, -1)
 
 
-def test_json_roundtrip():
-    s = TruncatedSeries(3, 5, {(1, 0, 2): Fraction(-7, 3), (0, 0, 0): 2})
-    assert TruncatedSeries.from_json(s.to_json()) == s
-    assert TruncatedSeries.from_json(s.to_json()).cap == 5
-
-
 # ---------------------------------------------------------------------
 # integer numerators over one denominator
 # ---------------------------------------------------------------------

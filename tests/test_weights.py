@@ -9,22 +9,22 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from formaldisk import (angle, gamma0, graphs_with_profile,
+from formaldisk import (gamma0, graphs_with_profile,
                         inverse_sqrt_sinh_quotient, mc_weight,
                         mc_weight_cached, modified_bernoulli, opposite_wheel,
                         theta_series, wheel_weight_closed)
 from formaldisk.formality import _subset_coefficient
 from formaldisk.graphs import AdmissibleGraph, wheel_graph
-from formaldisk.weights import (BLOCK, CHUNK, SAMPLER, TWO_PI, _block_values,
-                                _chunk_sums, _det_plan, _direction,
-                                _kernel_components, _mixture_plan,
-                                _pool_size, _sort_rows, moduli_dimension,
-                                cache_lookup, cache_store, WeightEstimate)
+from formaldisk.weights import (BLOCK, CHUNK, SAMPLER, TWO_PI, _arena,
+                                _block_values, _chunk_sums, _det_plan,
+                                _direction, _kernel_components,
+                                _mixture_plan, _pool_size, _sort_rows,
+                                moduli_dimension, cache_lookup, cache_store)
 from formaldisk.series import sinh_quotient_series, univariate
 from formaldisk import suites, weights
 
 import helpers
-from helpers import (bernoulli, chunk_sums_blocked_reference,
+from helpers import (angle, bernoulli, chunk_sums_blocked_reference,
                      chunk_sums_reference, dense_jacobian, theta_by_log,
                      wheel_weight_from_bernoulli)
 
@@ -176,15 +176,13 @@ def test_two_cycle_coefficient_is_minus_its_signed_weight(m):
 def test_mc_weights_suite_checks_the_sign(monkeypatch):
     # the suite compares the signed integral with +1, +1/2 and +1/24:
     # the same estimates with their integrals negated fail every check
-    sizes = dict(samples_small=20_000, samples_mid=20_000,
-                 samples_big=200_000)
-    assert suites.suite_mc_weights(**sizes)["passed"]
+    assert suites.suite_mc_weights(samples=2_000)["passed"]
 
     def negated(*args, **kwargs):
         est = mc_weight(*args, **kwargs)
         return dataclasses.replace(est, integral=-est.integral)
     monkeypatch.setattr(suites, "mc_weight", negated)
-    report = suites.suite_mc_weights(**sizes)
+    report = suites.suite_mc_weights(samples=2_000)
     assert not any(check["pass"] for check in report["checks"])
 
 
@@ -341,7 +339,7 @@ def test_half_angle_direction_matches_cos_and_sin():
                             [0.0, 0.25, 0.5, 0.75, np.nextafter(1.0, 0.0)]))
     theta = turns * TWO_PI
     t = np.tan(theta / 2.0)
-    c, s = _direction(t)
+    c, s = _direction(t, np.empty((2,) + t.shape))
     assert np.max(np.abs(c - np.cos(theta))) <= 4e-16
     assert np.max(np.abs(s - np.sin(theta))) <= 4e-16
     # c*c + s*s - 1 in doubles rounds by up to two ulps of 1 on its own
@@ -405,7 +403,7 @@ def _rows_with_ties_and_zeros(m, rng):
 @pytest.mark.parametrize("m", range(7))
 def test_ground_angle_network_equals_np_sort(m):
     rows = _rows_with_ties_and_zeros(m, np.random.default_rng(m))
-    net = _sort_rows(rows.T.copy()).T
+    net = _sort_rows(rows.T.copy(), np.empty(len(rows))).T
     assert net.shape == rows.shape
     assert np.array_equal(net, np.sort(rows, axis=1))
 
@@ -471,7 +469,8 @@ def test_determinant_plan_matches_the_dense_determinant():
         r = rng.random((300, graph.n - 1))
         ang = rng.random((300, graph.n - 1))               # in turns
         alpha = np.sort(rng.random((300, graph.m)), axis=1)
-        vals, discarded = _block_values(_det_plan(graph), None, r, ang, alpha)
+        vals, discarded = _block_values(_det_plan(graph), None, r, ang, alpha,
+                                        buf=_arena()[0])
         assert discarded == 0
         jac = dense_jacobian(graph, r, ang * TWO_PI, alpha * TWO_PI)[0]
         dets = np.linalg.det(jac)
@@ -510,7 +509,7 @@ def test_near_collisions_are_dropped_as_the_reference_drops_them(name, a, b):
         r[::3, b] = r[::3, a]
         ang[::3, b] = ang[::3, a] + 1e-13
     plan = _det_plan(graph)
-    vals, dropped = _block_values(plan, None, r, ang, alpha)
+    vals, dropped = _block_values(plan, None, r, ang, alpha, buf=_arena()[0])
     ref, ref_dropped = helpers._block_values_reference(plan, (), r, ang,
                                                        alpha)
     assert dropped == ref_dropped >= 100
@@ -527,7 +526,8 @@ def test_a_coin_on_an_interval_start_picks_as_searchsorted_does(name):
     coin, rho_u, turn = rng.random((3, 400))
     coin[::2] = np.resize(mix[0], 200)          # exactly on a start
     plan = _det_plan(graph)
-    got = _block_values(plan, mix, r, ang, alpha, coin, rho_u, turn)
+    got = _block_values(plan, mix, r, ang, alpha, coin, rho_u, turn,
+                        buf=_arena()[0])
     want = helpers._block_values_reference(
         plan, _kernel_components(graph), r, ang, alpha, coin, rho_u, turn)
     assert got[1] == want[1] and np.array_equal(got[0], want[0])
